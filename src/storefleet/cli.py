@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -65,17 +66,42 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _require_number(mapping: dict, key: str, context: str) -> float:
+    return _number(_require(mapping, key, context), f"{context}: {key}")
+
+
+def _overcapacity(value) -> float | None:
+    """Overcapacity fraction, None when unset.
+
+    Generation is scaled by (1 + overcapacity), so a value at or below -1
+    would zero or negate it.
+    """
+    if value is None:
+        return None
+    overcapacity = _number(value, "overcapacity")
+    if not math.isfinite(overcapacity) or overcapacity <= -1.0:
+        raise ConfigError(f"overcapacity must be finite and > -1, got {value!r}")
+    return overcapacity
+
+
 def _parse_store(entry: dict, convention: LossConvention) -> tuple[StoreSpec, float]:
     spec = StoreSpec(
         name=str(_require(entry, "name", "store")),
-        capacity_mwh=float(_require(entry, "capacity_mwh", "store")),
-        output_power_mw=float(_require(entry, "output_power_mw", "store")),
-        input_power_mw=float(_require(entry, "input_power_mw", "store")),
-        efficiency=float(_require(entry, "efficiency", "store")),
+        capacity_mwh=_require_number(entry, "capacity_mwh", "store"),
+        output_power_mw=_require_number(entry, "output_power_mw", "store"),
+        input_power_mw=_require_number(entry, "input_power_mw", "store"),
+        efficiency=_require_number(entry, "efficiency", "store"),
     )
     validate_spec(spec)
     level = entry.get("initial_level_mwh")
-    level = spec.capacity_mwh if level is None else float(level)
+    level = spec.capacity_mwh if level is None else _number(level, "store: initial_level_mwh")
     spec, level = convert_convention(spec, level, convention, LossConvention.INPUT_SIDE)
     return spec, level
 
@@ -118,9 +144,9 @@ def load_scenario(path) -> Scenario:
     for name, entry in raw.get("costs", {}).items():
         try:
             costs[name] = StorePrices(
-                capacity_usd_per_kwh=float(_require(entry, "capacity_usd_per_kwh", f"costs[{name}]")),
-                output_power_usd_per_kw=float(_require(entry, "output_power_usd_per_kw", f"costs[{name}]")),
-                input_power_usd_per_kw=float(_require(entry, "input_power_usd_per_kw", f"costs[{name}]")),
+                capacity_usd_per_kwh=_require_number(entry, "capacity_usd_per_kwh", f"costs[{name}]"),
+                output_power_usd_per_kw=_require_number(entry, "output_power_usd_per_kw", f"costs[{name}]"),
+                input_power_usd_per_kw=_require_number(entry, "input_power_usd_per_kw", f"costs[{name}]"),
             )
         except ValueError as exc:
             raise ConfigError(f"costs[{name}]: {exc}") from None
@@ -128,7 +154,7 @@ def load_scenario(path) -> Scenario:
     standard = None
     if "reliability" in raw:
         standard = ReliabilityStandard(
-            float(_require(raw["reliability"], "max_unserved_gwh_per_year", "reliability"))
+            _require_number(raw["reliability"], "max_unserved_gwh_per_year", "reliability")
         )
 
     sizing_section = raw.get("sizing", {})
@@ -195,14 +221,11 @@ def _demand_generation(scenario: Scenario, seed: int | None):
         path = source["csv_path"]
         try:
             with open(path, encoding="utf-8") as fh:
-                header = fh.readline().strip().split(",")
+                header = [cell.strip() for cell in fh.readline().split(",")]
         except FileNotFoundError:
             raise ConfigError(f"trace file not found: {path}") from None
         if all(c in header for c in ("demand_mw", "wind_mw", "solar_mw")):
-            rows = np.genfromtxt(path, delimiter=",", names=True)
-            demand = np.atleast_1d(rows["demand_mw"])
-            generation = np.atleast_1d(rows["wind_mw"]) + np.atleast_1d(rows["solar_mw"])
-            return demand, generation
+            return traces.load_components(path)
         return None
     return None
 
@@ -211,18 +234,18 @@ def build_trace(scenario: Scenario, seed: int | None = None) -> ResidualTrace:
     source = scenario.raw.get("trace")
     if not source:
         raise ConfigError("config has no trace section")
-    overcapacity = scenario.raw.get("overcapacity")
+    overcapacity = _overcapacity(scenario.raw.get("overcapacity"))
     if "inline_mw" in source:
         return ResidualTrace.from_values(source["inline_mw"])
     if "synthetic" in source:
         demand, generation = _demand_generation(scenario, seed)
         return traces.scale_to_overcapacity(
-            demand, generation, 0.0 if overcapacity is None else float(overcapacity)
+            demand, generation, 0.0 if overcapacity is None else overcapacity
         )
     if "csv_path" in source:
-        pair = _demand_generation(scenario, seed)
-        if pair is not None and overcapacity is not None:
-            return traces.scale_to_overcapacity(pair[0], pair[1], float(overcapacity))
+        pair = None if overcapacity is None else _demand_generation(scenario, seed)
+        if pair is not None:
+            return traces.scale_to_overcapacity(pair[0], pair[1], overcapacity)
         try:
             return traces.load_csv(source["csv_path"])
         except FileNotFoundError:
@@ -332,20 +355,22 @@ def cmd_size(scenario: Scenario, out_dir: Path, args) -> int:
 
 
 def _curve_point(payload):
-    demand, generation, oc, eta, tol = payload
+    demand, generation, oc, eta = payload
     if demand is None:
         trace = generation  # pre-built residual values
     else:
         trace = traces.scale_to_overcapacity(demand, generation, oc)
-    return sizing.min_single_store_capacity(trace, eta, tol_mwh=tol)
+    return sizing.min_single_store_capacity(trace, eta)
 
 
 def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
-    etas = [float(x) for x in args.etas.split(",") if x.strip()]
+    etas = [_number(x, "--etas entry") for x in args.etas.split(",") if x.strip()]
     if not etas:
         raise ConfigError("--etas must list at least one efficiency")
-    oc_list = [float(x) for x in args.oc_list.split(",") if x.strip()] if args.oc_list else []
-    tol = scenario.options.e_tol_mwh
+    for eta in etas:
+        if not 0.0 < eta <= 1.0:
+            raise ConfigError(f"--etas: efficiency must lie in (0, 1], got {eta}")
+    oc_list = [_overcapacity(x) for x in args.oc_list.split(",") if x.strip()]
 
     jobs = []
     if oc_list:
@@ -355,11 +380,11 @@ def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
         demand, generation = pair
         for oc in oc_list:
             for eta in etas:
-                jobs.append((demand, generation, oc, eta, tol))
+                jobs.append((demand, generation, oc, eta))
     else:
         trace = build_trace(scenario, args.seed)
         for eta in etas:
-            jobs.append((None, trace, None, eta, tol))
+            jobs.append((None, trace, None, eta))
 
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
@@ -368,11 +393,11 @@ def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
         results = [_curve_point(job) for job in jobs]
 
     rows = []
-    for (demand, _, oc, eta, _), (e_min, s0_min) in zip(jobs, results):
+    for (_, _, oc, eta), (e_min, s0_min) in zip(jobs, results):
         factor = eta**-0.5 if args.convention == "split" else 1.0
         rows.append((oc, eta, e_min * factor, s0_min * factor))
 
-    slack = 2.0 * tol
+    slack = 2.0 * scenario.options.e_tol_mwh
     by_eta: dict[float, list] = {}
     by_oc: dict[float, list] = {}
     for oc, eta, e_min, s0 in rows:

@@ -12,6 +12,7 @@ is the unbeatable floor set by total output power alone.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -133,12 +134,19 @@ def simulate(
     trace,
     policy: Policy | Callable[[FleetState, float, Sequence[StoreSpec]], StepDecision],
     initial: FleetState | None = None,
+    unserved_limit_mwh: float | None = None,
 ) -> SimResult:
     """Run a policy step by step over the trace.
 
     ``policy`` is a Policy or any callable with the same decide signature.
     ``initial`` defaults to all stores full.  Deterministic: identical
     inputs give bit-identical results.
+
+    With ``unserved_limit_mwh`` set, the run stops after the first hour
+    whose cumulative unserved energy exceeds it, once that hour's
+    accounting is done.  The result then covers only the hours stepped:
+    its arrays are the full run's first rows, its totals and final state
+    are those of the last hour stepped.
     """
     validate_fleet(fleet)
     values = trace_values(trace)
@@ -173,6 +181,8 @@ def simulate(
     cross = 0.0
     cum_unserved = 0.0
     cum_spill = 0.0
+    limit = math.inf if unserved_limit_mwh is None else unserved_limit_mwh
+    stepped = steps
 
     for t in range(steps):
         re = vals[t]
@@ -226,14 +236,18 @@ def simulate(
                 if r < 0.0:
                     cross -= r
 
+        if cum_unserved > limit:
+            stepped = t + 1
+            break
+
     return SimResult(
-        unserved_cumulative_mwh=unserved_cum,
-        spill_cumulative_mwh=spill_cum,
+        unserved_cumulative_mwh=unserved_cum[:stepped],
+        spill_cumulative_mwh=spill_cum[:stepped],
         level_traces_mwh=np.asarray(level_rows),
         rates_mw=np.asarray(rate_rows),
         served_external_mwh=np.asarray(served),
         cross_charged_mwh=cross,
-        final_state=FleetState(tuple(levels), state.time_index + steps),
+        final_state=FleetState(tuple(levels), state.time_index + stepped),
     )
 
 

@@ -4,6 +4,11 @@ Prices are quoted per kWh of capacity and per kW of power, applied to
 dimensions expressed in the split-efficiency convention (the convention
 storage cost tables use).  Internally all optimisation runs in
 servable-energy terms and converts at the costing boundary.
+
+The minimal single store (``min_single_store_capacity``) is exact; the
+power and capacity searches of the optimisers bisect to a tolerance.
+Their reliability checks stop simulating a candidate as soon as its
+cumulative unserved energy exceeds the standard's allowance.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .engine import SimResult, simulate, trace_values
-from .fleet import FleetState, LossConvention, StoreSpec
+from .fleet import FleetError, FleetState, LossConvention, StoreSpec
 from .policies import Policy, ValueParams
 
 HOURS_PER_YEAR = 8760.0
@@ -126,6 +131,19 @@ def _bisect_min(feasible, lo: float, hi: float, tol: float) -> float:
     return hi
 
 
+def _serves_all(values: list[float], efficiency: float, capacity: float, initial: float) -> bool:
+    """True iff a greedy store with unconstrained power serves every deficit hour."""
+    level = initial
+    for re in values:
+        if re >= 0.0:
+            level = min(level + efficiency * re, capacity)
+        else:
+            if level < -re - 1e-9:
+                return False
+            level += re
+    return True
+
+
 def min_single_store_capacity(
     trace, efficiency: float, tol_mwh: float = 1.0
 ) -> tuple[float, float]:
@@ -133,35 +151,39 @@ def min_single_store_capacity(
 
     Power ratings are unconstrained; the store charges greedily.  Returns
     (capacity, initial_level) in servable-energy MWh such that the greedy
-    trajectory never leaves demand unserved; the capacity search starts
-    from a full store, then the initial level is minimised at that
-    capacity.
+    trajectory never leaves demand unserved.  The answer is exact, not
+    bracketed: one backward pass (the sequent-peak recursion) gives the
+    level ``need`` each hour must start with to serve every later hour,
+    adding the demand of a deficit hour and crediting efficiency x surplus
+    of a surplus hour down to zero.  The capacity is max(need) and the
+    initial level need at hour 0.  ``tol_mwh`` is accepted for callers
+    that still pass it and no longer bounds the answer.
+
+    The answer is checked by a forward greedy pass before it is returned;
+    FleetError is raised if rounding ever made it fail.  Starting at the
+    returned initial level is enough, so starting full is too: the greedy
+    trajectory is monotone in the starting level.
     """
-    values = trace_values(trace)
+    values = trace_values(trace).tolist()
     if not 0.0 < efficiency <= 1.0:
         raise ValueError(f"efficiency must lie in (0, 1], got {efficiency}")
-    total_demand = float(np.sum(np.maximum(0.0, -values)))
-    if total_demand <= 0.0:
-        return 0.0, 0.0
-
-    def feasible(capacity: float, initial: float) -> bool:
-        level = initial
-        for re in values:
-            if re >= 0.0:
-                level = min(level + efficiency * re, capacity)
-            else:
-                if level < -re - 1e-9:
-                    return False
-                level += re
-        return True
-
-    if not feasible(total_demand, total_demand):
-        raise Infeasible("even a store holding the whole demand cannot serve it")
-    e_min = _bisect_min(lambda e: feasible(e, e), 0.0, total_demand, tol_mwh)
-    if feasible(e_min, 0.0):
-        return e_min, 0.0
-    s0_min = _bisect_min(lambda s0: feasible(e_min, s0), 0.0, e_min, tol_mwh)
-    return e_min, s0_min
+    # Plain floats on purpose: the numpy cumulative-sum form of this
+    # recursion rounds differently and can come out a few nMWh short,
+    # which the forward check's 1e-9 slack does not forgive.
+    need = 0.0
+    peak = 0.0
+    for re in reversed(values):
+        if re < 0.0:
+            need -= re
+        else:
+            need = max(0.0, need - efficiency * re)
+        if need > peak:
+            peak = need
+    if not _serves_all(values, efficiency, peak, need):
+        raise FleetError(
+            f"sequent-peak store ({peak} MWh, initial {need} MWh) fails the forward check"
+        )
+    return peak, need
 
 
 def _years(values: np.ndarray) -> float:
@@ -175,8 +197,12 @@ def _meets_standard(
     standard: ReliabilityStandard,
     initial: FleetState | None = None,
 ) -> bool:
-    result = simulate(fleet, trace, Policy.value(lambdas), initial=initial)
-    return check_reliability(result, _years(trace_values(trace)), standard)
+    # Cumulative unserved energy never falls, so the run may stop as soon
+    # as it exceeds the allowance: the standard is lost by then.
+    years = _years(trace_values(trace))
+    result = simulate(fleet, trace, Policy.value(lambdas), initial=initial,
+                      unserved_limit_mwh=standard.allowance_mwh(years))
+    return check_reliability(result, years, standard)
 
 
 def min_required_output_power(
@@ -337,7 +363,9 @@ def tune_lambdas(
     best: tuple[float, ...] | None = None
     best_ue = math.inf
     for combo in itertools.product(*per_store):
-        ue = simulate(fleet, trace, Policy.value(combo), initial=initial).total_unserved_mwh
+        # A run that passes the best total so far cannot win: stop it there.
+        ue = simulate(fleet, trace, Policy.value(combo), initial=initial,
+                      unserved_limit_mwh=best_ue).total_unserved_mwh
         if ue < best_ue:
             best_ue = ue
             best = combo

@@ -86,14 +86,11 @@ _RESIDUAL_COLUMN = "residual_mw"
 _COMPONENT_COLUMNS = ("demand_mw", "wind_mw", "solar_mw")
 
 
-def load_csv(path, schema: str | None = None) -> ResidualTrace:
-    """Load a trace from CSV.
+def _read_columns(path, schema: str | None) -> tuple[str, np.ndarray]:
+    """The schema and its columns' values, one row per data line.
 
-    Two schemas are accepted: a single ``residual_mw`` column, or the
-    triple ``demand_mw, wind_mw, solar_mw`` (residual = wind + solar -
-    demand).  ``schema`` may pin one of ``"residual"`` / ``"components"``
-    or be None for auto-detection from the header.  NaN or infinite
-    entries are rejected with their line number.
+    Cells that do not parse and NaN or infinite entries are rejected with
+    their line number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -124,7 +121,7 @@ def load_csv(path, schema: str | None = None) -> ResidualTrace:
         except ValueError as exc:
             raise SchemaError(f"{path}: missing column for schema {schema!r}: {exc}") from None
 
-        values = []
+        rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -139,15 +136,37 @@ def load_csv(path, schema: str | None = None) -> ResidualTrace:
                     ) from None
             if any(not math.isfinite(x) for x in parsed):
                 raise NonFiniteValue(f"{path}:{line_no}: non-finite value {parsed}", line=line_no)
-            if schema == "residual":
-                values.append(parsed[0])
-            else:
-                demand, wind, solar = parsed
-                values.append(wind + solar - demand)
+            rows.append(parsed)
 
-    if not values:
+    if not rows:
         raise SchemaError(f"{path}: no data rows")
-    return ResidualTrace(np.asarray(values), origin=CsvSource(str(path)))
+    return schema, np.asarray(rows)
+
+
+def load_csv(path, schema: str | None = None) -> ResidualTrace:
+    """Load a trace from CSV.
+
+    Two schemas are accepted: a single ``residual_mw`` column, or the
+    triple ``demand_mw, wind_mw, solar_mw`` (residual = wind + solar -
+    demand).  ``schema`` may pin one of ``"residual"`` / ``"components"``
+    or be None for auto-detection from the header.  NaN or infinite
+    entries are rejected with their line number.
+    """
+    schema, rows = _read_columns(path, schema)
+    if schema == "residual":
+        values = rows[:, 0]
+    else:
+        values = rows[:, 1] + rows[:, 2] - rows[:, 0]
+    return ResidualTrace(values, origin=CsvSource(str(path)))
+
+
+def load_components(path) -> tuple[np.ndarray, np.ndarray]:
+    """(demand_mw, generation_mw) from a ``demand_mw, wind_mw, solar_mw`` CSV.
+
+    Validated as ``load_csv`` validates; generation is wind + solar.
+    """
+    _, rows = _read_columns(path, "components")
+    return rows[:, 0], rows[:, 1] + rows[:, 2]
 
 
 def write_csv(trace: ResidualTrace, path) -> None:

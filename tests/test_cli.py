@@ -76,6 +76,56 @@ class TestSimulateCommand:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+    def test_non_numeric_store_field_is_config_error(self, tmp_path, capsys):
+        config = simple_simulate_config(
+            tmp_path,
+            stores=[
+                {
+                    "name": "s",
+                    "capacity_mwh": "big",
+                    "output_power_mw": 8.0,
+                    "input_power_mw": 10.0,
+                    "efficiency": 1.0,
+                }
+            ],
+        )
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: config error:")
+        assert "capacity_mwh" in err and "'big'" in err
+
+    @pytest.mark.parametrize("overcapacity", ["big", float("nan"), float("inf"), -1.0, -3.0])
+    def test_bad_overcapacity_is_config_error(self, tmp_path, capsys, overcapacity):
+        config = simple_simulate_config(
+            tmp_path,
+            trace={"synthetic": {"years": 0.01, "seed": 1}},
+            overcapacity=overcapacity,
+        )
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("storefleet: config error: overcapacity")
+
+    @pytest.mark.parametrize("overcapacity", [None, 0.3])
+    def test_bad_component_cell_names_its_line(self, tmp_path, capsys, overcapacity):
+        path = tmp_path / "comp.csv"
+        path.write_text("demand_mw,wind_mw,solar_mw\n900,700,100\n950,oops,0\n")
+        extra = {} if overcapacity is None else {"overcapacity": overcapacity}
+        config = simple_simulate_config(tmp_path, trace={"csv_path": str(path)}, **extra)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 2
+        assert "comp.csv:3: cannot parse 'oops'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["demand_mw,wind_mw,solar_mw", "demand_mw, wind_mw, solar_mw"])
+    def test_component_csv_scaled_to_overcapacity(self, tmp_path, header):
+        path = tmp_path / "comp.csv"
+        path.write_text(f"{header}\n900,700,100\n1100,300,0\n")
+        config = simple_simulate_config(tmp_path, trace={"csv_path": str(path)}, overcapacity=0.5)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(open(out / "simulation.csv")))
+        # k = 1.5 * 1000 / 550 scales generation 800 and 300.
+        k = 1.5 * 1000.0 / 550.0
+        assert [float(r["re_mw"]) for r in rows] == pytest.approx([800 * k - 900, 300 * k - 1100])
+
+
 class TestSizeCommand:
     def test_fixed_dims_cost_report(self, tmp_path):
         config = write_config(
@@ -251,6 +301,14 @@ class TestMinStoreCurveCommand:
     def test_empty_etas_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, {"trace": {"inline_mw": [1.0]}})
         assert main(["min-store-curve", "--config", config, "--etas", "", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "flags", [["--etas", "big"], ["--etas", "1.5"], ["--etas", "0.5", "--oc-list", "0.1,-3"]]
+    )
+    def test_bad_sweep_values_are_config_errors(self, tmp_path, capsys, flags):
+        config = write_config(tmp_path, {"trace": {"synthetic": {"years": 0.01, "seed": 1}}})
+        assert main(["min-store-curve", "--config", config, "--out", str(tmp_path), *flags]) == 1
+        assert capsys.readouterr().err.startswith("storefleet: config error:")
 
 
 class TestSynthAndStats:

@@ -111,6 +111,33 @@ class TestSimulate:
         assert result.cross_charged_mwh > 0.0
         assert result.total_unserved_mwh == 0.0
 
+    def test_stopped_run_is_prefix_of_full_run(self):
+        rng = np.random.default_rng(89)
+        stopped_early = 0
+        for _ in range(20):
+            fleet = random_fleet(rng, int(rng.integers(1, 4)))
+            values = random_trace_values(rng, 120)
+            policy = Policy.value(random_lambdas(rng, len(fleet)))
+            initial = FleetState(random_levels(rng, fleet), time_index=7)
+            full = simulate(fleet, values, policy, initial=initial)
+            cum = full.unserved_cumulative_mwh
+            for limit in (0.0, float(cum[len(cum) // 3]), full.total_unserved_mwh):
+                stopped = simulate(fleet, values, policy, initial=initial, unserved_limit_mwh=limit)
+                over = np.flatnonzero(cum > limit)
+                hours = int(over[0]) + 1 if len(over) else len(values)
+                stopped_early += hours < len(values)
+                assert np.array_equal(stopped.unserved_cumulative_mwh, cum[:hours])
+                assert np.array_equal(stopped.spill_cumulative_mwh, full.spill_cumulative_mwh[:hours])
+                assert np.array_equal(stopped.level_traces_mwh, full.level_traces_mwh[:hours])
+                assert np.array_equal(stopped.rates_mw, full.rates_mw[:hours])
+                assert stopped.final_state == FleetState(
+                    tuple(full.level_traces_mwh[hours - 1]), 7 + hours
+                )
+                if hours == len(values):
+                    assert np.array_equal(stopped.served_external_mwh, full.served_external_mwh)
+                    assert stopped.cross_charged_mwh == full.cross_charged_mwh
+        assert stopped_early > 0
+
 
 class TestLowerBound:
     def test_power_sufficient(self):

@@ -18,9 +18,16 @@ from storefleet.sizing import (
     optimize_fleet,
     optimize_single_store,
     tune_lambdas,
+    _meets_standard,
 )
 
-from oracles import brute_min_capacity
+from oracles import (
+    brute_min_capacity,
+    random_fleet,
+    random_lambdas,
+    random_levels,
+    random_trace_values,
+)
 
 HYDROGEN = StorePrices(0.8, 429.0, 858.0)
 ACAES = StorePrices(9.0, 200.0, 200.0)
@@ -108,13 +115,12 @@ class TestMinSingleStoreCapacity:
     def test_no_deficit_needs_no_store(self):
         assert min_single_store_capacity([1.0, 2.0, 0.0], 0.7) == (0.0, 0.0)
 
-    def test_bisection_is_tight(self):
+    def test_result_is_exact(self):
         rng = np.random.default_rng(61)
-        for _ in range(20):
+        for k in range(20):
             values = rng.uniform(-30, 30, 100)
             eta = float(rng.uniform(0.3, 1.0))
-            tol = 0.01
-            e_min, s0_min = min_single_store_capacity(values, eta, tol_mwh=tol)
+            e_min, s0_min = min_single_store_capacity(values, eta)
 
             def feasible(capacity, initial):
                 level = initial
@@ -127,12 +133,17 @@ class TestMinSingleStoreCapacity:
                         level += re
                 return True
 
+            assert e_min > 0.0
             assert feasible(e_min, e_min)
             assert feasible(e_min, s0_min)
-            if e_min > tol:
-                assert not feasible(e_min - 2 * tol, e_min - 2 * tol)
-            if s0_min > tol:
-                assert not feasible(e_min, s0_min - 2 * tol)
+            assert not feasible(e_min - 1e-6, e_min - 1e-6)
+            if s0_min > 0.0:
+                assert not feasible(e_min, s0_min - 1e-6)
+            if k < 4:
+                step = 1.0
+                brute_e, brute_s0 = brute_min_capacity(values, eta, step, step)
+                assert brute_e - step <= e_min <= brute_e + 1e-9
+                assert brute_s0 - step <= s0_min <= brute_s0 + 1e-9
 
     def test_nonincreasing_in_efficiency(self):
         rng = np.random.default_rng(67)
@@ -141,6 +152,30 @@ class TestMinSingleStoreCapacity:
             min_single_store_capacity(values, eta, tol_mwh=0.01)[0] for eta in (0.4, 0.7, 0.9)
         ]
         assert sizes[0] >= sizes[1] - 0.05 >= sizes[2] - 0.10
+
+
+class TestEarlyStop:
+    def test_meets_standard_matches_full_run(self):
+        rng = np.random.default_rng(83)
+        decided = {True: 0, False: 0}
+        for _ in range(40):
+            fleet = random_fleet(rng, int(rng.integers(1, 4)))
+            values = random_trace_values(rng, 150)
+            lambdas = random_lambdas(rng, len(fleet))
+            initial = FleetState(random_levels(rng, fleet))
+            full = simulate(fleet, values, Policy.value(lambdas), initial=initial)
+            years = len(values) / 8760.0
+            # Standards around the run's own cumulative unserved energy, so
+            # the run stops early, at the last hour, or not at all.
+            cum = full.unserved_cumulative_mwh
+            picks = [0.0, float(cum[len(cum) // 2]), full.total_unserved_mwh,
+                     2.0 * full.total_unserved_mwh + 1.0]
+            for allowance in picks:
+                standard = ReliabilityStandard(allowance / 1e3 / years)
+                expected = check_reliability(full, years, standard)
+                assert _meets_standard(fleet, values, lambdas, standard, initial) == expected
+                decided[expected] += 1
+        assert decided[True] > 0 and decided[False] > 0
 
 
 def _big_store(output_mw=1e6):
