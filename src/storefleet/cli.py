@@ -230,12 +230,19 @@ def _demand_generation(scenario: Scenario, seed: int | None):
     return None
 
 
+_OVERCAPACITY_SOURCES = (
+    "overcapacity applies only to synthetic traces and demand_mw,wind_mw,solar_mw CSVs"
+)
+
+
 def build_trace(scenario: Scenario, seed: int | None = None) -> ResidualTrace:
     source = scenario.raw.get("trace")
     if not source:
         raise ConfigError("config has no trace section")
     overcapacity = _overcapacity(scenario.raw.get("overcapacity"))
     if "inline_mw" in source:
+        if overcapacity is not None:
+            raise ConfigError(_OVERCAPACITY_SOURCES + ", not to an inline_mw trace")
         return ResidualTrace.from_values(source["inline_mw"])
     if "synthetic" in source:
         demand, generation = _demand_generation(scenario, seed)
@@ -243,8 +250,10 @@ def build_trace(scenario: Scenario, seed: int | None = None) -> ResidualTrace:
             demand, generation, 0.0 if overcapacity is None else overcapacity
         )
     if "csv_path" in source:
-        pair = None if overcapacity is None else _demand_generation(scenario, seed)
-        if pair is not None:
+        if overcapacity is not None:
+            pair = _demand_generation(scenario, seed)
+            if pair is None:
+                raise ConfigError(_OVERCAPACITY_SOURCES + ", not to a residual_mw CSV")
             return traces.scale_to_overcapacity(pair[0], pair[1], overcapacity)
         try:
             return traces.load_csv(source["csv_path"])

@@ -38,6 +38,10 @@ from .policies import FleetConsts, Policy
 # rather than something greedify needs to act on.
 _GREEDIFY_EPS = 1e-9
 
+# Rows converted from arrays to Python floats at a time by
+# write_simulation_csv.
+_CSV_BLOCK_ROWS = 4096
+
 
 class OverdrawViolation(FleetError):
     """More energy drawn for charging than the surplus provides."""
@@ -156,6 +160,7 @@ def simulate(
     validate_state(state, fleet)
 
     consts = FleetConsts(fleet)
+    n = len(fleet)
     if isinstance(policy, Policy):
         step = policy.raw_step(consts)
     else:
@@ -163,88 +168,93 @@ def simulate(
 
         def step(levels, re):
             decision = policy(FleetState(tuple(levels), next(hour)), re, fleet)
+            if len(decision.rates_mw) != n:
+                raise FleetError(f"decision has {len(decision.rates_mw)} rates for {n} stores")
             return list(decision.rates_mw), decision.spill_mwh, decision.unserved_mwh
 
-    n = len(fleet)
-    steps = len(values)
-    vals = values.tolist()
     capacity = consts.capacity
-    out_power = consts.out_power
-    max_charge = consts.max_charge
     eta = consts.eta
+    # The feasible box widened by SLACK, computed once per run.
+    rate_lo = [-p - SLACK for p in consts.out_power]
+    rate_hi = [m + SLACK for m in consts.max_charge]
+    level_lo = -SLACK
+    level_hi = [c + SLACK for c in capacity]
+    stores = range(n)
     levels = list(state.levels_mwh)
-    level_rows: list[list[float]] = []
-    rate_rows: list[list[float]] = []
-    unserved_cum = np.empty(steps)
-    spill_cum = np.empty(steps)
+    # Histories grow as flat lists, reshaped once at the end.
+    rate_flat: list[float] = []
+    level_flat: list[float] = []
+    unserved_cum: list[float] = []
+    spill_cum: list[float] = []
     served = [0.0] * n
     cross = 0.0
     cum_unserved = 0.0
     cum_spill = 0.0
     limit = math.inf if unserved_limit_mwh is None else unserved_limit_mwh
-    stepped = steps
 
-    for t in range(steps):
-        re = vals[t]
+    for t, re in enumerate(values.tolist()):
         rates, spill, unserved = step(levels, re)
-        for i in range(n):
+        for i in stores:
             r = rates[i]
-            if r < -out_power[i] - SLACK or r > max_charge[i] + SLACK:
+            if r < rate_lo[i] or r > rate_hi[i]:
                 raise RateViolation(
                     f"hour {t}: store {i} rate {r} outside feasible range (policy bug)",
                     time_index=t,
                     store=i,
                 )
             level = levels[i] + r
-            if level < -SLACK or level > capacity[i] + SLACK:
+            if level < level_lo or level > level_hi[i]:
                 raise CapacityViolation(
                     f"hour {t}: store {i} level {level} outside [0, {capacity[i]}] (policy bug)",
                     time_index=t,
                     store=i,
                 )
-            levels[i] = min(max(level, 0.0), capacity[i])
+            # min(max(level, 0.0), capacity[i]), without two builtin calls.
+            if level < 0.0:
+                level = 0.0
+            elif level > capacity[i]:
+                level = capacity[i]
+            levels[i] = level
         cum_unserved += unserved
         cum_spill += spill
-        unserved_cum[t] = cum_unserved
-        spill_cum[t] = cum_spill
-        rate_rows.append(rates)
-        level_rows.append(list(levels))
+        unserved_cum.append(cum_unserved)
+        spill_cum.append(cum_spill)
+        rate_flat.extend(rates)
+        level_flat.extend(levels)
 
         if re < 0.0:
             # Store output splits between demand and cross-charge draw.
             output = 0.0
             draw = 0.0
-            for i in range(n):
-                r = rates[i]
+            for r, e in zip(rates, eta):
                 if r < 0.0:
                     output -= r
                 elif r > 0.0:
-                    draw += r / eta[i]
+                    draw += r / e
             if draw > 0.0:
                 cross += draw
             served_total = output - draw
             if output > 0.0 and served_total > 0.0:
                 share = served_total / output
-                for i in range(n):
+                for i in stores:
                     r = rates[i]
                     if r < 0.0:
                         served[i] -= r * share
         else:
             # Any discharge during a surplus hour feeds other stores.
-            for i in range(n):
-                r = rates[i]
+            for r in rates:
                 if r < 0.0:
                     cross -= r
 
         if cum_unserved > limit:
-            stepped = t + 1
             break
 
+    stepped = len(unserved_cum)
     return SimResult(
-        unserved_cumulative_mwh=unserved_cum[:stepped],
-        spill_cumulative_mwh=spill_cum[:stepped],
-        level_traces_mwh=np.asarray(level_rows),
-        rates_mw=np.asarray(rate_rows),
+        unserved_cumulative_mwh=np.array(unserved_cum),
+        spill_cumulative_mwh=np.array(spill_cum),
+        level_traces_mwh=np.array(level_flat).reshape(stepped, n),
+        rates_mw=np.array(rate_flat).reshape(stepped, n),
         served_external_mwh=np.asarray(served),
         cross_charged_mwh=cross,
         final_state=FleetState(tuple(levels), state.time_index + stepped),
@@ -542,6 +552,11 @@ def unserved_series(fleet: Sequence[StoreSpec], initial: FleetState, trace, poli
 def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimResult) -> None:
     """Plot-ready per-hour dump of a simulation run."""
     values = trace_values(trace)
+    steps = len(values)
+    if len(result.unserved_cumulative_mwh) != steps:
+        raise FleetError(
+            f"result covers {len(result.unserved_cumulative_mwh)} of the trace's {steps} hours"
+        )
     names = [s.name for s in fleet]
     header = (
         ["hour", "re_mw"]
@@ -549,11 +564,24 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
         + [f"level_{n}" for n in names]
         + ["spill_cum_mwh", "unserved_cum_mwh"]
     )
+    columns = (
+        values,
+        result.rates_mw,
+        result.level_traces_mwh,
+        result.spill_cumulative_mwh,
+        result.unserved_cumulative_mwh,
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for t in range(len(values)):
-            cells = [str(t), repr(float(values[t]))]
-            cells += [repr(float(x)) for x in result.rates_mw[t]]
-            cells += [repr(float(x)) for x in result.level_traces_mwh[t]]
-            cells += [repr(float(result.spill_cumulative_mwh[t])), repr(float(result.unserved_cumulative_mwh[t]))]
-            fh.write(",".join(cells) + "\n")
+        # Rows go out in blocks: tolist() turns a block into Python
+        # floats in one call, and only one block's floats are alive.
+        # The float trace column makes every block float.
+        for start in range(0, steps, _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, steps)
+            block = np.column_stack([c[start:stop] for c in columns])
+            fh.write(
+                "".join(
+                    f"{t},{','.join(map(repr, row))}\n"
+                    for t, row in zip(range(start, stop), block.tolist())
+                )
+            )

@@ -16,9 +16,9 @@ discharges as hard as it can.
 * ``schedule_grtef`` charges and discharges the most efficient stores
   first; no cross-charging.
 
-The module keeps allocation arithmetic in plain-float helper functions
-over precomputed per-store constants; simulation loops iterate these
-millions of times.
+All three, and ``Policy.decide``, run one plain-float step kernel
+(``_step_kernel``) that binds the per-store constants once per fleet;
+simulation loops call it millions of times.
 """
 
 from __future__ import annotations
@@ -60,163 +60,193 @@ class FleetConsts:
         self.inv_out = [0.0 if math.isinf(p) else 1.0 / p for p in self.out_power]
 
 
-def _values_of(levels, consts: FleetConsts, lambdas) -> list[float]:
-    return [
-        math.exp(-lam * s * inv) for lam, s, inv in zip(lambdas, levels, consts.inv_out)
-    ]
-
-
-def _fill_charge(levels, budget, consts: FleetConsts, order, rates) -> None:
-    """Visit stores in order, drawing up to min(budget, Q, headroom/eta)."""
-    for i in order:
-        if budget <= 0.0:
-            break
-        eta = consts.eta[i]
-        draw = (consts.capacity[i] - levels[i]) / eta
-        in_power = consts.in_power[i]
-        if in_power < draw:
-            draw = in_power
-        if budget < draw:
-            draw = budget
-        if draw > 0.0:
-            rates[i] = eta * draw
-            budget -= draw
-
-
-def _fill_discharge(levels, demand, consts: FleetConsts, order, rates) -> None:
-    for i in order:
-        if demand <= 0.0:
-            break
-        d = levels[i]
-        out_power = consts.out_power[i]
-        if out_power < d:
-            d = out_power
-        if demand < d:
-            d = demand
-        if d > 0.0:
-            rates[i] = -d
-            demand -= d
-
-
-def _cross_charge_raw(levels, rates, consts: FleetConsts, v) -> list[tuple[int, int, float]]:
-    """Move energy from low-value dischargeable stores to high-value ones.
+def _cross_charger(consts: FleetConsts):
+    """Bind the cross-charging pass, (levels, rates, v) -> transfers, to a fleet.
 
     Repeatedly pair the eligible supplier with the lowest v against the
     eligible receiver with the highest eta * v and transfer as much as
     either side allows, while v[supplier] < eta[receiver] * v[receiver]
-    (the transfer gains value despite the round-trip loss).  Each full
-    transfer saturates one side, so the loop ends within 2 * n transfers.
-    Returns the (supplier, receiver, delivered_mwh) list.
+    (the transfer gains value despite the round-trip loss).  ``rates``
+    is updated in place.  Each full transfer saturates one side, so the
+    loop ends within 2 * n transfers.  Returns the (supplier, receiver,
+    delivered_mwh) list.
     """
     n = consts.n
-    transfers: list[tuple[int, int, float]] = []
-    while True:
-        supplier = None
-        sv = math.inf
-        for i in range(n):
-            r = rates[i]
-            if (
-                r <= 0.0
-                and r + consts.out_power[i] > _EPS
-                and levels[i] + r > _EPS
-                and v[i] < sv
-            ):
-                supplier = i
-                sv = v[i]
-        if supplier is None:
-            break
-        receiver = None
-        best_priority = -math.inf
-        for j in range(n):
-            if j == supplier:
-                continue
-            r = rates[j]
-            if (
-                r >= 0.0
-                and consts.max_charge[j] - r > _EPS
-                and consts.capacity[j] - levels[j] - r > _EPS
-            ):
-                priority = consts.eta[j] * v[j]
-                if priority > best_priority:
-                    best_priority = priority
-                    receiver = j
-        if receiver is None or not sv < best_priority:
-            break
-        eta_r = consts.eta[receiver]
-        x = min(
-            levels[supplier] + rates[supplier],
-            consts.out_power[supplier] + rates[supplier],
-            (consts.capacity[receiver] - levels[receiver] - rates[receiver]) / eta_r,
-            consts.in_power[receiver] - rates[receiver] / eta_r,
-        )
-        if x <= _EPS:
-            break
-        rates[supplier] -= x
-        rates[receiver] += eta_r * x
-        transfers.append((supplier, receiver, x))
-        assert len(transfers) <= 2 * n, "cross-charging failed to terminate"
-    return transfers
+    capacity = consts.capacity
+    out_power = consts.out_power
+    in_power = consts.in_power
+    eta = consts.eta
+    max_charge = consts.max_charge
+    stores = range(n)
+    inf = math.inf
+    eps = _EPS
+
+    def cross_charge(levels, rates, v) -> list[tuple[int, int, float]]:
+        transfers: list[tuple[int, int, float]] = []
+        while True:
+            supplier = None
+            sv = inf
+            for i in stores:
+                r = rates[i]
+                if r <= 0.0 and r + out_power[i] > eps and levels[i] + r > eps and v[i] < sv:
+                    supplier = i
+                    sv = v[i]
+            if supplier is None:
+                break
+            receiver = None
+            best_priority = -inf
+            for j in stores:
+                if j == supplier:
+                    continue
+                r = rates[j]
+                if r >= 0.0 and max_charge[j] - r > eps and capacity[j] - levels[j] - r > eps:
+                    priority = eta[j] * v[j]
+                    if priority > best_priority:
+                        best_priority = priority
+                        receiver = j
+            if receiver is None or not sv < best_priority:
+                break
+            eta_r = eta[receiver]
+            x = min(
+                levels[supplier] + rates[supplier],
+                out_power[supplier] + rates[supplier],
+                (capacity[receiver] - levels[receiver] - rates[receiver]) / eta_r,
+                in_power[receiver] - rates[receiver] / eta_r,
+            )
+            if x <= eps:
+                break
+            rates[supplier] -= x
+            rates[receiver] += eta_r * x
+            transfers.append((supplier, receiver, x))
+            assert len(transfers) <= 2 * n, "cross-charging failed to terminate"
+        return transfers
+
+    return cross_charge
 
 
-def _imbalance_raw(re, rates, consts: FleetConsts) -> float:
-    u = re
-    for i in range(consts.n):
-        r = rates[i]
-        if r < 0.0:
-            u -= r
+def _step_kernel(consts: FleetConsts, kind: str, lambdas=(), cross_charging=True):
+    """Bind one (levels, re) -> (rates, spill, unserved) step for a policy kind.
+
+    Every policy fills stores greedily in its priority order: surplus
+    hours draw up to min(budget, Q, headroom / eta) per store, deficit
+    hours discharge up to min(demand, P, level).  The value policy then
+    cross-charges.  Spill or unserved energy is the imbalance left over,
+    summed in store order.
+
+    Priority orders sort store indices by a key, highest first unless
+    noted; ``sorted(..., reverse=True)`` keeps index order among equal
+    keys, as a ``(-key, index)`` sort would:
+
+    * value: eta * v when charging, v lowest first when discharging,
+      with v = exp(-lambda * level / output_power) from the pre-step
+      levels;
+    * ggddf: (capacity - level) / output_power when charging,
+      level / output_power when discharging;
+    * grtef: eta, both ways (fixed, so sorted once here).
+
+    One store has nothing to rank or cross-charge.  The closure is built
+    once per simulation; it keeps this hour's values and keys in lists
+    it overwrites every call, so it must not be shared between threads.
+    """
+    n = consts.n
+    capacity = consts.capacity
+    out_power = consts.out_power
+    in_power = consts.in_power
+    eta = consts.eta
+    inv_out = consts.inv_out
+    stores = range(n)
+    value = kind == "value" and n > 1
+    cross_charge = _cross_charger(consts) if value and cross_charging else None
+    fixed_order = None
+    if n == 1:
+        fixed_order = (0,)
+    elif kind == "grtef":
+        fixed_order = tuple(sorted(stores, key=eta.__getitem__, reverse=True))
+    neg_lambdas = [-lam for lam in lambdas]
+    v = [1.0] * n
+    key = [0.0] * n
+    by_v = v.__getitem__
+    by_key = key.__getitem__
+    exp = math.exp
+
+    def step(levels, re):
+        if value:
+            for i in stores:
+                v[i] = exp(neg_lambdas[i] * levels[i] * inv_out[i])
+        rates = [0.0] * n
+        if re >= 0.0:
+            if fixed_order is not None:
+                order = fixed_order
+            else:
+                if value:
+                    for i in stores:
+                        key[i] = eta[i] * v[i]
+                else:
+                    for i in stores:
+                        key[i] = (capacity[i] - levels[i]) * inv_out[i]
+                order = sorted(stores, key=by_key, reverse=True)
+            budget = re
+            for i in order:
+                if budget <= 0.0:
+                    break
+                e = eta[i]
+                draw = (capacity[i] - levels[i]) / e
+                q = in_power[i]
+                if q < draw:
+                    draw = q
+                if budget < draw:
+                    draw = budget
+                if draw > 0.0:
+                    rates[i] = e * draw
+                    budget -= draw
         else:
-            u -= r / consts.eta[i]
-    return u
+            if fixed_order is not None:
+                order = fixed_order
+            elif value:
+                order = sorted(stores, key=by_v)
+            else:
+                for i in stores:
+                    key[i] = levels[i] * inv_out[i]
+                order = sorted(stores, key=by_key, reverse=True)
+            demand = -re
+            for i in order:
+                if demand <= 0.0:
+                    break
+                d = levels[i]
+                p = out_power[i]
+                if p < d:
+                    d = p
+                if demand < d:
+                    d = demand
+                if d > 0.0:
+                    rates[i] = -d
+                    demand -= d
+        if cross_charge is not None:
+            cross_charge(levels, rates, v)
+        u = re
+        for i in stores:
+            r = rates[i]
+            if r < 0.0:
+                u -= r
+            else:
+                u -= r / eta[i]
+        # max(u, 0.0) + 0.0 and max(-u, 0.0) + 0.0, without a builtin call.
+        if re >= 0.0:
+            return rates, (0.0 if u < 0.0 else u) + 0.0, 0.0
+        u = -u
+        return rates, 0.0, (0.0 if u < 0.0 else u) + 0.0
+
+    return step
 
 
-def _value_step(levels, re, consts: FleetConsts, lambdas, cross_charging=True):
-    """Raw value-priority step: returns (rates, spill, unserved)."""
-    v = _values_of(levels, consts, lambdas)
-    n = consts.n
-    rates = [0.0] * n
-    if re >= 0.0:
-        order = sorted(range(n), key=lambda i: (-consts.eta[i] * v[i], i))
-        _fill_charge(levels, re, consts, order, rates)
-    else:
-        order = sorted(range(n), key=lambda i: (v[i], i))
-        _fill_discharge(levels, -re, consts, order, rates)
-    if cross_charging:
-        _cross_charge_raw(levels, rates, consts, v)
-    u = _imbalance_raw(re, rates, consts)
-    if re >= 0.0:
-        return rates, max(u, 0.0) + 0.0, 0.0
-    return rates, 0.0, max(-u, 0.0) + 0.0
+def _decision(step, state: FleetState, re_mw: float) -> StepDecision:
+    rates, spill, unserved = step(state.levels_mwh, re_mw)
+    return StepDecision(tuple(rates), spill_mwh=spill, unserved_mwh=unserved)
 
 
-def _ggddf_step(levels, re, consts: FleetConsts):
-    n = consts.n
-    rates = [0.0] * n
-    if re >= 0.0:
-        order = sorted(
-            range(n), key=lambda i: (-(consts.capacity[i] - levels[i]) * consts.inv_out[i], i)
-        )
-        _fill_charge(levels, re, consts, order, rates)
-    else:
-        order = sorted(range(n), key=lambda i: (-levels[i] * consts.inv_out[i], i))
-        _fill_discharge(levels, -re, consts, order, rates)
-    u = _imbalance_raw(re, rates, consts)
-    if re >= 0.0:
-        return rates, max(u, 0.0) + 0.0, 0.0
-    return rates, 0.0, max(-u, 0.0) + 0.0
-
-
-def _grtef_step(levels, re, consts: FleetConsts):
-    n = consts.n
-    rates = [0.0] * n
-    order = sorted(range(n), key=lambda i: (-consts.eta[i], i))
-    if re >= 0.0:
-        _fill_charge(levels, re, consts, order, rates)
-    else:
-        _fill_discharge(levels, -re, consts, order, rates)
-    u = _imbalance_raw(re, rates, consts)
-    if re >= 0.0:
-        return rates, max(u, 0.0) + 0.0, 0.0
-    return rates, 0.0, max(-u, 0.0) + 0.0
+def _check_lambdas(lambdas, n: int) -> None:
+    if len(lambdas) != n:
+        raise ValueError(f"{len(lambdas)} decay rates for {n} stores")
 
 
 def value_derivatives(
@@ -228,11 +258,12 @@ def value_derivatives(
     and decreasing in the level, so emptier (or slower-to-refill) stores
     look more valuable to top up and fuller ones are discharged first.
     """
-    if len(params.lambdas_per_hour) != len(fleet):
-        raise ValueError(
-            f"{len(params.lambdas_per_hour)} decay rates for {len(fleet)} stores"
-        )
-    return _values_of(state.levels_mwh, FleetConsts(fleet), params.lambdas_per_hour)
+    _check_lambdas(params.lambdas_per_hour, len(fleet))
+    inv_out = FleetConsts(fleet).inv_out
+    return [
+        math.exp(-lam * s * inv)
+        for lam, s, inv in zip(params.lambdas_per_hour, state.levels_mwh, inv_out)
+    ]
 
 
 def schedule_value_lp(
@@ -250,14 +281,9 @@ def schedule_value_lp(
     resulting rates maximise sum(v[i] * rates[i]) over all feasible
     decisions with the same (greedy-minimal) spill or unserved energy.
     """
-    if len(params.lambdas_per_hour) != len(fleet):
-        raise ValueError(
-            f"{len(params.lambdas_per_hour)} decay rates for {len(fleet)} stores"
-        )
-    rates, spill, unserved = _value_step(
-        state.levels_mwh, re_mw, FleetConsts(fleet), params.lambdas_per_hour, cross_charging
-    )
-    return StepDecision(tuple(rates), spill_mwh=spill, unserved_mwh=unserved)
+    _check_lambdas(params.lambdas_per_hour, len(fleet))
+    step = _step_kernel(FleetConsts(fleet), "value", params.lambdas_per_hour, cross_charging)
+    return _decision(step, state, re_mw)
 
 
 def schedule_ggddf(state: FleetState, re_mw: float, fleet: Sequence[StoreSpec]) -> StepDecision:
@@ -269,19 +295,12 @@ def schedule_ggddf(state: FleetState, re_mw: float, fleet: Sequence[StoreSpec]) 
     Surplus hours charge in descending (capacity - level) / output_power,
     restoring the largest duration deficit first.  No cross-charging.
     """
-    rates, spill, unserved = _ggddf_step(state.levels_mwh, re_mw, FleetConsts(fleet))
-    return StepDecision(tuple(rates), spill_mwh=spill, unserved_mwh=unserved)
+    return _decision(_step_kernel(FleetConsts(fleet), "ggddf"), state, re_mw)
 
 
 def schedule_grtef(state: FleetState, re_mw: float, fleet: Sequence[StoreSpec]) -> StepDecision:
     """Greatest-round-trip-efficiency-first, both directions, no cross-charging."""
-    rates, spill, unserved = _grtef_step(state.levels_mwh, re_mw, FleetConsts(fleet))
-    return StepDecision(tuple(rates), spill_mwh=spill, unserved_mwh=unserved)
-
-
-def _cross_charge(levels, rates, fleet: Sequence[StoreSpec], v):
-    """Compatibility wrapper over the raw cross-charging loop."""
-    return _cross_charge_raw(levels, rates, FleetConsts(fleet), v)
+    return _decision(_step_kernel(FleetConsts(fleet), "grtef"), state, re_mw)
 
 
 @dataclass(frozen=True)
@@ -312,19 +331,12 @@ class Policy:
         return cls("grtef")
 
     def decide(self, state: FleetState, re_mw: float, fleet: Sequence[StoreSpec]) -> StepDecision:
-        if self.kind == "value":
-            return schedule_value_lp(state, re_mw, fleet, self.params)
-        if self.kind == "ggddf":
-            return schedule_ggddf(state, re_mw, fleet)
-        return schedule_grtef(state, re_mw, fleet)
+        return _decision(self.raw_step(FleetConsts(fleet)), state, re_mw)
 
     def raw_step(self, consts: FleetConsts):
-        """Bind a (levels, re) -> (rates, spill, unserved) fast-path closure."""
+        """Bind a (levels, re) -> (rates, spill, unserved) closure for one fleet."""
         if self.kind == "value":
             lambdas = self.params.lambdas_per_hour
-            if len(lambdas) != consts.n:
-                raise ValueError(f"{len(lambdas)} decay rates for {consts.n} stores")
-            return lambda levels, re: _value_step(levels, re, consts, lambdas)
-        if self.kind == "ggddf":
-            return lambda levels, re: _ggddf_step(levels, re, consts)
-        return lambda levels, re: _grtef_step(levels, re, consts)
+            _check_lambdas(lambdas, consts.n)
+            return _step_kernel(consts, "value", lambdas)
+        return _step_kernel(consts, self.kind)

@@ -23,8 +23,7 @@ import numpy as np
 from .engine import SimResult, simulate, trace_values
 from .fleet import FleetError, FleetState, LossConvention, StoreSpec
 from .policies import Policy, ValueParams
-
-HOURS_PER_YEAR = 8760.0
+from .traces import HOURS_PER_YEAR
 
 # Dollars per $bn and kWh (kW) per MWh (MW): applied once, at the costing
 # boundary, so unit bugs cannot creep into the optimisation loops.

@@ -53,17 +53,11 @@ class CsvSource:
 
 
 @dataclass(frozen=True)
-class SyntheticSource:
-    seed: int
-    params: tuple = ()
-
-
-@dataclass(frozen=True)
 class ResidualTrace:
     """Hourly residual-energy series (MW) with provenance metadata."""
 
     values_mw: np.ndarray
-    origin: CsvSource | SyntheticSource | None = None
+    origin: CsvSource | None = None
     overcapacity: float | None = None
 
     def __post_init__(self):

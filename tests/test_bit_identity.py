@@ -1,0 +1,204 @@
+"""Bit-identity pins for the per-hour step path.
+
+Two independent ways to produce the same numbers must agree exactly:
+the engine's bound closure (``Policy`` passed to ``simulate``) against
+the public per-step dispatch (``Policy.decide`` passed as a plain
+callable), and the block CSV writer against a per-cell one.  A golden
+test holds the sha256 of the CLI ``simulate`` outputs for a small fixed
+scenario per policy, so any change to float operation order in the
+step, the engine loop or the CSV writer shows.
+"""
+
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+
+from storefleet import engine
+from storefleet.cli import main
+from storefleet.engine import simulate, write_simulation_csv
+from storefleet.fleet import FleetError, FleetState
+from storefleet.policies import Policy
+
+from oracles import random_fleet, random_lambdas, random_levels, random_trace_values
+
+
+def _policies(rng, n):
+    return (Policy.value(random_lambdas(rng, n)), Policy.ggddf(), Policy.grtef())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "infinite_output,infinite_input", [(False, False), (True, False), (False, True), (True, True)]
+)
+def test_bound_step_equals_decide(n, infinite_output, infinite_input):
+    rng = np.random.default_rng(100 * n + 10 * infinite_output + infinite_input)
+    fields = (
+        "unserved_cumulative_mwh",
+        "spill_cumulative_mwh",
+        "level_traces_mwh",
+        "rates_mw",
+        "served_external_mwh",
+    )
+    cross = 0
+    for _ in range(12):
+        fleet = random_fleet(rng, n, infinite_output, infinite_input)
+        initial = FleetState(random_levels(rng, fleet))
+        values = random_trace_values(rng, 150)
+        for policy in _policies(rng, n):
+            fast = simulate(fleet, values, policy, initial=initial)
+            slow = simulate(fleet, values, policy.decide, initial=initial)
+            for field in fields:
+                a, b = getattr(fast, field), getattr(slow, field)
+                assert a.shape == b.shape, field
+                assert a.tobytes() == b.tobytes(), f"{policy.kind}: {field} differs"
+            assert fast.cross_charged_mwh == slow.cross_charged_mwh
+            assert fast.final_state == slow.final_state
+            cross += fast.cross_charged_mwh > 0.0
+    if n > 1 and not infinite_output:
+        assert cross > 0  # the sweep must exercise cross-charging
+
+
+def _reference_csv(values, fleet, result) -> str:
+    """The per-cell CSV writer: one numpy index and float() per cell."""
+    names = [s.name for s in fleet]
+    header = (
+        ["hour", "re_mw"]
+        + [f"rate_{n}" for n in names]
+        + [f"level_{n}" for n in names]
+        + ["spill_cum_mwh", "unserved_cum_mwh"]
+    )
+    lines = [",".join(header)]
+    for t in range(len(values)):
+        cells = [str(t), repr(float(values[t]))]
+        cells += [repr(float(x)) for x in result.rates_mw[t]]
+        cells += [repr(float(x)) for x in result.level_traces_mwh[t]]
+        cells += [
+            repr(float(result.spill_cumulative_mwh[t])),
+            repr(float(result.unserved_cumulative_mwh[t])),
+        ]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 50, 4096])
+def test_block_csv_writer_matches_per_cell_writer(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(engine, "_CSV_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(5)
+    fleet = random_fleet(rng, 3)
+    values = random_trace_values(rng, 50)
+    result = simulate(fleet, values, Policy.value(random_lambdas(rng, 3)))
+    path = tmp_path / "sim.csv"
+    write_simulation_csv(path, values, fleet, result)
+    assert path.read_text(encoding="utf-8") == _reference_csv(values, fleet, result)
+
+
+def test_csv_writer_rejects_a_stopped_run(tmp_path):
+    rng = np.random.default_rng(6)
+    fleet = random_fleet(rng, 2)
+    values = random_trace_values(rng, 50)
+    result = simulate(fleet, values, Policy.grtef(), unserved_limit_mwh=0.0)
+    assert len(result.unserved_cumulative_mwh) < len(values)
+    with pytest.raises(FleetError, match="covers"):
+        write_simulation_csv(tmp_path / "sim.csv", values, fleet, result)
+
+
+def _golden_trace(hours=400):
+    # Decimal values written into the scenario itself, so the trace does
+    # not depend on numpy's generator or vector maths.
+    return [
+        round(
+            60.0 * math.sin(2.0 * math.pi * t / 37.0)
+            + 35.0 * math.sin(2.0 * math.pi * t / 11.3)
+            - 8.0,
+            3,
+        )
+        for t in range(hours)
+    ]
+
+
+_GOLDEN_STORES = [
+    {"name": "long", "capacity_mwh": 400.0, "output_power_mw": 20.0,
+     "input_power_mw": 25.0, "efficiency": 0.45, "initial_level_mwh": 150.0},
+    {"name": "medium", "capacity_mwh": 120.0, "output_power_mw": 40.0,
+     "input_power_mw": 30.0, "efficiency": 0.75, "initial_level_mwh": 60.0},
+    {"name": "short", "capacity_mwh": 30.0, "output_power_mw": 50.0,
+     "input_power_mw": 50.0, "efficiency": 0.92},
+]
+
+# name -> (policy, number of the stores above it runs).
+_GOLDEN_POLICIES = {
+    "value": ({"kind": "value", "lambdas_per_hour": [0.002, 0.05, 0.3]}, 3),
+    "ggddf": ({"kind": "ggddf"}, 3),
+    "grtef": ({"kind": "grtef"}, 3),
+    "value-1-store": ({"kind": "value", "lambdas_per_hour": [0.002]}, 1),
+}
+
+# sha256 of (simulation.csv, summary.json), recorded before the step
+# kernel and the engine loop were rewritten for speed.
+_GOLDEN_DIGESTS = {
+    "ggddf": (
+        "010058eb7575b24326f31ea73699e1c705a7dc539fa5675272c791e1d9605342",
+        "889f35c8b0655b08984c3b7d4d1c220b4ec96efc3edc7b5fd095ce5026a2cb76",
+    ),
+    "grtef": (
+        "53b8d51e8203e295b755222ad356edee2e8d92520728afaad428af9779b90b11",
+        "f69c389ca14e7634df545157374fbfd10fcf46b68de15a3890230994291599a0",
+    ),
+    "value": (
+        "af2de0e0c90bdf9124a28a527a31a2fa406962a5b26c4d65edd0192a3ac33425",
+        "af0043dc77c8fab8ae3dbf0334814d0b53c6adcf0deb52724857f2e835e57f3f",
+    ),
+    "value-1-store": (
+        "989b24ce47eb654fe385fec240e7c983b93be8475f6ae57460ae1e64b1e34b3c",
+        "277c22b58de2c6f3ce1829922f85a88e2fa064084a5dd5def9a5f8afd723924e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_POLICIES))
+def test_simulate_outputs_match_golden_digests(tmp_path, name):
+    policy, stores = _GOLDEN_POLICIES[name]
+    config = tmp_path / "scenario.json"
+    config.write_text(
+        json.dumps(
+            {
+                "trace": {"inline_mw": _golden_trace()},
+                "convention": "input",
+                "stores": _GOLDEN_STORES[:stores],
+                "policy": policy,
+            }
+        )
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    # The scenario must exercise both shortfall and spill.
+    assert summary["total_unserved_mwh"] > 0.0
+    assert summary["total_spill_mwh"] > 0.0
+    if name == "value":
+        assert summary["cross_charged_mwh"] > 0.0
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("simulation.csv", "summary.json")
+    )
+    assert digests == _GOLDEN_DIGESTS[name]
+
+
+def test_levels_are_clamped_into_bounds_exactly():
+    # A full charge lands eta * (headroom / eta) on the level, which can
+    # overshoot the capacity by rounding; the engine clamps it back.
+    rng = np.random.default_rng(8)
+    clamped = 0
+    for _ in range(40):
+        fleet = random_fleet(rng, 2)
+        capacity = np.array([s.capacity_mwh for s in fleet])
+        for policy in _policies(rng, 2):
+            result = simulate(fleet, random_trace_values(rng, 200), policy)
+            levels = result.level_traces_mwh
+            assert np.all(levels >= 0.0) and np.all(levels <= capacity)
+            previous = np.vstack([capacity, levels[:-1]])
+            clamped += int(np.sum(previous + result.rates_mw > capacity))
+    assert clamped > 0  # the sweep must exercise the upper clamp

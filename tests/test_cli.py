@@ -125,6 +125,26 @@ class TestSimulateCommand:
         k = 1.5 * 1000.0 / 550.0
         assert [float(r["re_mw"]) for r in rows] == pytest.approx([800 * k - 900, 300 * k - 1100])
 
+    def test_overcapacity_with_inline_trace_is_config_error(self, tmp_path, capsys):
+        config = simple_simulate_config(tmp_path, overcapacity=0.5)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: config error: overcapacity")
+        assert "synthetic" in err and "demand_mw,wind_mw,solar_mw" in err and "inline_mw" in err
+        assert not (out / "simulation.csv").exists()
+
+    def test_overcapacity_with_residual_csv_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "residual.csv"
+        path.write_text("residual_mw\n-4.0\n2.0\n")
+        config = simple_simulate_config(tmp_path, trace={"csv_path": str(path)}, overcapacity=0.5)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: config error: overcapacity")
+        assert "synthetic" in err and "demand_mw,wind_mw,solar_mw" in err and "residual_mw" in err
+        assert not (out / "simulation.csv").exists()
+
 
 class TestSizeCommand:
     def test_fixed_dims_cost_report(self, tmp_path):

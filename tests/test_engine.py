@@ -17,6 +17,7 @@ from storefleet.engine import (
 )
 from storefleet.fleet import (
     CapacityViolation,
+    FleetError,
     FleetState,
     RateViolation,
     StepDecision,
@@ -91,6 +92,15 @@ class TestSimulate:
         assert result.total_spill_mwh == 2.0
         assert result.total_unserved_mwh == 3.0
         assert result.final_state.levels_mwh == (5.0,)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_callable_policy_with_wrong_rate_count_rejected(self, count):
+        def wrong(state, re, fleet):
+            return StepDecision((0.0,) * count)
+
+        fleet = [one_store(name="a"), one_store(name="b")]
+        with pytest.raises(FleetError, match=f"{count} rates for 2 stores"):
+            simulate(fleet, [0.0, 0.0], wrong)
 
     def test_served_and_cross_charge_accounting(self):
         # A discharges 15: 5 meets demand, 10 feeds B (gaining 9).

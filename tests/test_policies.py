@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from storefleet.fleet import SLACK, FleetState, StoreSpec, imbalance
 from storefleet.policies import (
+    FleetConsts,
     Policy,
     ValueParams,
-    _cross_charge,
+    _cross_charger,
     schedule_ggddf,
     schedule_grtef,
     schedule_value_lp,
@@ -199,7 +200,7 @@ class TestCrossCharging:
                         rates[i] = -d
                         remaining -= d
             before = list(rates)
-            transfers = _cross_charge(levels, rates, fleet, v)
+            transfers = _cross_charger(FleetConsts(fleet))(levels, rates, v)
             assert len(transfers) <= 2 * n
             if not transfers:
                 continue
