@@ -57,7 +57,6 @@ class Scenario:
     options: SizingOptions
     secondary_grid: list[tuple[StoreSpec, ...]]
     sizing_efficiency: float | None
-    lambda_grid: list
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -77,6 +76,17 @@ def _require_number(mapping: dict, key: str, context: str) -> float:
     return _number(_require(mapping, key, context), f"{context}: {key}")
 
 
+def _numbers(value, what: str) -> list[float]:
+    return [_number(x, f"{what} entry") for x in _expect(value, list, what)]
+
+
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
 def _overcapacity(value) -> float | None:
     """Overcapacity fraction, None when unset.
 
@@ -92,6 +102,7 @@ def _overcapacity(value) -> float | None:
 
 
 def _parse_store(entry: dict, convention: LossConvention) -> tuple[StoreSpec, float]:
+    entry = _expect(entry, dict, "store")
     spec = StoreSpec(
         name=str(_require(entry, "name", "store")),
         capacity_mwh=_require_number(entry, "capacity_mwh", "store"),
@@ -114,10 +125,14 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    raw = _expect(raw, dict, f"{path}: scenario")
 
-    convention = LossConvention.parse(raw.get("convention", "split"))
+    try:
+        convention = LossConvention.parse(raw.get("convention", "split"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     stores, levels = [], []
-    for entry in raw.get("stores", []):
+    for entry in _expect(raw.get("stores", []), list, "stores"):
         try:
             spec, level = _parse_store(entry, convention)
         except FleetError as exc:
@@ -127,10 +142,14 @@ def load_scenario(path) -> Scenario:
 
     policy = None
     if "policy" in raw:
-        p = raw["policy"]
+        p = _expect(raw["policy"], dict, "policy")
         kind = _require(p, "kind", "policy")
         if kind == "value":
-            policy = Policy.value(p.get("lambdas_per_hour", [0.0] * len(stores)))
+            lambdas = p.get("lambdas_per_hour", [0.0] * len(stores))
+            try:
+                policy = Policy.value(_numbers(lambdas, "policy: lambdas_per_hour"))
+            except ValueError as exc:
+                raise ConfigError(f"policy: {exc}") from None
         elif kind in ("ggddf", "grtef"):
             policy = Policy(kind)
         else:
@@ -141,7 +160,8 @@ def load_scenario(path) -> Scenario:
             )
 
     costs = {}
-    for name, entry in raw.get("costs", {}).items():
+    for name, entry in _expect(raw.get("costs", {}), dict, "costs").items():
+        entry = _expect(entry, dict, f"costs[{name}]")
         try:
             costs[name] = StorePrices(
                 capacity_usd_per_kwh=_require_number(entry, "capacity_usd_per_kwh", f"costs[{name}]"),
@@ -153,11 +173,15 @@ def load_scenario(path) -> Scenario:
 
     standard = None
     if "reliability" in raw:
-        standard = ReliabilityStandard(
-            _require_number(raw["reliability"], "max_unserved_gwh_per_year", "reliability")
-        )
+        reliability = _expect(raw["reliability"], dict, "reliability")
+        try:
+            standard = ReliabilityStandard(
+                _require_number(reliability, "max_unserved_gwh_per_year", "reliability")
+            )
+        except ValueError as exc:
+            raise ConfigError(f"reliability: {exc}") from None
 
-    sizing_section = raw.get("sizing", {})
+    sizing_section = _expect(raw.get("sizing", {}), dict, "sizing")
     option_fields = {}
     for key in (
         "q_grid_points",
@@ -166,23 +190,25 @@ def load_scenario(path) -> Scenario:
         "p_tol_mw",
         "p_grid_points",
         "long_store_name",
+        "lambda_grid",
     ):
         if key in sizing_section:
             option_fields[key] = sizing_section[key]
-    if "lambda_grid" in sizing_section:
-        grid = sizing_section["lambda_grid"]
-        if grid and isinstance(grid[0], (int, float)):
-            option_fields["lambda_grid"] = tuple(float(x) for x in grid)
-        elif grid:
-            option_fields["lambda_grid"] = tuple(
-                tuple(float(x) for x in per_store) for per_store in grid
-            )
-    options = SizingOptions(**option_fields)
+    try:
+        options = SizingOptions(**option_fields)
+    except ValueError as exc:
+        raise ConfigError(f"sizing: {exc}") from None
+
+    sizing_efficiency = sizing_section.get("efficiency")
+    if sizing_efficiency is not None:
+        sizing_efficiency = _number(sizing_efficiency, "sizing: efficiency")
+        if not 0.0 < sizing_efficiency <= 1.0:
+            raise ConfigError(f"sizing: efficiency must lie in (0, 1], got {sizing_efficiency}")
 
     secondary_grid = []
-    for candidate in sizing_section.get("secondary_grid", []):
+    for candidate in _expect(sizing_section.get("secondary_grid", []), list, "sizing: secondary_grid"):
         specs = []
-        for entry in candidate:
+        for entry in _expect(candidate, list, "sizing: secondary_grid entry"):
             try:
                 spec, _ = _parse_store(entry, convention)
             except FleetError as exc:
@@ -200,8 +226,7 @@ def load_scenario(path) -> Scenario:
         standard=standard,
         options=options,
         secondary_grid=secondary_grid,
-        sizing_efficiency=sizing_section.get("efficiency"),
-        lambda_grid=sizing_section.get("lambda_grid", list(SizingOptions().lambda_grid)),
+        sizing_efficiency=sizing_efficiency,
     )
 
 
@@ -239,11 +264,12 @@ def build_trace(scenario: Scenario, seed: int | None = None) -> ResidualTrace:
     source = scenario.raw.get("trace")
     if not source:
         raise ConfigError("config has no trace section")
+    source = _expect(source, dict, "trace")
     overcapacity = _overcapacity(scenario.raw.get("overcapacity"))
     if "inline_mw" in source:
         if overcapacity is not None:
             raise ConfigError(_OVERCAPACITY_SOURCES + ", not to an inline_mw trace")
-        return ResidualTrace.from_values(source["inline_mw"])
+        return ResidualTrace.from_values(_numbers(source["inline_mw"], "trace: inline_mw"))
     if "synthetic" in source:
         demand, generation = _demand_generation(scenario, seed)
         return traces.scale_to_overcapacity(
@@ -294,68 +320,43 @@ def cmd_simulate(scenario: Scenario, out_dir: Path, args) -> int:
     return 0
 
 
-def _fixed_cost_report(scenario: Scenario) -> dict:
-    dims, prices, names = [], [], []
-    for spec, level in zip(scenario.stores, scenario.initial_levels):
-        if spec.name not in scenario.costs:
-            raise ConfigError(f"no prices configured for store {spec.name!r}")
-        split_spec, _ = convert_convention(spec, level, LossConvention.INPUT_SIDE, LossConvention.SPLIT_SQRT)
-        dims.append((split_spec.capacity_mwh, spec.output_power_mw, spec.input_power_mw))
-        prices.append(scenario.costs[spec.name])
-        names.append(spec.name)
-    breakdown = sizing.fleet_cost(dims, prices)
-    stores = []
-    for name, (capacity, out_p, in_p), cost, spec in zip(names, dims, breakdown.per_store, scenario.stores):
-        stores.append(
-            {
-                "name": name,
-                "efficiency": spec.efficiency,
-                "capacity_mwh": capacity,
-                "capacity_twh": capacity / 1e6,
-                "output_power_mw": out_p,
-                "output_power_gw": out_p / 1e3,
-                "input_power_mw": in_p,
-                "input_power_gw": in_p / 1e3,
-                "cost_capacity_bn_usd": cost.capacity_usd / 1e9,
-                "cost_output_power_bn_usd": cost.output_power_usd / 1e9,
-                "cost_input_power_bn_usd": cost.input_power_usd / 1e9,
-                "cost_total_bn_usd": cost.total_usd / 1e9,
-            }
-        )
-    return {
-        "mode": "fixed",
-        "convention": "split",
-        "stores": stores,
-        "total_cost_bn_usd": breakdown.total_usd / 1e9,
-        "total_cost_usd": breakdown.total_usd,
-    }
+def _prices(scenario: Scenario, names) -> list[StorePrices]:
+    for name in names:
+        if name not in scenario.costs:
+            raise ConfigError(f"no prices configured for store {name!r}")
+    return [scenario.costs[name] for name in names]
 
 
 def cmd_size(scenario: Scenario, out_dir: Path, args) -> int:
     if args.no_optimize:
-        _write_json(out_dir / "sizing.json", _fixed_cost_report(scenario))
-        return 0
-    if scenario.standard is None:
-        raise ConfigError("size needs a reliability section")
-    trace = build_trace(scenario, args.seed)
-    long_name = scenario.options.long_store_name
-    if long_name not in scenario.costs:
-        raise ConfigError(f"no prices configured for store {long_name!r}")
-    efficiency = scenario.sizing_efficiency
-    if efficiency is None:
-        raise ConfigError("size needs sizing.efficiency")
-    if args.mode == "single":
-        result = sizing.optimize_single_store(
-            trace, scenario.costs[long_name], scenario.standard, efficiency, scenario.options
-        )
+        prices = _prices(scenario, [s.name for s in scenario.stores])
+        stores, total_usd = sizing.price_stores(scenario.stores, prices)
+        report = sizing.cost_report_to_dict(stores, total_usd, "fixed", LossConvention.SPLIT_SQRT)
     else:
-        grid = scenario.secondary_grid or [()]
-        result = sizing.optimize_fleet(
-            trace, scenario.costs, scenario.standard, grid, efficiency, scenario.options
-        )
-    report = sizing.sizing_result_to_dict(result, args.mode)
+        if scenario.standard is None:
+            raise ConfigError("size needs a reliability section")
+        trace = build_trace(scenario, args.seed)
+        long_name = scenario.options.long_store_name
+        grid = (scenario.secondary_grid or [()]) if args.mode == "fleet" else [()]
+        _prices(scenario, [long_name, *(s.name for candidate in grid for s in candidate)])
+        efficiency = scenario.sizing_efficiency
+        if efficiency is None:
+            raise ConfigError("size needs sizing.efficiency")
+        if args.mode == "single":
+            result = sizing.optimize_single_store(
+                trace, scenario.costs[long_name], scenario.standard, efficiency, scenario.options
+            )
+        else:
+            try:
+                result = sizing.optimize_fleet(
+                    trace, scenario.costs, scenario.standard, grid, efficiency, scenario.options
+                )
+            except ValueError as exc:  # a per-store decay grid too short for a candidate
+                raise ConfigError(f"sizing: {exc}") from None
+        stores = result.stores
+        report = sizing.sizing_result_to_dict(result, args.mode)
     if args.convention == "input":
-        for entry, store in zip(report["stores"], result.stores):
+        for entry, store in zip(report["stores"], stores):
             entry["capacity_mwh"] = store.capacity_mwh * store.efficiency**0.5
             entry["capacity_twh"] = entry["capacity_mwh"] / 1e6
         report["convention"] = "input"
@@ -406,23 +407,19 @@ def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
         factor = eta**-0.5 if args.convention == "split" else 1.0
         rows.append((oc, eta, e_min * factor, s0_min * factor))
 
+    # The minimal store must not grow with overcapacity or efficiency.
     slack = 2.0 * scenario.options.e_tol_mwh
-    by_eta: dict[float, list] = {}
-    by_oc: dict[float, list] = {}
-    for oc, eta, e_min, s0 in rows:
-        if oc is not None:
-            by_eta.setdefault(eta, []).append((oc, e_min))
-            by_oc.setdefault(oc, []).append((eta, e_min))
-    for eta, series in by_eta.items():
-        series.sort()
-        for (_, a), (_, b) in zip(series, series[1:]):
-            if b > a + slack:
-                raise FleetError(f"capacity not monotone in overcapacity at efficiency {eta}")
-    for oc, series in by_oc.items():
-        series.sort()
-        for (_, a), (_, b) in zip(series, series[1:]):
-            if b > a + slack:
-                raise FleetError(f"capacity not monotone in efficiency at overcapacity {oc}")
+    swept = [row for row in rows if row[0] is not None]
+    for fixed, moving, names in ((1, 0, ("overcapacity", "efficiency")),
+                                 (0, 1, ("efficiency", "overcapacity"))):
+        groups: dict[float, list] = {}
+        for row in swept:
+            groups.setdefault(row[fixed], []).append((row[moving], row[2]))
+        for key, series in groups.items():
+            series.sort()
+            for (_, a), (_, b) in zip(series, series[1:]):
+                if b > a + slack:
+                    raise FleetError(f"capacity not monotone in {names[0]} at {names[1]} {key}")
 
     with open(out_dir / "min_store_curve.csv", "w", encoding="utf-8") as fh:
         fh.write("overcapacity,efficiency,e_min_mwh,s0_min_mwh\n")
@@ -437,7 +434,12 @@ def cmd_tune(scenario: Scenario, out_dir: Path, args) -> int:
         raise ConfigError("tune needs at least one store")
     trace = build_trace(scenario, args.seed)
     initial = FleetState(tuple(scenario.initial_levels))
-    params = sizing.tune_lambdas(scenario.stores, trace, scenario.lambda_grid, initial=initial)
+    try:
+        params = sizing.tune_lambdas(
+            scenario.stores, trace, scenario.options.lambda_grid, initial=initial
+        )
+    except ValueError as exc:  # a per-store decay grid with fewer lists than stores
+        raise ConfigError(f"sizing: {exc}") from None
     result = engine.simulate(scenario.stores, trace, Policy("value", params), initial=initial)
     _write_json(
         out_dir / "lambdas.json",
@@ -532,10 +534,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         scenario = load_scenario(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        print(f"storefleet: config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _COMMANDS[args.command](scenario, out_dir, args)
     except ConfigError as exc:
         print(f"storefleet: config error: {exc}", file=sys.stderr)

@@ -43,22 +43,19 @@ class NotEquivalent(FleetError):
     """Stores cannot be merged: efficiencies or shape ratios differ."""
 
 
-class CapacityViolation(FleetError):
+class _BoundViolation(FleetError):
+    def __init__(self, message: str, time_index: int | None = None, store: int | None = None):
+        super().__init__(message)
+        self.time_index = time_index
+        self.store = store
+
+
+class CapacityViolation(_BoundViolation):
     """A store level left [0, capacity]."""
 
-    def __init__(self, message: str, time_index: int | None = None, store: int | None = None):
-        super().__init__(message)
-        self.time_index = time_index
-        self.store = store
 
-
-class RateViolation(FleetError):
+class RateViolation(_BoundViolation):
     """A signed rate left [-output_power, efficiency * input_power]."""
-
-    def __init__(self, message: str, time_index: int | None = None, store: int | None = None):
-        super().__init__(message)
-        self.time_index = time_index
-        self.store = store
 
 
 class LossConvention(Enum):
@@ -216,7 +213,7 @@ def apply_step(state: FleetState, decision: StepDecision, fleet: Sequence[StoreS
     for i, (spec, level, rate) in enumerate(zip(fleet, state.levels_mwh, decision.rates_mw)):
         if rate < -spec.output_power_mw - SLACK or rate > spec.efficiency * spec.input_power_mw + SLACK:
             raise RateViolation(
-                f"store {i} rate {rate} outside [-{spec.output_power_mw}, "
+                f"hour {state.time_index}: store {i} rate {rate} outside [-{spec.output_power_mw}, "
                 f"{spec.efficiency * spec.input_power_mw}]",
                 time_index=state.time_index,
                 store=i,
@@ -224,7 +221,7 @@ def apply_step(state: FleetState, decision: StepDecision, fleet: Sequence[StoreS
         new_level = level + rate
         if new_level < -SLACK or new_level > spec.capacity_mwh + SLACK:
             raise CapacityViolation(
-                f"store {i} level {new_level} outside [0, {spec.capacity_mwh}]",
+                f"hour {state.time_index}: store {i} level {new_level} outside [0, {spec.capacity_mwh}]",
                 time_index=state.time_index,
                 store=i,
             )

@@ -41,8 +41,9 @@ class ValueParams:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas_per_hour", tuple(float(x) for x in self.lambdas_per_hour))
-        if any(lam < 0.0 or math.isnan(lam) for lam in self.lambdas_per_hour):
-            raise ValueError("decay rates must be nonnegative")
+        # An infinite rate would make v = exp(-inf * 0) NaN for an empty store.
+        if not all(0.0 <= lam < math.inf for lam in self.lambdas_per_hour):
+            raise ValueError(f"decay rates must be finite and >= 0, got {self.lambdas_per_hour}")
 
 
 class FleetConsts:

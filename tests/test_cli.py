@@ -1,8 +1,14 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from storefleet.cli import main
 from storefleet.traces import load_csv
@@ -146,31 +152,28 @@ class TestSimulateCommand:
         assert not (out / "simulation.csv").exists()
 
 
+_PRICES = {"capacity_usd_per_kwh": 0.8, "output_power_usd_per_kw": 429.0,
+           "input_power_usd_per_kw": 858.0}
+
+FIXED_DIMS_SCENARIO = {
+    "trace": {"inline_mw": [0.0]},
+    "convention": "split",
+    "stores": [
+        {
+            "name": "long",
+            "capacity_mwh": 120.4e6,
+            "output_power_mw": 115.9e3,
+            "input_power_mw": 80.0e3,
+            "efficiency": 0.4,
+        }
+    ],
+    "costs": {"long": _PRICES},
+}
+
+
 class TestSizeCommand:
     def test_fixed_dims_cost_report(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            {
-                "trace": {"inline_mw": [0.0]},
-                "convention": "split",
-                "stores": [
-                    {
-                        "name": "long",
-                        "capacity_mwh": 120.4e6,
-                        "output_power_mw": 115.9e3,
-                        "input_power_mw": 80.0e3,
-                        "efficiency": 0.4,
-                    }
-                ],
-                "costs": {
-                    "long": {
-                        "capacity_usd_per_kwh": 0.8,
-                        "output_power_usd_per_kw": 429.0,
-                        "input_power_usd_per_kw": 858.0,
-                    }
-                },
-            },
-        )
+        config = write_config(tmp_path, FIXED_DIMS_SCENARIO)
         out = tmp_path / "out"
         assert main(["size", "--config", config, "--no-optimize", "--out", str(out)]) == 0
         report = json.loads((out / "sizing.json").read_text())
@@ -179,6 +182,39 @@ class TestSizeCommand:
         assert store["cost_output_power_bn_usd"] == pytest.approx(49.7, abs=0.05)
         assert store["cost_input_power_bn_usd"] == pytest.approx(68.6, abs=0.05)
         assert report["total_cost_bn_usd"] == pytest.approx(214.7, abs=0.05)
+
+    def test_fixed_dims_report_honours_input_convention(self, tmp_path):
+        config = write_config(tmp_path, FIXED_DIMS_SCENARIO)
+        reports = {}
+        for convention in ("split", "input"):
+            out = tmp_path / convention
+            argv = ["size", "--config", config, "--no-optimize", "--convention", convention]
+            assert main([*argv, "--out", str(out)]) == 0
+            reports[convention] = json.loads((out / "sizing.json").read_text())
+        split, servable = reports["split"], reports["input"]
+        assert split["convention"] == "split" and servable["convention"] == "input"
+        assert split["stores"][0]["capacity_mwh"] == 120.4e6
+        assert servable["stores"][0]["capacity_mwh"] == pytest.approx(120.4e6 * 0.4**0.5, rel=1e-12)
+        assert servable["stores"][0]["capacity_twh"] == pytest.approx(120.4 * 0.4**0.5, rel=1e-12)
+        # Only the reported capacity changes; the cost is priced on split dimensions.
+        for key in ("output_power_mw", "input_power_mw", "cost_total_bn_usd"):
+            assert servable["stores"][0][key] == split["stores"][0][key]
+        assert servable["total_cost_usd"] == split["total_cost_usd"]
+
+    def test_companion_without_prices_is_config_error(self, tmp_path, capsys):
+        companion = {"name": "medium", "capacity_mwh": 5.0, "output_power_mw": 3.0,
+                     "input_power_mw": 3.0, "efficiency": 0.8}
+        config = write_config(tmp_path, {
+            "trace": {"inline_mw": [5.0, -3.0, -4.0, 6.0]},
+            "costs": {"long": _PRICES},
+            "reliability": {"max_unserved_gwh_per_year": 0.0},
+            "sizing": {"efficiency": 0.5, "secondary_grid": [[], [companion]]},
+        })
+        out = tmp_path / "out"
+        assert main(["size", "--config", config, "--mode", "fleet", "--out", str(out)]) == 1
+        assert "no prices configured for store 'medium'" in capsys.readouterr().err
+        # Single mode does not use the companions, so it does not need their prices.
+        assert main(["size", "--config", config, "--mode", "single", "--out", str(out)]) == 0
 
     def test_single_mode_runs(self, tmp_path):
         values = []
@@ -405,6 +441,104 @@ class TestTuneCommand:
         assert len(payload["lambdas_per_hour"]) == 2
         assert set(payload["lambdas_per_hour"]) <= {0.0, 0.01, 0.1}
         assert payload["total_unserved_mwh"] >= 0.0
+
+
+class TestDecayGridErrors:
+    @pytest.mark.parametrize("grid", [[], [[]], [0.1, [0.2]], [-0.1], {"long": [0.1]}, "0.1"])
+    @pytest.mark.parametrize("command", [["tune"], ["size", "--mode", "fleet"], ["simulate"]])
+    def test_bad_grid_is_config_error_for_every_command(self, tmp_path, capsys, grid, command):
+        config = simple_simulate_config(
+            tmp_path,
+            costs={"long": _PRICES},
+            reliability={"max_unserved_gwh_per_year": 0.0},
+            sizing={"efficiency": 0.5, "lambda_grid": grid},
+        )
+        assert main([*command, "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("storefleet: config error: sizing:")
+
+    def test_short_per_store_grid_is_config_error(self, tmp_path, capsys):
+        store = {"capacity_mwh": 10.0, "output_power_mw": 4.0, "input_power_mw": 4.0,
+                 "efficiency": 0.9}
+        config = simple_simulate_config(
+            tmp_path,
+            stores=[{"name": "a", **store}, {"name": "b", **store}],
+            policy={"kind": "ggddf"},
+            sizing={"lambda_grid": [[0.0, 0.1]]},
+        )
+        assert main(["tune", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert "1 per-store decay grids for 2 stores" in capsys.readouterr().err
+
+
+_COMPANION = {"name": "medium", "capacity_mwh": 5.0, "output_power_mw": 3.0,
+              "input_power_mw": 3.0, "efficiency": 0.8}
+# A small valid scenario that every command below runs on: an 8-hour
+# inline trace, two stores, and a decay grid of a few points.
+FRONT_DOOR_SCENARIO = {
+    "trace": {"inline_mw": [5.0, -3.0, -4.0, 6.0, -2.0, -5.0, 4.0, -1.0]},
+    "convention": "split",
+    "stores": [
+        {"name": "long", "capacity_mwh": 20.0, "output_power_mw": 6.0, "input_power_mw": 6.0,
+         "efficiency": 0.5, "initial_level_mwh": 10.0},
+        _COMPANION,
+    ],
+    "policy": {"kind": "value", "lambdas_per_hour": [0.001, 0.03]},
+    "costs": {"long": _PRICES, "medium": {"capacity_usd_per_kwh": 9.0,
+                                         "output_power_usd_per_kw": 200.0,
+                                         "input_power_usd_per_kw": 200.0}},
+    "reliability": {"max_unserved_gwh_per_year": 0.0},
+    "sizing": {
+        "efficiency": 0.5, "q_grid_points": 2, "q_grid_lo_factor": 0.1, "e_tol_mwh": 1.0,
+        "p_tol_mw": 1.0, "p_grid_points": 2, "long_store_name": "long",
+        "lambda_grid": [[0.001], [0.01, 0.03]],
+        "secondary_grid": [[], [_COMPANION]],
+    },
+}
+FRONT_DOOR_COMMANDS = (["simulate"], ["size", "--no-optimize"], ["size", "--mode", "fleet"], ["tune"])
+BAD_VALUES = ("x", -1, 0, None, [1], {}, float("inf"), True, 2.5)
+
+
+def _node_paths(node, path=()):
+    """Every value's path in a JSON tree, leaves and whole sections alike."""
+    if path:
+        yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+class TestFrontDoor:
+    def test_front_door_scenario_is_valid(self, tmp_path):
+        config = write_config(tmp_path, FRONT_DOOR_SCENARIO)
+        for command in FRONT_DOOR_COMMANDS:
+            assert main([*command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        path=st.sampled_from(list(_node_paths(FRONT_DOOR_SCENARIO))),
+        value=st.sampled_from(BAD_VALUES),
+    )
+    def test_one_bad_value_never_raises(self, path, value):
+        # Any one value replaced by a bad one: every command exits 0, 1 or
+        # 2, with a message when it fails, and never with a traceback.
+        scenario = copy.deepcopy(FRONT_DOOR_SCENARIO)
+        parent = scenario
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "scenario.json"
+            config.write_text(json.dumps(scenario))
+            for command in FRONT_DOOR_COMMANDS:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([*command, "--config", str(config), "--out", str(Path(tmp) / "out")])
+                assert code in (0, 1, 2)
+                assert code == 0 or err.getvalue().startswith("storefleet: ")
 
 
 class TestUsageErrors:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from storefleet.engine import (
     write_simulation_csv,
 )
 from storefleet.fleet import (
+    SLACK,
     CapacityViolation,
     FleetError,
     FleetState,
@@ -167,6 +170,78 @@ class TestLowerBound:
             assert np.all(bound <= result.unserved_cumulative_mwh + 1e-6)
 
 
+def _bound_probe_schedule(rng, fleet, levels, steps):
+    """Rates drawn around each store's box, some past it by rate or by level.
+
+    Each entry is a random rate up to 1.3x the bound on either side, or
+    one that lands just inside or just outside the SLACK band around a
+    rate bound or around a full or empty level.
+    """
+    levels = list(levels)
+    rows = []
+    for _ in range(steps):
+        row = []
+        for i, f in enumerate(fleet):
+            kind = rng.integers(6)
+            past = float(rng.choice([0.5, 1.5])) * SLACK
+            if kind == 0:
+                r = f.capacity_mwh - levels[i] + past
+            elif kind == 1:
+                r = -levels[i] - past
+            elif kind == 2 and math.isfinite(f.input_power_mw):
+                r = f.efficiency * f.input_power_mw + past
+            elif kind == 3 and math.isfinite(f.output_power_mw):
+                r = -f.output_power_mw - past
+            else:
+                lo = min(f.output_power_mw, f.capacity_mwh)
+                hi = min(f.efficiency * f.input_power_mw, f.capacity_mwh)
+                r = float(rng.uniform(-1.3 * lo, 1.3 * hi))
+            row.append(r)
+            levels[i] = min(max(levels[i] + r, 0.0), f.capacity_mwh)
+        rows.append(row)
+    return rows
+
+
+def _verdict(run):
+    try:
+        return ("ok", run())
+    except (RateViolation, CapacityViolation) as exc:
+        return (type(exc), exc.time_index, exc.store)
+
+
+class TestSimulateBoundCheck:
+    def test_inline_check_agrees_with_apply_step(self):
+        # simulate keeps its own copy of apply_step's rate and level check
+        # for speed; both must reject the same hour and store, and give the
+        # same clamped levels when nothing is violated.
+        rng = np.random.default_rng(101)
+        seen = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 4))
+            fleet = random_fleet(rng, n, infinite_output=bool(rng.random() < 0.2),
+                                 infinite_input=bool(rng.random() < 0.2))
+            initial = FleetState(random_levels(rng, fleet))
+            steps = int(rng.integers(1, 8))
+            rows = _bound_probe_schedule(rng, fleet, initial.levels_mwh, steps)
+            values = random_trace_values(rng, steps)
+
+            def replay(state, re, fleet_):
+                return StepDecision(tuple(rows[state.time_index]))
+
+            def stepped():
+                state, levels = initial, []
+                for row in rows:
+                    state = apply_step(state, StepDecision(tuple(row)), fleet)
+                    levels.append(list(state.levels_mwh))
+                return levels
+
+            got = _verdict(lambda: simulate(fleet, values, replay, initial=initial)
+                           .level_traces_mwh.tolist())
+            assert got == _verdict(stepped)
+            seen.add(got[0])
+        assert seen == {"ok", RateViolation, CapacityViolation}
+
+
 class TestVerifiers:
     def test_all_zero_rates_feasible_on_surplus(self):
         fleet = [one_store()]
@@ -194,6 +269,15 @@ class TestVerifiers:
         with pytest.raises(CapacityViolation) as err:
             verify_feasible(fleet, FleetState((8.0,)), [5.0, 5.0], PolicyTrace([[0.0], [5.0]]))
         assert err.value.time_index == 1
+
+    @pytest.mark.parametrize("row, error", [([5.0], CapacityViolation), ([60.0], RateViolation)])
+    def test_violation_hour_is_the_schedules_own(self, row, error):
+        # The initial state's time index does not shift the reported hour.
+        fleet = [StoreSpec("s", 10, 50, 50, 1.0)]
+        initial = FleetState((8.0,), time_index=7)
+        with pytest.raises(error, match="^hour 1: store 0 ") as err:
+            verify_feasible(fleet, initial, [5.0, 100.0], PolicyTrace([[0.0], row]))
+        assert (err.value.time_index, err.value.store) == (1, 0)
 
     def test_withholding_is_not_greedy(self):
         fleet = [StoreSpec("s", 10, 5, 5, 1.0)]

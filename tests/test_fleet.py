@@ -92,6 +92,15 @@ class TestApplyStep:
         new = apply_step(state, StepDecision((2e-9,)), fleet)
         assert new.levels_mwh == (10.0,)
 
+    def test_violations_name_their_hour(self):
+        fleet = [make_spec(capacity=10, output=2, input_=2, eta=1.0)]
+        with pytest.raises(RateViolation, match="^hour 3: store 0 rate 5.0 ") as err:
+            apply_step(FleetState((5.0,), time_index=3), StepDecision((5.0,)), fleet)
+        assert (err.value.time_index, err.value.store) == (3, 0)
+        with pytest.raises(CapacityViolation, match="^hour 4: store 0 level -1.0 ") as err:
+            apply_step(FleetState((1.0,), time_index=4), StepDecision((-2.0,)), fleet)
+        assert (err.value.time_index, err.value.store) == (4, 0)
+
 
 class TestImbalance:
     def test_idle(self):

@@ -61,6 +61,12 @@ class TestValueDerivatives:
         with pytest.raises(ValueError):
             ValueParams((-0.1,))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_decay_rejected(self, bad):
+        # exp(-inf * 0) is NaN: an empty store would rank by a NaN value.
+        with pytest.raises(ValueError, match="finite"):
+            ValueParams((bad, 0.1))
+
 
 class TestScheduleValueLp:
     def test_single_store_partial_charge(self):

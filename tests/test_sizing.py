@@ -17,9 +17,13 @@ from storefleet.sizing import (
     min_single_store_capacity,
     optimize_fleet,
     optimize_single_store,
+    parse_decay_grid,
     tune_lambdas,
+    _bisect_min,
     _meets_standard,
+    _shortfall,
 )
+from storefleet.traces import SynthParams, scale_to_overcapacity, synthesize
 
 from oracles import (
     brute_min_capacity,
@@ -145,6 +149,30 @@ class TestMinSingleStoreCapacity:
                 assert brute_e - step <= e_min <= brute_e + 1e-9
                 assert brute_s0 - step <= s0_min <= brute_s0 + 1e-9
 
+    def test_shortfall_is_largest_beyond_slack(self):
+        # Levels 4 -> -1 (1 short) -> 2 -> -4 (4 short): the level is
+        # followed on below zero, and raising by 4 serves every hour.
+        assert _shortfall([-5.0, 3.0, -6.0], 1.0, 10.0, 4.0) == 4.0
+        assert _shortfall([-5.0, 3.0, -6.0], 1.0, 14.0, 8.0) == 0.0
+        assert _shortfall([-5.0], 1.0, 10.0, 5.0 - 1e-10) == 0.0  # within the 1e-9 slack
+
+    def test_rounding_shortfall_is_repaired(self):
+        # A 2-year synthetic trace (seed 9) at overcapacity 0.1474 and
+        # efficiency 0.4: the sequent-peak store, 1449077.9864164828 MWh,
+        # comes out about 1.2e-9 MWh (5 ulps) short in the forward pass.
+        demand, generation = synthesize(SynthParams(
+            years=2.0, seed=9, diurnal_amp=0.30, weekly_amp=0.05, seasonal_amp=0.12,
+            ar_coeff=0.97, noise_sd=0.18, solar_share=0.35,
+        ))
+        trace = scale_to_overcapacity(demand, generation, 0.1474)
+        raw_peak = 1449077.9864164828
+        values = trace.values_mw.tolist()
+        assert _shortfall(values, 0.4, raw_peak, raw_peak) > 0.0
+        e_min, s0_min = min_single_store_capacity(trace, 0.4)
+        assert _shortfall(values, 0.4, e_min, s0_min) == 0.0
+        assert raw_peak < e_min < raw_peak + 1e-8
+        assert raw_peak < s0_min <= e_min
+
     def test_nonincreasing_in_efficiency(self):
         rng = np.random.default_rng(67)
         values = rng.uniform(-40, 60, 300)
@@ -152,6 +180,60 @@ class TestMinSingleStoreCapacity:
             min_single_store_capacity(values, eta, tol_mwh=0.01)[0] for eta in (0.4, 0.7, 0.9)
         ]
         assert sizes[0] >= sizes[1] - 0.05 >= sizes[2] - 0.10
+
+
+class TestBisectMin:
+    def test_tolerance_below_float_spacing_terminates(self):
+        # No float lies strictly between 1.0 and its successor, so a
+        # tolerance of 1e-300 cannot be met; the search stops there.
+        assert _bisect_min(lambda x: x >= 1.0, 0.0, 3.0, 1e-300) == 1.0
+
+
+class TestSizingOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("e_tol_mwh", 0.0), ("e_tol_mwh", -1.0), ("p_tol_mw", 0), ("p_tol_mw", math.inf),
+            ("q_grid_lo_factor", "x"), ("q_grid_lo_factor", math.nan), ("e_tol_mwh", None),
+            ("q_grid_points", 2.5), ("q_grid_points", math.inf), ("q_grid_points", 0),
+            ("p_grid_points", "2"), ("p_grid_points", -1), ("long_store_name", ["long"]),
+            ("lambda_grid", ()), ("lambda_grid", ((),)), ("lambda_grid", (0.1, (0.2,))),
+            ("lambda_grid", (-1.0,)), ("lambda_grid", ((0.1,), (math.inf,))),
+            ("lambda_grid", "0.1"), ("lambda_grid", {"long": (0.1,)}), ("lambda_grid", (None,)),
+        ],
+    )
+    def test_bad_field_raises_value_error(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}|decay rates must be finite"):
+            SizingOptions(**{field: value})
+
+    def test_grid_is_stored_sorted_as_floats(self):
+        assert SizingOptions(lambda_grid=[0.1, 0, 0.01]).lambda_grid == (0.0, 0.01, 0.1)
+        assert SizingOptions(lambda_grid=[[0.1, 0], np.array([3, 1])]).lambda_grid == (
+            (0.0, 0.1), (1.0, 3.0)
+        )
+
+
+class TestDecayGrid:
+    def test_one_parser_for_both_searches(self):
+        fleet = [StoreSpec("a", 50, 5, 5, 0.9), StoreSpec("b", 20, 10, 10, 0.5)]
+        values = np.random.default_rng(79).uniform(-20, 15, 100)
+        for bad in ([], [[]], [0.1, [0.2]], [-1.0]):
+            with pytest.raises(ValueError):
+                parse_decay_grid(bad)
+            with pytest.raises(ValueError):
+                tune_lambdas(fleet, values, bad)
+            with pytest.raises(ValueError):
+                SizingOptions(lambda_grid=bad)
+
+    def test_extra_per_store_lists_go_unused(self):
+        # List i applies to store i, as in optimize_fleet; a third list
+        # for a two-store fleet is ignored.
+        fleet = [StoreSpec("a", 50, 5, 5, 0.9), StoreSpec("b", 20, 10, 10, 0.5)]
+        values = np.random.default_rng(79).uniform(-20, 15, 100)
+        grid = [[0.03, 0.0], [0.3, 0.003]]
+        assert tune_lambdas(fleet, values, grid + [[5.0]]) == tune_lambdas(fleet, values, grid)
+        with pytest.raises(ValueError, match="1 per-store decay grids for 2 stores"):
+            tune_lambdas(fleet, values, grid[:1])
 
 
 class TestEarlyStop:
