@@ -19,14 +19,7 @@ from .fleet import (
     merge_equivalent,
     validate_spec,
 )
-from .policies import (
-    Policy,
-    ValueParams,
-    schedule_ggddf,
-    schedule_grtef,
-    schedule_value_lp,
-    value_derivatives,
-)
+from .policies import Policy, ValueParams, value_derivatives
 from .engine import (
     InfeasibleInput,
     NotGreedy,

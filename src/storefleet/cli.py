@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -26,12 +26,13 @@ from .fleet import (
     FleetState,
     LossConvention,
     StoreSpec,
+    convention_factor,
     convert_convention,
     validate_spec,
 )
 from .policies import Policy
 from .sizing import Infeasible, ReliabilityStandard, SizingOptions, StorePrices
-from .traces import ResidualTrace, SynthParams, TraceError
+from .traces import InvalidParams, ResidualTrace, SchemaError, SynthParams, TraceError
 
 
 class ConfigError(Exception):
@@ -47,7 +48,8 @@ class _Parser(argparse.ArgumentParser):
 class Scenario:
     """Parsed scenario file: trace source, fleet, policy, costs, standard."""
 
-    raw: dict
+    trace: list[float] | str | SynthParams | None  # inline values, CSV path or generator knobs
+    overcapacity: float | None
     convention: LossConvention
     stores: list[StoreSpec]          # servable-energy convention
     initial_levels: list[float]      # servable-energy convention
@@ -101,6 +103,36 @@ def _overcapacity(value) -> float | None:
     return overcapacity
 
 
+def _synth_params(fields: dict, what: str) -> SynthParams:
+    try:
+        return SynthParams(**fields)
+    except (TypeError, InvalidParams) as exc:  # an unknown field, or a bad value
+        raise ConfigError(f"{what}: {exc}") from None
+
+
+def _seeded(params: SynthParams, seed: int | None) -> SynthParams:
+    """``params`` with the --seed override, checked as the scenario's own seed is."""
+    return params if seed is None else _synth_params({**asdict(params), "seed": seed}, "--seed")
+
+
+_TRACE_SOURCES = ("inline_mw", "csv_path", "synthetic")
+
+
+def _parse_trace(section) -> list[float] | str | SynthParams:
+    section = _expect(section, dict, "trace")
+    keys = [key for key in _TRACE_SOURCES if key in section]
+    if len(keys) != 1:
+        raise ConfigError(f"trace needs exactly one of {' / '.join(_TRACE_SOURCES)}, got {keys}")
+    value = section[keys[0]]
+    if keys[0] == "inline_mw":
+        return _numbers(value, "trace: inline_mw")
+    if keys[0] == "csv_path":
+        if not isinstance(value, str):
+            raise ConfigError(f"trace: csv_path must be a string, got {value!r}")
+        return value
+    return _synth_params(_expect(value, dict, "trace: synthetic"), "trace: synthetic")
+
+
 def _parse_store(entry: dict, convention: LossConvention) -> tuple[StoreSpec, float]:
     entry = _expect(entry, dict, "store")
     spec = StoreSpec(
@@ -126,6 +158,8 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     raw = _expect(raw, dict, f"{path}: scenario")
+    trace = _parse_trace(raw["trace"]) if "trace" in raw else None
+    overcapacity = _overcapacity(raw.get("overcapacity"))
 
     try:
         convention = LossConvention.parse(raw.get("convention", "split"))
@@ -217,7 +251,8 @@ def load_scenario(path) -> Scenario:
         secondary_grid.append(tuple(specs))
 
     return Scenario(
-        raw=raw,
+        trace=trace,
+        overcapacity=overcapacity,
         convention=convention,
         stores=stores,
         initial_levels=levels,
@@ -230,62 +265,45 @@ def load_scenario(path) -> Scenario:
     )
 
 
-def _demand_generation(scenario: Scenario, seed: int | None):
-    """Demand and generation series, for sources that carry them."""
-    source = scenario.raw.get("trace", {})
-    if "synthetic" in source:
-        entry = dict(source["synthetic"])
-        if seed is not None:
-            entry["seed"] = seed
-        try:
-            params = SynthParams(**entry)
-        except TypeError as exc:
-            raise ConfigError(f"bad synthetic params: {exc}") from None
-        return traces.synthesize(params)
-    if "csv_path" in source:
-        path = source["csv_path"]
-        try:
-            with open(path, encoding="utf-8") as fh:
-                header = [cell.strip() for cell in fh.readline().split(",")]
-        except FileNotFoundError:
-            raise ConfigError(f"trace file not found: {path}") from None
-        if all(c in header for c in ("demand_mw", "wind_mw", "solar_mw")):
-            return traces.load_components(path)
-        return None
-    return None
-
-
 _OVERCAPACITY_SOURCES = (
     "overcapacity applies only to synthetic traces and demand_mw,wind_mw,solar_mw CSVs"
 )
 
 
-def build_trace(scenario: Scenario, seed: int | None = None) -> ResidualTrace:
-    source = scenario.raw.get("trace")
-    if not source:
-        raise ConfigError("config has no trace section")
-    source = _expect(source, dict, "trace")
-    overcapacity = _overcapacity(scenario.raw.get("overcapacity"))
-    if "inline_mw" in source:
-        if overcapacity is not None:
-            raise ConfigError(_OVERCAPACITY_SOURCES + ", not to an inline_mw trace")
-        return ResidualTrace.from_values(_numbers(source["inline_mw"], "trace: inline_mw"))
-    if "synthetic" in source:
-        demand, generation = _demand_generation(scenario, seed)
-        return traces.scale_to_overcapacity(
-            demand, generation, 0.0 if overcapacity is None else overcapacity
-        )
-    if "csv_path" in source:
-        if overcapacity is not None:
-            pair = _demand_generation(scenario, seed)
-            if pair is None:
-                raise ConfigError(_OVERCAPACITY_SOURCES + ", not to a residual_mw CSV")
-            return traces.scale_to_overcapacity(pair[0], pair[1], overcapacity)
+def _read_trace_file(load, path: str):
+    try:
+        return load(path)
+    except FileNotFoundError:
+        raise ConfigError(f"trace file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot open trace file: {exc}") from None
+
+
+def _demand_generation(scenario: Scenario, seed: int | None):
+    """Demand and generation series, which only some trace sources carry."""
+    source = scenario.trace
+    if isinstance(source, SynthParams):
+        return traces.synthesize(_seeded(source, seed))
+    if isinstance(source, str):
         try:
-            return traces.load_csv(source["csv_path"])
-        except FileNotFoundError:
-            raise ConfigError(f"trace file not found: {source['csv_path']}") from None
-    raise ConfigError(f"trace section {source} needs one of inline_mw / synthetic / csv_path")
+            return _read_trace_file(traces.load_components, source)
+        except SchemaError as exc:
+            raise ConfigError(f"{_OVERCAPACITY_SOURCES}; {exc}") from None
+    if source is None:
+        raise ConfigError("config has no trace section")
+    raise ConfigError(_OVERCAPACITY_SOURCES + ", not to an inline_mw trace")
+
+
+def build_trace(scenario: Scenario, seed: int | None = None) -> ResidualTrace:
+    source, overcapacity = scenario.trace, scenario.overcapacity
+    if overcapacity is None and isinstance(source, list):
+        return ResidualTrace.from_values(source)
+    if overcapacity is None and isinstance(source, str):
+        return _read_trace_file(traces.load_csv, source)
+    demand, generation = _demand_generation(scenario, seed)
+    return traces.scale_to_overcapacity(
+        demand, generation, 0.0 if overcapacity is None else overcapacity
+    )
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -328,10 +346,11 @@ def _prices(scenario: Scenario, names) -> list[StorePrices]:
 
 
 def cmd_size(scenario: Scenario, out_dir: Path, args) -> int:
+    convention = LossConvention(args.convention)
     if args.no_optimize:
         prices = _prices(scenario, [s.name for s in scenario.stores])
         stores, total_usd = sizing.price_stores(scenario.stores, prices)
-        report = sizing.cost_report_to_dict(stores, total_usd, "fixed", LossConvention.SPLIT_SQRT)
+        report = sizing.cost_report_to_dict(stores, total_usd, "fixed", convention)
     else:
         if scenario.standard is None:
             raise ConfigError("size needs a reliability section")
@@ -353,13 +372,14 @@ def cmd_size(scenario: Scenario, out_dir: Path, args) -> int:
                 )
             except ValueError as exc:  # a per-store decay grid too short for a candidate
                 raise ConfigError(f"sizing: {exc}") from None
-        stores = result.stores
-        report = sizing.sizing_result_to_dict(result, args.mode)
-    if args.convention == "input":
-        for entry, store in zip(report["stores"], stores):
-            entry["capacity_mwh"] = store.capacity_mwh * store.efficiency**0.5
-            entry["capacity_twh"] = entry["capacity_mwh"] / 1e6
-        report["convention"] = "input"
+        report = sizing.cost_report_to_dict(
+            result.stores, result.total_cost_usd, args.mode, convention
+        )
+        report.update(
+            annual_unserved_gwh=result.annual_unserved_gwh,
+            lambdas_per_hour=list(result.lambdas_per_hour),
+            served_external_mwh=list(result.served_external_mwh),
+        )
     _write_json(out_dir / "sizing.json", report)
     return 0
 
@@ -381,13 +401,13 @@ def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
         if not 0.0 < eta <= 1.0:
             raise ConfigError(f"--etas: efficiency must lie in (0, 1], got {eta}")
     oc_list = [_overcapacity(x) for x in args.oc_list.split(",") if x.strip()]
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    convention = LossConvention(args.convention)
 
     jobs = []
     if oc_list:
-        pair = _demand_generation(scenario, args.seed)
-        if pair is None:
-            raise ConfigError("overcapacity sweeps need a synthetic or demand/wind/solar trace source")
-        demand, generation = pair
+        demand, generation = _demand_generation(scenario, args.seed)
         for oc in oc_list:
             for eta in etas:
                 jobs.append((demand, generation, oc, eta))
@@ -396,15 +416,16 @@ def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
         for eta in etas:
             jobs.append((None, trace, None, eta))
 
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    workers = min(args.threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_curve_point, jobs))
     else:
         results = [_curve_point(job) for job in jobs]
 
     rows = []
     for (_, _, oc, eta), (e_min, s0_min) in zip(jobs, results):
-        factor = eta**-0.5 if args.convention == "split" else 1.0
+        factor = convention_factor(eta, LossConvention.INPUT_SIDE, convention)
         rows.append((oc, eta, e_min * factor, s0_min * factor))
 
     # The minimal store must not grow with overcapacity or efficiency.
@@ -452,19 +473,16 @@ def cmd_tune(scenario: Scenario, out_dir: Path, args) -> int:
 
 
 def cmd_synth(scenario: Scenario, out_dir: Path, args) -> int:
-    source = scenario.raw.get("trace", {})
-    if "synthetic" not in source:
+    if not isinstance(scenario.trace, SynthParams):
         raise ConfigError("synth needs a trace.synthetic section")
-    trace = build_trace(scenario, args.seed)
+    scenario = replace(scenario, trace=_seeded(scenario.trace, args.seed))
+    trace = build_trace(scenario)
     traces.write_csv(trace, out_dir / "trace.csv")
-    entry = dict(source["synthetic"])
-    if args.seed is not None:
-        entry["seed"] = args.seed
     _write_json(
         out_dir / "trace_meta.json",
         {
-            "synthetic": entry,
-            "overcapacity": scenario.raw.get("overcapacity"),
+            "synthetic": asdict(scenario.trace),
+            "overcapacity": scenario.overcapacity,
             "hours": len(trace),
             "mean_residual_mw": float(np.mean(trace.values_mw)),
             "note": "synthetic stand-in series, not observed data",
@@ -489,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", default=".", help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=None, help="override the synthetic-trace seed")
-        p.add_argument("--threads", type=int, default=1, help="parallel workers for sweeps")
+
+    def convention_flag(p):
         p.add_argument(
             "--convention",
             choices=("input", "split"),
@@ -500,12 +519,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("simulate", help="run a policy over a trace"))
     p_size = sub.add_parser("size", help="optimise store dimensions against a standard")
     common(p_size)
+    convention_flag(p_size)
     p_size.add_argument("--mode", choices=("single", "fleet"), default="single")
     p_size.add_argument(
         "--no-optimize", action="store_true", help="cost the configured dimensions as-is"
     )
     p_curve = sub.add_parser("min-store-curve", help="minimal store size vs overcapacity")
     common(p_curve)
+    convention_flag(p_curve)
+    p_curve.add_argument("--threads", type=int, default=1, help="parallel workers for the sweep")
     p_curve.add_argument("--etas", required=True, help="comma-separated efficiencies")
     p_curve.add_argument("--oc-list", default="", help="comma-separated overcapacity fractions")
     common(sub.add_parser("tune", help="grid-search decay rates"))

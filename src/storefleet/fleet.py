@@ -7,7 +7,8 @@ Conventions used throughout the package:
   enters the store.  Published storage tables often use a split
   convention instead, where input and output each carry an efficiency of
   sqrt(eta); under that convention capacities and levels appear larger
-  by a factor eta ** -0.5.  ``convert_convention`` maps between the two;
+  by a factor eta ** -0.5.  ``convention_factor`` gives that factor and
+  ``convert_convention`` maps stores between the two;
   everything else in the package works in servable-energy terms.
 * Time steps are one hour, so a rate in MW held for one step transfers
   the same number of MWh.  Positive rates charge, negative rates
@@ -265,6 +266,21 @@ def merge_equivalent(stores: Sequence[StoreSpec], rel_tol: float = 1e-9) -> Stor
     )
 
 
+def convention_factor(
+    efficiency: float, from_convention: LossConvention, to_convention: LossConvention
+) -> float:
+    """What a capacity or level in one convention is multiplied by to give another.
+
+    INPUT_SIDE to SPLIT_SQRT is efficiency ** -0.5, the reverse
+    efficiency ** 0.5, and within one convention 1.0.
+    """
+    if from_convention is to_convention:
+        return 1.0
+    if to_convention is LossConvention.SPLIT_SQRT:
+        return efficiency ** -0.5
+    return efficiency ** 0.5
+
+
 def convert_convention(
     spec: StoreSpec,
     level_mwh: float,
@@ -273,14 +289,10 @@ def convert_convention(
 ) -> tuple[StoreSpec, float]:
     """Re-express a store's capacity and level under another convention.
 
-    Going from INPUT_SIDE to SPLIT_SQRT multiplies capacity and level by
-    efficiency ** -0.5; the reverse divides.  Power ratings and the
+    Both are multiplied by ``convention_factor``.  Power ratings and the
     efficiency itself are unchanged.  Round-trips are identities.
     """
     if from_convention is to_convention:
         return spec, level_mwh
-    if to_convention is LossConvention.SPLIT_SQRT:
-        factor = spec.efficiency ** -0.5
-    else:
-        factor = spec.efficiency ** 0.5
+    factor = convention_factor(spec.efficiency, from_convention, to_convention)
     return replace(spec, capacity_mwh=spec.capacity_mwh * factor), level_mwh * factor

@@ -1,24 +1,28 @@
 """Non-anticipatory scheduling policies.
 
-Each scheduler maps the current store levels and this hour's residual
-energy (generation minus demand, MW) to a StepDecision.  All three are
-greedy: whenever energy would otherwise spill every store charges as hard
-as it can, and whenever demand would otherwise go unserved every store
-discharges as hard as it can.
+A ``Policy`` maps the current store levels and this hour's residual
+energy (generation minus demand, MW) to a StepDecision.  All three kinds
+are greedy: whenever energy would otherwise spill every store charges as
+hard as it can, and whenever demand would otherwise go unserved every
+store discharges as hard as it can.
 
-* ``schedule_value_lp`` ranks stores by marginal-value derivatives
-  v = exp(-lambda * level / output_power) and, after the external
-  allocation, moves energy between stores (cross-charging) while that is
-  worth the round-trip loss.  With the imbalance pinned at its greedy
+* ``value`` ranks stores by marginal-value derivatives
+  v = exp(-lambda * level / output_power), computed once from the
+  pre-step levels: surplus hours fill stores in descending eta * v,
+  deficit hours discharge in ascending v.  After the external
+  allocation it moves energy between stores (cross-charging) while that
+  is worth the round-trip loss.  With the imbalance pinned at its greedy
   minimum, the step objective sum(v[i] * rate[i]) is maximised exactly.
-* ``schedule_ggddf`` discharges stores with the greatest residual
-  discharge duration (level / output_power) first; no cross-charging.
-* ``schedule_grtef`` charges and discharges the most efficient stores
-  first; no cross-charging.
+* ``ggddf`` (greatest discharge duration first) discharges stores in
+  descending level / output_power, so energy is never stranded in a
+  single slow store while others sit empty, and charges in descending
+  (capacity - level) / output_power; no cross-charging.
+* ``grtef`` charges and discharges the most efficient stores first; no
+  cross-charging.
 
-All three, and ``Policy.decide``, run one plain-float step kernel
-(``_step_kernel``) that binds the per-store constants once per fleet;
-simulation loops call it millions of times.
+``Policy.decide`` and ``Policy.raw_step`` run one plain-float step
+kernel (``_step_kernel``) that binds the per-store constants once per
+fleet; simulation loops call it millions of times.
 """
 
 from __future__ import annotations
@@ -125,7 +129,7 @@ def _cross_charger(consts: FleetConsts):
     return cross_charge
 
 
-def _step_kernel(consts: FleetConsts, kind: str, lambdas=(), cross_charging=True):
+def _step_kernel(consts: FleetConsts, kind: str, lambdas=()):
     """Bind one (levels, re) -> (rates, spill, unserved) step for a policy kind.
 
     Every policy fills stores greedily in its priority order: surplus
@@ -157,7 +161,7 @@ def _step_kernel(consts: FleetConsts, kind: str, lambdas=(), cross_charging=True
     inv_out = consts.inv_out
     stores = range(n)
     value = kind == "value" and n > 1
-    cross_charge = _cross_charger(consts) if value and cross_charging else None
+    cross_charge = _cross_charger(consts) if value else None
     fixed_order = None
     if n == 1:
         fixed_order = (0,)
@@ -240,11 +244,6 @@ def _step_kernel(consts: FleetConsts, kind: str, lambdas=(), cross_charging=True
     return step
 
 
-def _decision(step, state: FleetState, re_mw: float) -> StepDecision:
-    rates, spill, unserved = step(state.levels_mwh, re_mw)
-    return StepDecision(tuple(rates), spill_mwh=spill, unserved_mwh=unserved)
-
-
 def _check_lambdas(lambdas, n: int) -> None:
     if len(lambdas) != n:
         raise ValueError(f"{len(lambdas)} decay rates for {n} stores")
@@ -265,43 +264,6 @@ def value_derivatives(
         math.exp(-lam * s * inv)
         for lam, s, inv in zip(params.lambdas_per_hour, state.levels_mwh, inv_out)
     ]
-
-
-def schedule_value_lp(
-    state: FleetState,
-    re_mw: float,
-    fleet: Sequence[StoreSpec],
-    params: ValueParams,
-    cross_charging: bool = True,
-) -> StepDecision:
-    """Value-priority scheduler with cross-charging.
-
-    Surplus hours fill stores in descending eta * v; deficit hours
-    discharge in ascending v.  The value derivatives are computed once
-    from the pre-step levels and held fixed for the whole step.  The
-    resulting rates maximise sum(v[i] * rates[i]) over all feasible
-    decisions with the same (greedy-minimal) spill or unserved energy.
-    """
-    _check_lambdas(params.lambdas_per_hour, len(fleet))
-    step = _step_kernel(FleetConsts(fleet), "value", params.lambdas_per_hour, cross_charging)
-    return _decision(step, state, re_mw)
-
-
-def schedule_ggddf(state: FleetState, re_mw: float, fleet: Sequence[StoreSpec]) -> StepDecision:
-    """Greedy greatest-discharge-duration-first.
-
-    Deficit hours discharge stores in descending level / output_power, so
-    the store that would take longest to drain serves first and energy is
-    never stranded in a single slow store while others sit empty.
-    Surplus hours charge in descending (capacity - level) / output_power,
-    restoring the largest duration deficit first.  No cross-charging.
-    """
-    return _decision(_step_kernel(FleetConsts(fleet), "ggddf"), state, re_mw)
-
-
-def schedule_grtef(state: FleetState, re_mw: float, fleet: Sequence[StoreSpec]) -> StepDecision:
-    """Greatest-round-trip-efficiency-first, both directions, no cross-charging."""
-    return _decision(_step_kernel(FleetConsts(fleet), "grtef"), state, re_mw)
 
 
 @dataclass(frozen=True)
@@ -332,7 +294,9 @@ class Policy:
         return cls("grtef")
 
     def decide(self, state: FleetState, re_mw: float, fleet: Sequence[StoreSpec]) -> StepDecision:
-        return _decision(self.raw_step(FleetConsts(fleet)), state, re_mw)
+        """This hour's decision for ``fleet`` at ``state``."""
+        rates, spill, unserved = self.raw_step(FleetConsts(fleet))(state.levels_mwh, re_mw)
+        return StepDecision(tuple(rates), spill_mwh=spill, unserved_mwh=unserved)
 
     def raw_step(self, consts: FleetConsts):
         """Bind a (levels, re) -> (rates, spill, unserved) closure for one fleet."""

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .engine import SimResult, simulate, trace_values
-from .fleet import FleetError, FleetState, LossConvention, StoreSpec
+from .fleet import FleetError, FleetState, LossConvention, StoreSpec, convention_factor
 from .policies import Policy, ValueParams
 from .traces import HOURS_PER_YEAR
 
@@ -360,20 +360,14 @@ class SizedStore:
 class SizingResult:
     """Optimiser output: dimensions, costs and achieved reliability.
 
-    Capacities are reported in ``convention`` (split by default, matching
-    cost-table usage); costs are always computed from split dimensions.
+    Capacities are in the split convention, from which costs are priced.
     """
 
     stores: tuple[SizedStore, ...]
     total_cost_usd: float
     annual_unserved_gwh: float
     lambdas_per_hour: tuple[float, ...]
-    convention: LossConvention
     served_external_mwh: tuple[float, ...]
-
-
-def _split_capacity(capacity_mwh: float, efficiency: float) -> float:
-    return capacity_mwh * efficiency ** -0.5
 
 
 def _q_grid(values: np.ndarray, options: SizingOptions) -> list[float]:
@@ -395,8 +389,10 @@ def price_stores(
 
     Returns one SizedStore per store and the fleet's total cost, USD.
     """
+    to_split = (LossConvention.INPUT_SIDE, LossConvention.SPLIT_SQRT)
     dims = [
-        (_split_capacity(s.capacity_mwh, s.efficiency), s.output_power_mw, s.input_power_mw)
+        (s.capacity_mwh * convention_factor(s.efficiency, *to_split), s.output_power_mw,
+         s.input_power_mw)
         for s in fleet
     ]
     breakdown = fleet_cost(dims, prices)
@@ -519,7 +515,6 @@ def _optimize_long_store(
         total_cost_usd=total_usd,
         annual_unserved_gwh=result.total_unserved_mwh / years / 1e3,
         lambdas_per_hour=tuple(float(x) for x in lambdas),
-        convention=LossConvention.SPLIT_SQRT,
         served_external_mwh=tuple(float(x) for x in result.served_external_mwh),
     )
 
@@ -575,8 +570,7 @@ def optimize_fleet(
     if float(np.sum(np.maximum(0.0, -values))) <= standard.allowance_mwh(_years(values)):
         nothing = SizedStore(long_name, 0.0, 0.0, 0.0, efficiency_long, StoreCost(0.0, 0.0, 0.0))
         return SizingResult(stores=(nothing,), total_cost_usd=0.0, annual_unserved_gwh=0.0,
-                            lambdas_per_hour=(0.0,), convention=LossConvention.SPLIT_SQRT,
-                            served_external_mwh=(0.0,))
+                            lambdas_per_hour=(0.0,), served_external_mwh=(0.0,))
 
     best: SizingResult | None = None
     for secondary in secondary_grid:
@@ -604,37 +598,34 @@ def optimize_fleet(
 def cost_report_to_dict(
     stores: Sequence[SizedStore], total_cost_usd: float, mode: str, convention: LossConvention
 ) -> dict:
-    """JSON-ready dimension and cost table, laid out as published tables are."""
+    """JSON-ready dimension and cost table, laid out as published tables are.
+
+    ``stores`` hold split-convention capacities; the table gives them in
+    ``convention``.  Costs are the split-priced ones either way.
+    """
+    rows = []
+    for s in stores:
+        capacity = s.capacity_mwh * convention_factor(
+            s.efficiency, LossConvention.SPLIT_SQRT, convention
+        )
+        rows.append({
+            "name": s.name,
+            "efficiency": s.efficiency,
+            "capacity_mwh": capacity,
+            "capacity_twh": capacity / 1e6,
+            "output_power_mw": s.output_power_mw,
+            "output_power_gw": s.output_power_mw / 1e3,
+            "input_power_mw": s.input_power_mw,
+            "input_power_gw": s.input_power_mw / 1e3,
+            "cost_capacity_bn_usd": s.cost.capacity_usd / _USD_PER_BN,
+            "cost_output_power_bn_usd": s.cost.output_power_usd / _USD_PER_BN,
+            "cost_input_power_bn_usd": s.cost.input_power_usd / _USD_PER_BN,
+            "cost_total_bn_usd": s.cost.total_usd / _USD_PER_BN,
+        })
     return {
         "mode": mode,
         "convention": convention.value,
-        "stores": [
-            {
-                "name": s.name,
-                "efficiency": s.efficiency,
-                "capacity_mwh": s.capacity_mwh,
-                "capacity_twh": s.capacity_mwh / 1e6,
-                "output_power_mw": s.output_power_mw,
-                "output_power_gw": s.output_power_mw / 1e3,
-                "input_power_mw": s.input_power_mw,
-                "input_power_gw": s.input_power_mw / 1e3,
-                "cost_capacity_bn_usd": s.cost.capacity_usd / _USD_PER_BN,
-                "cost_output_power_bn_usd": s.cost.output_power_usd / _USD_PER_BN,
-                "cost_input_power_bn_usd": s.cost.input_power_usd / _USD_PER_BN,
-                "cost_total_bn_usd": s.cost.total_usd / _USD_PER_BN,
-            }
-            for s in stores
-        ],
+        "stores": rows,
         "total_cost_bn_usd": total_cost_usd / _USD_PER_BN,
         "total_cost_usd": total_cost_usd,
-    }
-
-
-def sizing_result_to_dict(result: SizingResult, mode: str) -> dict:
-    """``cost_report_to_dict``'s table plus reliability, decay rates and served energy."""
-    return {
-        **cost_report_to_dict(result.stores, result.total_cost_usd, mode, result.convention),
-        "annual_unserved_gwh": result.annual_unserved_gwh,
-        "lambdas_per_hour": list(result.lambdas_per_hour),
-        "served_external_mwh": list(result.served_external_mwh),
     }

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -48,17 +49,10 @@ class InsufficientData(TraceError):
 
 
 @dataclass(frozen=True)
-class CsvSource:
-    path: str
-
-
-@dataclass(frozen=True)
 class ResidualTrace:
-    """Hourly residual-energy series (MW) with provenance metadata."""
+    """Hourly residual-energy series (MW)."""
 
     values_mw: np.ndarray
-    origin: CsvSource | None = None
-    overcapacity: float | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.values_mw, dtype=float)
@@ -69,8 +63,8 @@ class ResidualTrace:
         object.__setattr__(self, "values_mw", arr)
 
     @classmethod
-    def from_values(cls, values: Sequence[float], overcapacity: float | None = None) -> "ResidualTrace":
-        return cls(np.asarray(values, dtype=float), origin=None, overcapacity=overcapacity)
+    def from_values(cls, values: Sequence[float]) -> "ResidualTrace":
+        return cls(np.asarray(values, dtype=float))
 
     def __len__(self) -> int:
         return len(self.values_mw)
@@ -110,10 +104,10 @@ def _read_columns(path, schema: str | None) -> tuple[str, np.ndarray]:
             wanted = _COMPONENT_COLUMNS
         else:
             raise SchemaError(f"unknown schema {schema!r}")
-        try:
-            cols = [header.index(c) for c in wanted]
-        except ValueError as exc:
-            raise SchemaError(f"{path}: missing column for schema {schema!r}: {exc}") from None
+        missing = [c for c in wanted if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: header {header} lacks {missing} for schema {schema!r}")
+        cols = [header.index(c) for c in wanted]
 
         rows = []
         for line_no, row in enumerate(reader, start=2):
@@ -151,7 +145,7 @@ def load_csv(path, schema: str | None = None) -> ResidualTrace:
         values = rows[:, 0]
     else:
         values = rows[:, 1] + rows[:, 2] - rows[:, 0]
-    return ResidualTrace(values, origin=CsvSource(str(path)))
+    return ResidualTrace(values)
 
 
 def load_components(path) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +185,7 @@ def scale_to_overcapacity(
             f"means must be positive (demand {mean_demand}, generation {mean_generation})"
         )
     k = (1.0 + overcapacity) * mean_demand / mean_generation
-    return ResidualTrace(k * generation - demand, overcapacity=overcapacity)
+    return ResidualTrace(k * generation - demand)
 
 
 @dataclass(frozen=True)
@@ -203,6 +197,11 @@ class SynthParams:
     AR(1)-modulated nonnegative series (persistent over days, so calm
     and windy spells last); solar is a clipped daytime profile peaking in
     summer.  Deterministic for a given seed.
+
+    Every field must be a finite number and ``seed`` an integer >= 0;
+    ``years`` must cover at least one hour, ``solar_share`` lie in
+    [0, 1], ``ar_coeff`` satisfy |a| < 1, ``base_demand_mw`` be > 0 and
+    the noise and cycle amplitudes >= 0.  Bad fields raise InvalidParams.
     """
 
     years: float = 1.0
@@ -214,6 +213,27 @@ class SynthParams:
     ar_coeff: float = 0.995
     noise_sd: float = 0.08
     solar_share: float = 0.2
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and -math.inf < value < math.inf
+            ):
+                raise InvalidParams(f"{field.name} must be a finite number, got {value!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise InvalidParams(f"seed must be an integer >= 0, got {self.seed!r}")
+        # round(years * 8760) >= 1, without rounding a value too large for an int.
+        if not self.years * HOURS_PER_YEAR > 0.5:
+            raise InvalidParams("years must cover at least one hour")
+        if not 0.0 <= self.solar_share <= 1.0:
+            raise InvalidParams(f"solar_share must lie in [0, 1], got {self.solar_share}")
+        if not abs(self.ar_coeff) < 1.0:
+            raise InvalidParams(f"ar_coeff must satisfy |a| < 1, got {self.ar_coeff}")
+        if self.noise_sd < 0.0 or self.base_demand_mw <= 0.0:
+            raise InvalidParams("noise_sd must be >= 0 and base_demand_mw > 0")
+        if min(self.diurnal_amp, self.seasonal_amp, self.weekly_amp) < 0.0:
+            raise InvalidParams("cycle amplitudes must be nonnegative")
 
 
 HOURS_PER_YEAR = 8760
@@ -227,17 +247,6 @@ def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
     is controlled exactly.
     """
     n = int(round(params.years * HOURS_PER_YEAR))
-    if n < 1:
-        raise InvalidParams("years must cover at least one hour")
-    if not 0.0 <= params.solar_share <= 1.0:
-        raise InvalidParams(f"solar_share must lie in [0, 1], got {params.solar_share}")
-    if not abs(params.ar_coeff) < 1.0:
-        raise InvalidParams(f"ar_coeff must satisfy |a| < 1, got {params.ar_coeff}")
-    if params.noise_sd < 0.0 or params.base_demand_mw <= 0.0:
-        raise InvalidParams("noise_sd must be >= 0 and base_demand_mw > 0")
-    if min(params.diurnal_amp, params.seasonal_amp, params.weekly_amp) < 0.0:
-        raise InvalidParams("cycle amplitudes must be nonnegative")
-
     h = np.arange(n, dtype=float)
     two_pi = 2.0 * math.pi
 

@@ -36,7 +36,7 @@ from storefleet.engine import (
     verify_greedy,
 )
 from storefleet.fleet import FleetState, StoreSpec, full_state, imbalance, merge_equivalent
-from storefleet.policies import Policy, ValueParams, schedule_value_lp, value_derivatives
+from storefleet.policies import Policy, ValueParams, value_derivatives
 from storefleet.sizing import (
     ReliabilityStandard,
     SizingOptions,
@@ -229,7 +229,7 @@ def test_criterion_2_lp_oracle_equivalence():
         state = FleetState(levels)
         params = ValueParams(lambdas)
         v = value_derivatives(state, fleet, params)
-        decision = schedule_value_lp(state, re, fleet, params)
+        decision = Policy("value", params).decide(state, re, fleet)
 
         spill_min, unserved_min = greedy_min_spill_unserved(levels, fleet, re)
         assert decision.spill_mwh == pytest.approx(spill_min, abs=1e-9)

@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from storefleet import cli
 from storefleet.cli import main
 from storefleet.traces import load_csv
 
@@ -393,6 +395,11 @@ class TestSynthAndStats:
         assert main(["synth", "--config", config, "--out", str(out_a)]) == 0
         assert main(["synth", "--config", config, "--seed", "123", "--out", str(out_b)]) == 0
         assert (out_a / "trace.csv").read_bytes() != (out_b / "trace.csv").read_bytes()
+        # The metadata records the parameters used, defaults included.
+        meta = json.loads((out_b / "trace_meta.json").read_text())
+        assert meta["synthetic"]["seed"] == 123 and meta["synthetic"]["years"] == 0.02
+        assert meta["synthetic"]["base_demand_mw"] == 1000.0
+        assert meta["overcapacity"] == 0.3
 
     def test_stats_outputs(self, tmp_path):
         config = write_config(
@@ -525,20 +532,160 @@ class TestFrontDoor:
     def test_one_bad_value_never_raises(self, path, value):
         # Any one value replaced by a bad one: every command exits 0, 1 or
         # 2, with a message when it fails, and never with a traceback.
-        scenario = copy.deepcopy(FRONT_DOOR_SCENARIO)
-        parent = scenario
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        with tempfile.TemporaryDirectory() as tmp:
-            config = Path(tmp) / "scenario.json"
-            config.write_text(json.dumps(scenario))
-            for command in FRONT_DOOR_COMMANDS:
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err):
-                    code = main([*command, "--config", str(config), "--out", str(Path(tmp) / "out")])
-                assert code in (0, 1, 2)
-                assert code == 0 or err.getvalue().startswith("storefleet: ")
+        for code in _exit_codes(FRONT_DOOR_SCENARIO, path, value, FRONT_DOOR_COMMANDS):
+            assert code in (0, 1, 2)
+
+
+# The trace-source variant: a synthetic trace of 44 hours with every
+# SynthParams field set, and the commands that read it.
+SYNTHETIC_FRONT_DOOR_SCENARIO = {
+    **FRONT_DOOR_SCENARIO,
+    "trace": {"synthetic": {
+        "years": 0.005, "seed": 3, "base_demand_mw": 10.0, "diurnal_amp": 0.15,
+        "seasonal_amp": 0.25, "weekly_amp": 0.06, "ar_coeff": 0.9, "noise_sd": 0.08,
+        "solar_share": 0.2,
+    }},
+    "overcapacity": 0.3,
+}
+SYNTHETIC_COMMANDS = (["simulate"], ["synth"])
+SYNTHETIC_PATHS = list(_node_paths(SYNTHETIC_FRONT_DOOR_SCENARIO["trace"]["synthetic"],
+                                   ("trace", "synthetic")))
+
+
+def _exit_codes(scenario, path, value, commands):
+    """Exit code of each command on ``scenario`` with ``value`` at ``path``.
+
+    Every failure must come with a message, never a traceback.
+    """
+    scenario = copy.deepcopy(scenario)
+    parent = scenario
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    codes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "scenario.json"
+        config.write_text(json.dumps(scenario))
+        for command in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*command, "--config", str(config), "--out", str(Path(tmp) / "out")])
+            assert code == 0 or err.getvalue().startswith("storefleet: ")
+            codes.append(code)
+    return codes
+
+
+class TestSyntheticFrontDoor:
+    def test_scenario_is_valid(self, tmp_path):
+        config = write_config(tmp_path, SYNTHETIC_FRONT_DOOR_SCENARIO)
+        for command in SYNTHETIC_COMMANDS:
+            assert main([*command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("path", SYNTHETIC_PATHS, ids=lambda path: path[-1])
+    def test_bad_value_is_config_error(self, path):
+        # A field that is not a finite number, or a section that is not an
+        # object, fails at load; any other value runs or fails with exit 1.
+        for value in BAD_VALUES:
+            if path[-1] == "synthetic":
+                malformed = not isinstance(value, dict)
+            else:
+                malformed = isinstance(value, bool) or not (
+                    isinstance(value, (int, float)) and math.isfinite(value)
+                )
+            for code in _exit_codes(SYNTHETIC_FRONT_DOOR_SCENARIO, path, value, SYNTHETIC_COMMANDS):
+                assert code == 1 if malformed else code in (0, 1), (path, value)
+
+
+class TestTraceSectionErrors:
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            {"synthetic": {"years": "x"}},
+            {"synthetic": {"seed": 1.5}},
+            {"synthetic": {"noise_sd": "x"}},
+            {"synthetic": {"colour": "blue"}},
+            {"synthetic": [1]},
+            {"csv_path": 0},
+            {"csv_path": True},
+            {"csv_path": 5},
+            {"csv_path": [1]},
+            {"csv_path": {}},
+            {"csv_path": "."},
+            {"synthetic": {"years": 0.01}, "csv_path": "trace.csv"},
+            {"inline_mw": [1.0], "synthetic": {}},
+            {},
+        ],
+    )
+    def test_bad_trace_section_is_config_error(self, tmp_path, capsys, trace):
+        config = simple_simulate_config(tmp_path, trace=trace)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("storefleet: config error:")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"trace": {"synthetic": {"seed": -1}}}, {"trace": {"csv_path": 5}}, {"overcapacity": "x"}],
+    )
+    def test_bad_trace_fails_size_without_optimising(self, tmp_path, capsys, overrides):
+        # The trace section is checked at load, even where no trace is built.
+        config = write_config(tmp_path, {**FIXED_DIMS_SCENARIO, **overrides})
+        assert main(["size", "--config", config, "--no-optimize", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("storefleet: config error:")
+
+    @pytest.mark.parametrize("command", ["simulate", "synth", "stats"])
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys, command):
+        config = simple_simulate_config(tmp_path, trace={"synthetic": {"years": 0.01, "seed": 1}})
+        argv = [command, "--config", config, "--seed", "-1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("storefleet: config error: --seed: seed")
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["min-store-curve", "--etas", "0.5", "--threads", "0"],
+            ["min-store-curve", "--etas", "0.5", "--threads", "-3"],
+            ["simulate", "--convention", "input"],
+            ["simulate", "--threads", "2"],
+            ["tune", "--threads", "2"],
+            ["tune", "--convention", "split"],
+            ["synth", "--threads", "2"],
+            ["stats", "--convention", "input"],
+        ],
+    )
+    def test_unread_or_bad_flag_is_config_error(self, tmp_path, capsys, argv):
+        config = simple_simulate_config(tmp_path)
+        assert main([*argv, "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("storefleet: config error:")
+
+    def test_pool_has_at_most_one_worker_per_point(self, tmp_path, monkeypatch):
+        workers = []
+
+        class RecordingPool:
+            """Records max_workers and runs the points in this process."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        config = write_config(tmp_path, {"trace": {"inline_mw": [10.0, -4.0, -4.0, -4.0]}})
+        outputs = []
+        for threads, etas in (("1", "0.5,0.9"), ("5000", "0.5,0.9"), ("4", "0.5")):
+            out = tmp_path / threads
+            argv = ["min-store-curve", "--config", config, "--etas", etas, "--threads", threads]
+            assert main([*argv, "--out", str(out)]) == 0
+            outputs.append((out / "min_store_curve.csv").read_bytes())
+        assert workers == [2]  # one pool, for the two points; one point needs none
+        assert outputs[0] == outputs[1]
 
 
 class TestUsageErrors:

@@ -29,7 +29,7 @@ from storefleet.fleet import (
     full_state,
     merge_equivalent,
 )
-from storefleet.policies import Policy, ValueParams, schedule_value_lp
+from storefleet.policies import Policy
 
 from oracles import (
     random_feasible_rates,

@@ -14,6 +14,7 @@ from storefleet.fleet import (
     StepDecision,
     StoreSpec,
     apply_step,
+    convention_factor,
     convert_convention,
     full_state,
     imbalance,
@@ -179,6 +180,18 @@ class TestConvertConvention:
         )
         assert back_spec.capacity_mwh == pytest.approx(capacity, rel=1e-12)
         assert back_level == pytest.approx(level, rel=1e-12, abs=1e-12)
+
+    def test_factor_is_the_one_conversion(self):
+        # Every reported capacity goes through convention_factor: exact
+        # powers of the efficiency, and 1.0 within one convention.
+        inp, split = LossConvention.INPUT_SIDE, LossConvention.SPLIT_SQRT
+        assert convention_factor(0.4, inp, split) == 0.4 ** -0.5
+        assert convention_factor(0.4, split, inp) == 0.4 ** 0.5
+        assert convention_factor(0.4, inp, inp) == convention_factor(0.4, split, split) == 1.0
+        spec = StoreSpec("s", 10.0, 1.0, 1.0, 0.4)
+        converted, level = convert_convention(spec, 4.0, inp, split)
+        assert converted.capacity_mwh == 10.0 * 0.4 ** -0.5
+        assert level == 4.0 * 0.4 ** -0.5
 
 
 class TestStateAndDecision:

@@ -10,9 +10,6 @@ from storefleet.policies import (
     Policy,
     ValueParams,
     _cross_charger,
-    schedule_ggddf,
-    schedule_grtef,
-    schedule_value_lp,
     value_derivatives,
 )
 
@@ -71,13 +68,13 @@ class TestValueDerivatives:
 class TestScheduleValueLp:
     def test_single_store_partial_charge(self):
         fleet = [StoreSpec("s", 200, 50, 10, 0.5)]
-        decision = schedule_value_lp(FleetState((50.0,)), 5.0, fleet, ValueParams((0.01,)))
+        decision = Policy("value", ValueParams((0.01,))).decide(FleetState((50.0,)), 5.0, fleet)
         assert decision.rates_mw == (2.5,)
         assert decision.spill_mwh == 0.0
 
     def test_single_store_shortfall(self):
         fleet = [StoreSpec("s", 100, 8, 10, 0.9)]
-        decision = schedule_value_lp(FleetState((3.0,)), -10.0, fleet, ValueParams((0.0,)))
+        decision = Policy("value", ValueParams((0.0,))).decide(FleetState((3.0,)), -10.0, fleet)
         assert decision.rates_mw == (-3.0,)
         assert decision.unserved_mwh == pytest.approx(7.0)
 
@@ -93,7 +90,7 @@ class TestScheduleValueLp:
         v = value_derivatives(state, fleet, params)
         assert v[0] == pytest.approx(math.exp(-2.0), rel=1e-9)
         assert v[1] == pytest.approx(math.exp(-0.01), rel=1e-9)
-        decision = schedule_value_lp(state, -5.0, fleet, params)
+        decision = Policy("value", params).decide(state, -5.0, fleet)
         assert decision.rates_mw[0] == pytest.approx(-15.0)
         assert decision.rates_mw[1] == pytest.approx(9.0)
         assert decision.unserved_mwh == 0.0
@@ -101,7 +98,7 @@ class TestScheduleValueLp:
     def test_spill_forces_max_charge_everywhere(self):
         fleet = [StoreSpec("A", 10, 5, 3, 0.5), StoreSpec("B", 20, 5, 4, 0.8)]
         state = FleetState((9.0, 16.0))
-        decision = schedule_value_lp(state, 50.0, fleet, ValueParams((0.1, 0.2)))
+        decision = Policy("value", ValueParams((0.1, 0.2))).decide(state, 50.0, fleet)
         assert decision.spill_mwh > 0
         assert decision.rates_mw[0] == pytest.approx(min(10 - 9, 0.5 * 3))
         assert decision.rates_mw[1] == pytest.approx(min(20 - 16, 0.8 * 4))
@@ -109,19 +106,21 @@ class TestScheduleValueLp:
     def test_unserved_forces_max_discharge_everywhere(self):
         fleet = [StoreSpec("A", 10, 5, 3, 0.5), StoreSpec("B", 20, 5, 4, 0.8)]
         state = FleetState((3.0, 16.0))
-        decision = schedule_value_lp(state, -50.0, fleet, ValueParams((0.1, 0.2)))
+        decision = Policy("value", ValueParams((0.1, 0.2))).decide(state, -50.0, fleet)
         assert decision.unserved_mwh > 0
         assert decision.rates_mw == (-3.0, -5.0)
 
     def test_charging_priority_order(self):
         # Identical stores except efficiency: high eta * v charges first.
         fleet = [StoreSpec("lo", 100, 10, 6, 0.4), StoreSpec("hi", 100, 10, 6, 0.9)]
-        decision = schedule_value_lp(FleetState((0.0, 0.0)), 6.0, fleet, ValueParams((0.0, 0.0)))
+        policy = Policy("value", ValueParams((0.0, 0.0)))
+        decision = policy.decide(FleetState((0.0, 0.0)), 6.0, fleet)
         assert decision.rates_mw == (0.0, pytest.approx(0.9 * 6))
 
     def test_index_tie_break(self):
         fleet = [StoreSpec("a", 100, 10, 6, 0.8), StoreSpec("b", 100, 10, 6, 0.8)]
-        decision = schedule_value_lp(FleetState((0.0, 0.0)), 3.0, fleet, ValueParams((0.0, 0.0)))
+        policy = Policy("value", ValueParams((0.0, 0.0)))
+        decision = policy.decide(FleetState((0.0, 0.0)), 3.0, fleet)
         assert decision.rates_mw == (pytest.approx(0.8 * 3), 0.0)
 
 
@@ -129,7 +128,7 @@ def _assert_matches_oracles(fleet, levels, re, lambdas, check_grid=False):
     state = FleetState(levels)
     params = ValueParams(lambdas)
     v = value_derivatives(state, fleet, params)
-    decision = schedule_value_lp(state, re, fleet, params)
+    decision = Policy("value", params).decide(state, re, fleet)
     spill_min, unserved_min = greedy_min_spill_unserved(levels, fleet, re)
     assert decision.spill_mwh == pytest.approx(spill_min, abs=1e-9)
     assert decision.unserved_mwh == pytest.approx(unserved_min, abs=1e-9)
@@ -164,9 +163,8 @@ class TestCrossCharging:
             fleet = random_fleet(rng, 3)
             levels = random_levels(rng, fleet)
             re = float(rng.uniform(-150, 150))
-            decision = schedule_value_lp(
-                FleetState(levels), re, fleet, ValueParams(random_lambdas(rng, 3))
-            )
+            policy = Policy("value", ValueParams(random_lambdas(rng, 3)))
+            decision = policy.decide(FleetState(levels), re, fleet)
             has_cross = (
                 any(r < -1e-9 for r in decision.rates_mw)
                 if re >= 0
@@ -227,21 +225,21 @@ class TestCrossCharging:
 class TestGgddf:
     def test_longest_duration_discharges_first(self):
         fleet = [StoreSpec("A", 20, 2, 5, 1.0), StoreSpec("B", 20, 3, 5, 1.0)]
-        decision = schedule_ggddf(FleetState((8.0, 3.0)), -10.0, fleet)
+        decision = Policy.ggddf().decide(FleetState((8.0, 3.0)), -10.0, fleet)
         # durations 4 h vs 1 h: A limited by power, B empties.
         assert decision.rates_mw == (-2.0, -3.0)
         assert decision.unserved_mwh == pytest.approx(5.0)
 
     def test_empty_fleet_serves_nothing(self):
         fleet = [StoreSpec("A", 20, 2, 5, 1.0), StoreSpec("B", 20, 3, 5, 1.0)]
-        decision = schedule_ggddf(FleetState((0.0, 0.0)), -10.0, fleet)
+        decision = Policy.ggddf().decide(FleetState((0.0, 0.0)), -10.0, fleet)
         assert decision.rates_mw == (0.0, 0.0)
         assert decision.unserved_mwh == pytest.approx(10.0)
 
     def test_charging_restores_largest_duration_deficit_first(self):
         # Headroom durations: A (20-2)/2 = 9 h, B (20-15)/5 = 1 h.
         fleet = [StoreSpec("A", 20, 2, 4, 1.0), StoreSpec("B", 20, 5, 4, 1.0)]
-        decision = schedule_ggddf(FleetState((2.0, 15.0)), 3.0, fleet)
+        decision = Policy.ggddf().decide(FleetState((2.0, 15.0)), 3.0, fleet)
         assert decision.rates_mw == (3.0, 0.0)
 
     def test_single_store_matches_value_policy(self):
@@ -251,21 +249,21 @@ class TestGgddf:
             levels = random_levels(rng, fleet)
             re = float(rng.uniform(-50, 50))
             lam = float(rng.uniform(0, 0.3))
-            a = schedule_ggddf(FleetState(levels), re, fleet)
-            b = schedule_value_lp(FleetState(levels), re, fleet, ValueParams((lam,)))
+            a = Policy.ggddf().decide(FleetState(levels), re, fleet)
+            b = Policy("value", ValueParams((lam,))).decide(FleetState(levels), re, fleet)
             assert a == b
 
 
 class TestGrtef:
     def test_most_efficient_charges_first(self):
         fleet = [StoreSpec("A", 1000, 10, 10, 0.9), StoreSpec("B", 1000, 10, 10, 0.4)]
-        decision = schedule_grtef(FleetState((0.0, 0.0)), 12.0, fleet)
+        decision = Policy.grtef().decide(FleetState((0.0, 0.0)), 12.0, fleet)
         assert decision.rates_mw == (pytest.approx(9.0), pytest.approx(0.8))
         assert decision.spill_mwh == 0.0
 
     def test_full_fleet_spills(self):
         fleet = [StoreSpec("A", 10, 10, 10, 0.9), StoreSpec("B", 10, 10, 10, 0.4)]
-        decision = schedule_grtef(FleetState((10.0, 10.0)), 5.0, fleet)
+        decision = Policy.grtef().decide(FleetState((10.0, 10.0)), 5.0, fleet)
         assert decision.rates_mw == (0.0, 0.0)
         assert decision.spill_mwh == pytest.approx(5.0)
 
@@ -275,8 +273,8 @@ class TestGrtef:
             fleet = random_fleet(rng, 1)
             levels = random_levels(rng, fleet)
             re = float(rng.uniform(-50, 50))
-            a = schedule_grtef(FleetState(levels), re, fleet)
-            b = schedule_value_lp(FleetState(levels), re, fleet, ValueParams((0.05,)))
+            a = Policy.grtef().decide(FleetState(levels), re, fleet)
+            b = Policy("value", ValueParams((0.05,))).decide(FleetState(levels), re, fleet)
             assert a == b
 
 
@@ -311,9 +309,9 @@ class TestDecisionInvariants:
         fleet, levels, re, lambdas = instance
         state = FleetState(levels)
         decisions = [
-            schedule_value_lp(state, re, fleet, ValueParams(lambdas)),
-            schedule_ggddf(state, re, fleet),
-            schedule_grtef(state, re, fleet),
+            Policy("value", ValueParams(lambdas)).decide(state, re, fleet),
+            Policy.ggddf().decide(state, re, fleet),
+            Policy.grtef().decide(state, re, fleet),
         ]
         etas = [s.efficiency for s in fleet]
         for decision in decisions:
@@ -335,9 +333,9 @@ class TestDecisionInvariants:
         fleet, levels, re, lambdas = instance
         state = FleetState(levels)
         for decision in (
-            schedule_value_lp(state, re, fleet, ValueParams(lambdas)),
-            schedule_ggddf(state, re, fleet),
-            schedule_grtef(state, re, fleet),
+            Policy("value", ValueParams(lambdas)).decide(state, re, fleet),
+            Policy.ggddf().decide(state, re, fleet),
+            Policy.grtef().decide(state, re, fleet),
         ):
             if decision.spill_mwh > SLACK:
                 for spec, level, rate in zip(fleet, levels, decision.rates_mw):
@@ -384,15 +382,6 @@ class TestGrtefDominanceBoundary:
 
 
 class TestPolicyDispatch:
-    def test_kinds(self):
-        fleet = [StoreSpec("s", 10, 5, 5, 0.8)]
-        state = FleetState((4.0,))
-        assert Policy.value([0.1]).decide(state, 2.0, fleet) == schedule_value_lp(
-            state, 2.0, fleet, ValueParams((0.1,))
-        )
-        assert Policy.ggddf().decide(state, 2.0, fleet) == schedule_ggddf(state, 2.0, fleet)
-        assert Policy.grtef().decide(state, 2.0, fleet) == schedule_grtef(state, 2.0, fleet)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Policy("magic")

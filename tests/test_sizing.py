@@ -12,6 +12,7 @@ from storefleet.sizing import (
     SizingOptions,
     StorePrices,
     check_reliability,
+    cost_report_to_dict,
     fleet_cost,
     min_required_output_power,
     min_single_store_capacity,
@@ -378,7 +379,12 @@ class TestOptimizeSingleStore:
         sim = simulate([store], _cycle_trace(), Policy.value([0.0]))
         years = len(_cycle_trace()) / 8760.0
         assert check_reliability(sim, years, standard)
-        assert result.convention is LossConvention.SPLIT_SQRT
+        # The result holds split capacities: the report gives them back
+        # as they are, and in the input convention as servable energy.
+        for convention, capacity in ((LossConvention.SPLIT_SQRT, sized.capacity_mwh),
+                                     (LossConvention.INPUT_SIDE, servable)):
+            report = cost_report_to_dict(result.stores, result.total_cost_usd, "single", convention)
+            assert report["stores"][0]["capacity_mwh"] == capacity
 
 
 class TestTuneLambdas:
