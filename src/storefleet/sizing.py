@@ -9,6 +9,16 @@ The minimal single store (``min_single_store_capacity``) is exact; the
 power and capacity searches of the optimisers bisect to a tolerance.
 Their reliability checks stop simulating a candidate as soon as its
 cumulative unserved energy exceeds the standard's allowance.
+
+The searches are also bounded by cost.  A corner of the long-store
+search (an output power and an input power) costs at least its price at
+zero capacity, and its price grows with capacity, so a corner is
+skipped when that price already reaches the best total found so far,
+and its capacity bisection is abandoned once the lower end of its
+bracket prices at or above that total.  Such a corner could only return
+a total no lower than the best, and only a strictly cheaper one
+replaces the best, so the bound changes no answer: it only saves the
+simulations of corners that cannot win.
 """
 
 from __future__ import annotations
@@ -115,12 +125,18 @@ def check_reliability(result: SimResult, years: float, standard: ReliabilityStan
     return result.total_unserved_mwh <= standard.allowance_mwh(years)
 
 
-def _bisect_min(feasible, lo: float, hi: float, tol: float) -> float:
+def _bisect_min(
+    feasible, lo: float, hi: float, tol: float, give_up: float = math.inf
+) -> float | None:
     """Smallest feasible value of a monotone predicate, to within tol.
 
     Assumes feasible(hi) is True and values below the returned one
     (beyond tol) are infeasible.  The returned point itself has been
-    evaluated feasible.
+    evaluated feasible.  Returns None as soon as the lower end of the
+    bracket reaches ``give_up``: the answer always lies strictly above
+    it, so a caller that only wants answers below ``give_up`` stops
+    there.  Until then the bracket and its midpoints are those of an
+    unbounded search.
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -130,6 +146,8 @@ def _bisect_min(feasible, lo: float, hi: float, tol: float) -> float:
             hi = mid
         else:
             lo = mid
+            if lo >= give_up:
+                return None
     return hi
 
 
@@ -438,12 +456,28 @@ def _optimize_long_store(
     secondary_prices: Sequence[StorePrices],
     lambdas: Sequence[float],
     options: SizingOptions,
+    bound_usd: float = math.inf,
 ) -> SizingResult | None:
     """Size the flexible store against fixed companions; None if infeasible.
 
     Output power is pinned at its feasible minimum first, then for each
     input power on a geometric grid the capacity is bisected down to the
-    smallest value meeting the standard; the cheapest corner wins.
+    smallest value meeting the standard; the first strictly cheapest
+    corner wins.
+
+    Corners that cannot cost less than ``best``, the lower of
+    ``bound_usd`` and the cheapest corner so far, are cut short.  A
+    corner's price is ``cost0``, its price at zero capacity, plus a
+    capacity term that grows with capacity.  So the corner is skipped,
+    with no simulation, when ``best <= cost0``, and its bisection is
+    abandoned once the lower end of its bracket prices at ``best`` or
+    more, since the answer lies strictly above that end.  That end is
+    found in closed form with a margin of 1e-12 of ``best``, which
+    covers the rounding of the price sum; a zero capacity price never
+    abandons.  Corners that can win keep the brackets and midpoints of
+    an unbounded search, so the answer is the unbounded one whenever
+    that beats ``bound_usd``.  Returns None, with no final simulation,
+    when no corner beats ``bound_usd``.
     """
     values = trace_values(trace)
     years = _years(values)
@@ -454,6 +488,10 @@ def _optimize_long_store(
     input_big = max(float(np.max(values, initial=0.0)), 1.0)
 
     all_prices = [prices, *secondary_prices]
+    # USD per servable MWh of long-store capacity, as price_stores charges it.
+    capacity_usd_per_mwh = _KWH_PER_MWH * prices.capacity_usd_per_kwh * convention_factor(
+        efficiency, LossConvention.INPUT_SIDE, LossConvention.SPLIT_SQRT
+    )
 
     def build(capacity, output_mw, input_mw):
         long_store = StoreSpec(
@@ -491,6 +529,15 @@ def _optimize_long_store(
     best_cost = math.inf
     for p_long in p_values:
         for q in _q_grid(values, options):
+            bound = min(bound_usd, best_cost)
+            give_up = math.inf
+            if bound < math.inf:
+                _, cost0 = price_stores(build(0.0, p_long, q), all_prices)
+                if bound <= cost0:
+                    continue
+                if capacity_usd_per_mwh > 0.0:
+                    give_up = (bound * (1.0 + 1e-12) - cost0) / capacity_usd_per_mwh
+
             def feasible_capacity(capacity):
                 return _meets_standard(
                     build(max(capacity, 1e-9), p_long, q), trace, lambdas, standard
@@ -498,7 +545,11 @@ def _optimize_long_store(
 
             if not feasible_capacity(capacity_big):
                 continue
-            e_min = _bisect_min(feasible_capacity, 0.0, capacity_big, options.e_tol_mwh)
+            e_min = _bisect_min(
+                feasible_capacity, 0.0, capacity_big, options.e_tol_mwh, give_up
+            )
+            if e_min is None:
+                continue
             _, cost = price_stores(build(e_min, p_long, q), all_prices)
             if cost < best_cost:
                 best_cost = cost
@@ -553,12 +604,15 @@ def optimize_fleet(
     Each grid entry fixes the dimensions of zero or more companion stores
     (servable-energy convention).  For every entry and every decay-rate
     combination on the grid, the long store is dimensioned by
-    ``_optimize_long_store`` and the cheapest feasible configuration
-    overall is returned.  Decay rates are searched on cost, not tuned on
-    unserved energy alone: serving the fast cycles from an efficient
-    companion shrinks the long store's capacity long before it shows up
-    in unserved energy.  Prices are looked up by store name.  Raises
-    Infeasible if nothing on the grid meets the standard.
+    ``_optimize_long_store`` and the first strictly cheapest feasible
+    configuration overall is returned.  Each such search is bounded by
+    the best total found before it, which cuts short the corners that
+    cannot beat it and changes no answer.  Decay rates are searched on
+    cost, not tuned on unserved energy alone: serving the fast cycles
+    from an efficient companion shrinks the long store's capacity long
+    before it shows up in unserved energy.  Prices are looked up by
+    store name.  Raises Infeasible if nothing on the grid meets the
+    standard.
     """
     options = options or SizingOptions()
     if len(secondary_grid) == 0:
@@ -585,6 +639,7 @@ def optimize_fleet(
                 trace, costs[long_name], standard, efficiency_long,
                 secondary=secondary, secondary_prices=secondary_prices,
                 lambdas=lambdas, options=options,
+                bound_usd=math.inf if best is None else best.total_cost_usd,
             )
             if candidate is not None and (
                 best is None or candidate.total_cost_usd < best.total_cost_usd

@@ -77,9 +77,28 @@ _COMPONENT_COLUMNS = ("demand_mw", "wind_mw", "solar_mw")
 def _read_columns(path, schema: str | None) -> tuple[str, np.ndarray]:
     """The schema and its columns' values, one row per data line.
 
-    Cells that do not parse and NaN or infinite entries are rejected with
-    their line number.
+    Cells that do not parse, NaN or infinite entries and bytes that are
+    not UTF-8 are rejected with their line number.
     """
+    try:
+        return _parse_columns(path, schema)
+    except UnicodeDecodeError:
+        # The text layer decodes whole blocks ahead of the reader, so the
+        # line the reader stopped at need not hold the bad bytes: find it.
+        with open(path, "rb") as fh:
+            line_no = next(n for n, raw in enumerate(fh, start=1) if not _is_utf8(raw))
+        raise ParseError(f"{path}:{line_no}: bytes that are not UTF-8 text", line=line_no) from None
+
+
+def _is_utf8(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _parse_columns(path, schema: str | None) -> tuple[str, np.ndarray]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -188,6 +207,9 @@ def scale_to_overcapacity(
     return ResidualTrace(k * generation - demand)
 
 
+MAX_SYNTH_YEARS = 1000.0
+
+
 @dataclass(frozen=True)
 class SynthParams:
     """Knobs for the synthetic demand/generation generator.
@@ -199,7 +221,8 @@ class SynthParams:
     summer.  Deterministic for a given seed.
 
     Every field must be a finite number and ``seed`` an integer >= 0;
-    ``years`` must cover at least one hour, ``solar_share`` lie in
+    ``years`` must cover at least one hour and at most ``MAX_SYNTH_YEARS``
+    (which bounds the arrays' length), ``solar_share`` lie in
     [0, 1], ``ar_coeff`` satisfy |a| < 1, ``base_demand_mw`` be > 0 and
     the noise and cycle amplitudes >= 0.  Bad fields raise InvalidParams.
     """
@@ -226,6 +249,8 @@ class SynthParams:
         # round(years * 8760) >= 1, without rounding a value too large for an int.
         if not self.years * HOURS_PER_YEAR > 0.5:
             raise InvalidParams("years must cover at least one hour")
+        if self.years > MAX_SYNTH_YEARS:
+            raise InvalidParams(f"years must be at most {MAX_SYNTH_YEARS:g}, got {self.years!r}")
         if not 0.0 <= self.solar_share <= 1.0:
             raise InvalidParams(f"solar_share must lie in [0, 1], got {self.solar_share}")
         if not abs(self.ar_coeff) < 1.0:

@@ -4,7 +4,8 @@ Everything here is deliberately written without reusing the package's
 allocation logic: vertex enumeration and grid search for the per-step
 linear programme, a split-efficiency-units twin of the value scheduler,
 exhaustive capacity search, and random feasible / greedy schedule
-generators.
+generators.  ``record_search`` logs what the sizing search did, so
+tests can see which corners it skipped or abandoned.
 """
 
 from __future__ import annotations
@@ -372,3 +373,56 @@ def random_greedy_rates(rng, fleet, initial_levels, values, cross_prob=0.2):
             min(max(levels[i] + rates[i], 0.0), fleet[i].capacity_mwh) for i in range(n)
         ]
     return np.asarray(rows)
+
+
+def record_search(monkeypatch) -> list[str]:
+    """Log the long-store search's steps, in order, while the test runs.
+
+    Events: "call" per ``_optimize_long_store`` call, "cost0" per corner
+    priced at zero long-store capacity, "check" per reliability check (a
+    ``simulate`` with an unserved limit), "final" per full ``simulate``
+    and "abandon" per capacity bisection given up.
+    """
+    from storefleet import sizing
+
+    events: list[str] = []
+
+    def logged(name, before=None, after=None):
+        original = getattr(sizing, name)
+
+        def wrapper(*args, **kwargs):
+            event = before and before(*args, **kwargs)
+            if event:
+                events.append(event)
+            result = original(*args, **kwargs)
+            if after is not None and after(result):
+                events.append("abandon")
+            return result
+
+        monkeypatch.setattr(sizing, name, wrapper)
+
+    logged("_optimize_long_store", before=lambda *a, **k: "call")
+    logged("price_stores",
+           before=lambda fleet, prices: "cost0" if fleet[0].capacity_mwh == 0.0 else None)
+    logged("simulate", before=lambda *a, **k: "check" if "unserved_limit_mwh" in k else "final")
+    logged("_bisect_min", after=lambda result: result is None)
+    return events
+
+
+def search_calls(events: list[str]) -> list[list[str]]:
+    """The recorded events split per ``_optimize_long_store`` call."""
+    calls: list[list[str]] = []
+    for event in events:
+        if event == "call":
+            calls.append([])
+        else:
+            calls[-1].append(event)
+    return calls
+
+
+def skipped_corners(call: list[str]) -> int:
+    """Corners of one call priced at zero capacity and then never simulated."""
+    return sum(
+        event == "cost0" and (i + 1 == len(call) or call[i + 1] != "check")
+        for i, event in enumerate(call)
+    )

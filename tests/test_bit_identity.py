@@ -6,12 +6,17 @@ the public per-step dispatch (``Policy.decide`` passed as a plain
 callable), and the block CSV writer against a per-cell one.  A golden
 test holds the sha256 of the CLI ``simulate`` outputs for a small fixed
 scenario per policy, so any change to float operation order in the
-step, the engine loop or the CSV writer shows.
+step, the engine loop or the CSV writer shows.  Another holds the sha256
+of ``sizing.json`` from ``size`` on the benchmark's sizing scenario, so
+a change to the sizing search that moves an answer shows.
 """
 
 import hashlib
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +27,15 @@ from storefleet.engine import simulate, write_simulation_csv
 from storefleet.fleet import FleetError, FleetState
 from storefleet.policies import Policy
 
-from oracles import random_fleet, random_lambdas, random_levels, random_trace_values
+from oracles import (
+    random_fleet,
+    random_lambdas,
+    random_levels,
+    random_trace_values,
+    record_search,
+    search_calls,
+    skipped_corners,
+)
 
 
 def _policies(rng, n):
@@ -202,3 +215,41 @@ def test_levels_are_clamped_into_bounds_exactly():
             previous = np.vstack([capacity, levels[:-1]])
             clamped += int(np.sum(previous + result.rates_mw > capacity))
     assert clamped > 0  # the sweep must exercise the upper clamp
+
+
+def _benchmark_scenarios():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("benchmark_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+# (seed, convention, mode) -> sha256 of sizing.json from ``size`` on the
+# benchmark's size-fleet scenario over 0.2 years, recorded before the
+# sizing search was bounded by cost.  With seed 21 the companion store
+# wins, with seed 3 the long store alone does.
+_SIZING_DIGESTS = {
+    (3, "split", "fleet"): "bd2839182e6f60a9cb2034822bbe1be7e0dbfad06d03c8d235989cd6c57a24fb",
+    (3, "input", "fleet"): "8caeb956850d1472099226be163d3e863e08d0bdce92b78325f78f091230bd23",
+    (21, "split", "fleet"): "f071b1a72e6e6fe58bc25088bd7f1315b214654d7c83a1a91b5689bfe3d396fd",
+    (21, "input", "fleet"): "c9962883036481b4ae050adbef060f11656d9530257851f178f8cd900683b7c9",
+    (3, "split", "single"): "59e9a9be615d9574daecf4fd5e682e1435528db046e8e7b5c8e307e96056deae",
+}
+
+
+@pytest.mark.parametrize("seed,convention,mode", sorted(_SIZING_DIGESTS))
+def test_size_outputs_match_golden_digests(tmp_path, monkeypatch, seed, convention, mode):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(_benchmark_scenarios().size_fleet_scenario(seed, 0.2)))
+    events = record_search(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["size", "--config", str(config), "--out", str(out), "--mode", mode,
+            "--convention", convention]
+    assert main(argv) == 0
+    # The search must skip some corners, and the fleet search abandon others.
+    assert sum(map(skipped_corners, search_calls(events))) > 0
+    assert events.count("abandon") > 0 or mode == "single"
+    digest = hashlib.sha256((out / "sizing.json").read_bytes()).hexdigest()
+    assert digest == _SIZING_DIGESTS[seed, convention, mode]

@@ -121,6 +121,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 2
         assert "comp.csv:3: cannot parse 'oops'" in capsys.readouterr().err
 
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, capsys):
+        path = tmp_path / "residual.csv"
+        path.write_bytes(b"residual_mw\n-1.0\n\xff\xfe\n2.0\n")
+        config = simple_simulate_config(tmp_path, trace={"csv_path": str(path)})
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: ") and "residual.csv:3: bytes that are not UTF-8" in err
+
     @pytest.mark.parametrize("header", ["demand_mw,wind_mw,solar_mw", "demand_mw, wind_mw, solar_mw"])
     def test_component_csv_scaled_to_overcapacity(self, tmp_path, header):
         path = tmp_path / "comp.csv"
@@ -370,6 +378,12 @@ class TestMinStoreCurveCommand:
 
 
 class TestSynthAndStats:
+    @pytest.mark.parametrize("years", [1e305, 1000.5])
+    def test_trace_too_long_to_hold_is_config_error(self, tmp_path, capsys, years):
+        config = write_config(tmp_path, {"trace": {"synthetic": {"years": years, "seed": 1}}})
+        assert main(["synth", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert "years must be at most 1000" in capsys.readouterr().err
+
     def test_synth_round_trips_through_loader(self, tmp_path):
         config = write_config(
             tmp_path,

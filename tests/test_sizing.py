@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from storefleet import sizing
 from storefleet.engine import SimResult, lower_bound_unserved, simulate
 from storefleet.fleet import FleetState, LossConvention, StoreSpec
 from storefleet.policies import Policy
@@ -21,7 +23,9 @@ from storefleet.sizing import (
     parse_decay_grid,
     tune_lambdas,
     _bisect_min,
+    _lambda_combos,
     _meets_standard,
+    _optimize_long_store,
     _shortfall,
 )
 from storefleet.traces import SynthParams, scale_to_overcapacity, synthesize
@@ -32,6 +36,9 @@ from oracles import (
     random_lambdas,
     random_levels,
     random_trace_values,
+    record_search,
+    search_calls,
+    skipped_corners,
 )
 
 HYDROGEN = StorePrices(0.8, 429.0, 858.0)
@@ -188,6 +195,27 @@ class TestBisectMin:
         # No float lies strictly between 1.0 and its successor, so a
         # tolerance of 1e-300 cannot be met; the search stops there.
         assert _bisect_min(lambda x: x >= 1.0, 0.0, 3.0, 1e-300) == 1.0
+
+    def test_give_up_stops_on_the_unbounded_path(self):
+        def run(give_up):
+            mids = []
+
+            def feasible(x):
+                mids.append(x)
+                return x >= 0.3
+
+            return _bisect_min(feasible, 0.0, 1.0, 1e-3, give_up), mids
+
+        answer, path = run(math.inf)
+        assert answer == pytest.approx(0.3, abs=1e-3)
+        # 0.25 is the first lower end at or above 0.2; 0.3 is never reached.
+        for give_up, last_lo in ((0.2, 0.25), (0.25, 0.25), (0.3, None)):
+            stopped, mids = run(give_up)
+            assert mids == path[: len(mids)]
+            if last_lo is None:
+                assert stopped == answer and mids == path
+            else:
+                assert stopped is None and mids[-1] == last_lo
 
 
 class TestSizingOptions:
@@ -450,3 +478,176 @@ class TestOptimizeFleet:
     def test_missing_prices_rejected(self):
         with pytest.raises(KeyError):
             optimize_fleet(_cycle_trace(), {}, ReliabilityStandard(0.0), [()], 0.5)
+
+
+def _random_sizing_instance(rng, free_capacity: bool):
+    """A small fleet search: (trace, costs, standard, grid, efficiency, options)."""
+    hours = int(rng.integers(150, 300))
+    values = rng.uniform(-40.0, 80.0, hours)
+    deficit_mwh = float(np.sum(np.maximum(0.0, -values)))
+    # Allow up to a fifth of the deficit unserved, so the standard binds.
+    standard = ReliabilityStandard(
+        float(rng.uniform(0.0, 0.2)) * deficit_mwh / 1e3 / (hours / 8760.0)
+    )
+    capacity_price = 0.0 if free_capacity else float(rng.uniform(0.5, 10.0))
+    costs = {"long": StorePrices(capacity_price, float(rng.uniform(0.0, 500.0)),
+                                 float(rng.uniform(0.0, 900.0)))}
+    grid = [()]
+    for k in range(int(rng.integers(0, 3))):
+        name = f"c{k}"
+        costs[name] = StorePrices(*(float(x) for x in rng.uniform(0.0, 300.0, 3)))
+        grid.append((StoreSpec(name, float(rng.uniform(10.0, 300.0)), float(rng.uniform(5.0, 40.0)),
+                               float(rng.uniform(5.0, 40.0)), float(rng.uniform(0.6, 0.95))),))
+    if len(grid) > 1 and rng.random() < 0.5:
+        # A near twin of the last companion: close totals test the bound hardest.
+        twin = grid[-1][0]
+        grid.append((replace(twin, capacity_mwh=twin.capacity_mwh * float(rng.uniform(0.9, 1.1))),))
+    grid = [grid[i] for i in rng.permutation(len(grid))]
+    companion_rates = rng.choice([0.0, 0.01, 0.1], int(rng.integers(1, 3)), replace=False)
+    options = SizingOptions(
+        q_grid_points=int(rng.integers(2, 4)),
+        e_tol_mwh=deficit_mwh / 200.0,
+        p_tol_mw=2.0,
+        p_grid_points=int(rng.integers(1, 3)),
+        lambda_grid=((1e-3,), tuple(float(x) for x in companion_rates)),
+    )
+    return values, costs, standard, grid, float(rng.uniform(0.4, 0.95)), options
+
+
+def _unbounded_searches(values, costs, standard, grid, efficiency, options):
+    """``_optimize_long_store`` with no bound, once per (grid entry, decay combo)."""
+    return [
+        sizing._optimize_long_store(values, costs["long"], standard, efficiency, entry,
+                                    [costs[s.name] for s in entry], lambdas, options)
+        for entry in grid
+        for lambdas in _lambda_combos(options.lambda_grid, 1 + len(entry))
+    ]
+
+
+def _exhaustive_search(values, costs, standard, grid, efficiency, options):
+    """The fleet search with no cost bound at all, written out.
+
+    Every corner of every (grid entry, decay combo) is bisected in full,
+    with the same brackets as the package's search.  Returns the total,
+    the priced stores and the decay rates of the first strictly cheapest
+    corner, or None if no corner meets the standard.
+    """
+    capacity_big = max(float(np.sum(np.maximum(0.0, -values))), 1.0)
+    input_big = max(float(np.max(values, initial=0.0)), 1.0)
+    peak = float(np.max(np.maximum(0.0, -values), initial=0.0))
+    best = None
+    for entry in grid:
+        prices = [costs["long"], *(costs[s.name] for s in entry)]
+        for lambdas in _lambda_combos(options.lambda_grid, 1 + len(entry)):
+            def fleet(capacity, output, input_):
+                return [StoreSpec("long", capacity, max(output, 1e-9), input_, efficiency), *entry]
+
+            def feasible(capacity, output, input_):
+                return _meets_standard(fleet(max(capacity, 1e-9), output, input_), values,
+                                       lambdas, standard)
+
+            if not feasible(capacity_big, peak, input_big):
+                continue
+            p_min = 1e-9
+            if not feasible(capacity_big, 0.0, input_big):
+                p_min = max(_bisect_min(lambda p: feasible(capacity_big, p, input_big), 0.0, peak,
+                                        options.p_tol_mw), 1e-9)
+            p_values = [p_min]
+            if entry and options.p_grid_points > 1 and peak > p_min:
+                k = options.p_grid_points
+                p_values = [p_min + (peak - p_min) * j / (k - 1) for j in range(k)]
+            for p in p_values:
+                for q in sizing._q_grid(values, options):
+                    if not feasible(capacity_big, p, q):
+                        continue
+                    e = _bisect_min(lambda c: feasible(c, p, q), 0.0, capacity_big, options.e_tol_mwh)
+                    stores, total = sizing.price_stores(fleet(e, p, q), prices)
+                    if best is None or total < best[0]:
+                        best = (total, stores, lambdas)
+    return best
+
+
+def _first_strictly_cheapest(results):
+    best = None
+    for result in results:
+        if result is not None and (best is None or result.total_cost_usd < best.total_cost_usd):
+            best = result
+    return best
+
+
+class TestCostBound:
+    def test_answers_equal_the_unbounded_search(self, monkeypatch):
+        events = record_search(monkeypatch)
+        rng = np.random.default_rng(2024)
+        skipped = abandoned = 0
+        for k in range(12):
+            instance = _random_sizing_instance(rng, free_capacity=k % 3 == 0)
+            expected = _first_strictly_cheapest(_unbounded_searches(*instance))
+            exhaustive = _exhaustive_search(*instance)
+            events.clear()
+            if expected is None:
+                assert exhaustive is None
+                with pytest.raises(Infeasible):
+                    optimize_fleet(*instance)
+                continue
+            result = optimize_fleet(*instance)
+            assert result == expected
+            assert (result.total_cost_usd, result.stores, result.lambdas_per_hour) == exhaustive
+            skipped += sum(map(skipped_corners, search_calls(events)))
+            abandoned += events.count("abandon")
+        # The instances must exercise both ways of cutting a corner short.
+        assert skipped > 0 and abandoned > 0
+
+    def test_searches_after_the_winner_make_fewer_simulate_calls(self, monkeypatch):
+        # This draw's first search (the long store alone) wins; two searches
+        # with a companion follow it.
+        instance = _random_sizing_instance(np.random.default_rng(26), free_capacity=False)
+        events = record_search(monkeypatch)
+        unbounded = _unbounded_searches(*instance)
+        simulations = [call.count("check") + call.count("final") for call in search_calls(events)]
+        events.clear()
+        result = optimize_fleet(*instance)
+        calls = search_calls(events)
+        assert result == unbounded[0] == _first_strictly_cheapest(unbounded)
+        bounded = [call.count("check") + call.count("final") for call in calls]
+        assert len(bounded) == 3 and bounded[0] == simulations[0]
+        assert all(b < s for b, s in zip(bounded[1:], simulations[1:]))
+        assert sum(map(skipped_corners, calls)) > 0 and events.count("abandon") > 0
+
+    def test_a_tied_corner_never_replaces_the_best(self, monkeypatch):
+        # Two companions alike in all but name, and free long-store
+        # capacity: the second entry's corners cost exactly what the
+        # first's did, so each is skipped and the first entry stays best.
+        values = [80.0] * 3 + [-30.0] * 5 + [60.0] * 4 + [-25.0] * 6
+        costs = {"long": StorePrices(0.0, 429.0, 858.0), "a": ACAES, "b": ACAES}
+        grid = [(StoreSpec(name, 40.0, 10.0, 10.0, 0.8),) for name in ("a", "b")]
+        options = SizingOptions(q_grid_points=3, e_tol_mwh=1.0, p_tol_mw=0.5, lambda_grid=(1e-3,))
+        events = record_search(monkeypatch)
+        result = optimize_fleet(values, costs, ReliabilityStandard(0.0), grid, 0.5, options)
+        first, second = search_calls(events)
+        assert [s.name for s in result.stores] == ["long", "a"]
+        assert "cost0" in second and "check" not in second[second.index("cost0"):]
+        # The first entry's search, replayed under the name "b", costs the same.
+        twin = _optimize_long_store(values, costs["long"], ReliabilityStandard(0.0), 0.5, grid[1],
+                                    [ACAES], (1e-3, 1e-3), options)
+        assert twin.total_cost_usd == result.total_cost_usd
+
+    def test_lower_bracket_exactly_at_the_threshold_is_not_abandoned(self, monkeypatch):
+        # Exact arithmetic: 1000 USD per MWh of capacity, free power, a
+        # 1024 MWh capacity bracket and a bound of 512e3 USD put the
+        # capacity threshold exactly on the first lower end, 512 MWh.
+        # The margin that covers rounding in the price keeps the search
+        # going there, until the lower end passes the threshold.
+        checked = []
+
+        def meets(fleet, trace, lambdas, standard, initial=None):
+            checked.append(fleet[0].capacity_mwh)
+            return fleet[0].capacity_mwh >= 600.0
+
+        monkeypatch.setattr(sizing, "_meets_standard", meets)
+        options = SizingOptions(q_grid_points=1, e_tol_mwh=1.0, p_tol_mw=1.0)
+        args = ([-512.0, 100.0, -512.0], StorePrices(1.0, 0.0, 0.0), ReliabilityStandard(0.0),
+                1.0, (), [], (0.0,), options)
+        assert _optimize_long_store(*args, bound_usd=512e3) is None
+        # Two power checks at full capacity, then the corner.
+        assert checked[2:] == [1024.0, 512.0, 768.0, 640.0, 576.0]

@@ -47,6 +47,24 @@ class TestLoadCsv:
             load_csv(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "content,line",
+        [
+            (b"residual_mw\n-1.0\n\xff\xfe\n2.0\n", 3),
+            (b"resid\xffual_mw\n1.0\n", 1),
+            # Past the text layer's first block, so the row loop meets it.
+            (b"residual_mw\n" + b"-1.0\n" * 5000 + b"2.0\xe9\n", 5002),
+        ],
+        ids=["row", "header", "late-row"],
+    )
+    def test_bytes_that_are_not_utf8_rejected_with_line(self, tmp_path, content, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert err.value.line == line
+        assert f"t.csv:{line}: bytes that are not UTF-8 text" in str(err.value)
+
     def test_unknown_header_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("power\n1\n")
@@ -149,13 +167,16 @@ class TestSynthesize:
             ("years", True), ("seed", 1.5), ("seed", -1), ("seed", True), ("seed", "1"),
             ("noise_sd", "x"), ("noise_sd", math.nan), ("base_demand_mw", [1000.0]),
             ("base_demand_mw", 0.0), ("diurnal_amp", -0.1), ("weekly_amp", -math.inf),
-            ("ar_coeff", -1.0), ("solar_share", 1.5),
+            ("ar_coeff", -1.0), ("solar_share", 1.5), ("years", 1e305), ("years", 1000.5),
         ],
     )
     def test_bad_field_rejected_at_construction(self, field, value):
         # SynthParams checks its own fields; synthesize is never reached.
         with pytest.raises(InvalidParams):
             SynthParams(**{field: value})
+
+    def test_longest_trace_accepted(self):
+        assert SynthParams(years=1000.0).years == 1000.0
 
     def test_good_fields_accepted(self):
         params = SynthParams(years=1, seed=np.int64(3), base_demand_mw=10, noise_sd=0,
