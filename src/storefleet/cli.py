@@ -354,24 +354,19 @@ def cmd_size(scenario: Scenario, out_dir: Path, args) -> int:
     else:
         if scenario.standard is None:
             raise ConfigError("size needs a reliability section")
-        trace = build_trace(scenario, args.seed)
-        long_name = scenario.options.long_store_name
-        grid = (scenario.secondary_grid or [()]) if args.mode == "fleet" else [()]
-        _prices(scenario, [long_name, *(s.name for candidate in grid for s in candidate)])
         efficiency = scenario.sizing_efficiency
         if efficiency is None:
             raise ConfigError("size needs sizing.efficiency")
-        if args.mode == "single":
-            result = sizing.optimize_single_store(
-                trace, scenario.costs[long_name], scenario.standard, efficiency, scenario.options
+        long_name = scenario.options.long_store_name
+        grid = (scenario.secondary_grid or [()]) if args.mode == "fleet" else [()]
+        _prices(scenario, [long_name, *(s.name for candidate in grid for s in candidate)])
+        trace = build_trace(scenario, args.seed)
+        try:
+            result = sizing.optimize_fleet(
+                trace, scenario.costs, scenario.standard, grid, efficiency, scenario.options
             )
-        else:
-            try:
-                result = sizing.optimize_fleet(
-                    trace, scenario.costs, scenario.standard, grid, efficiency, scenario.options
-                )
-            except ValueError as exc:  # a per-store decay grid too short for a candidate
-                raise ConfigError(f"sizing: {exc}") from None
+        except ValueError as exc:  # a per-store decay grid too short for a candidate
+            raise ConfigError(f"sizing: {exc}") from None
         report = sizing.cost_report_to_dict(
             result.stores, result.total_cost_usd, args.mode, convention
         )

@@ -3,10 +3,11 @@
 ``simulate`` runs a policy over an hourly residual-energy trace and
 accumulates unserved / spilled energy, per-store level traces, energy
 served externally and energy moved between stores.  ``greedify``
-rewrites any feasible rate schedule into a greedy one that serves at
-least as much energy up to every hour; ``verify_feasible`` and
-``verify_greedy`` are the matching checkers.  ``lower_bound_unserved``
-is the unbeatable floor set by total output power alone.
+rewrites any feasible rate schedule, in one forward pass, into a greedy
+one that serves at least as much energy up to every hour;
+``verify_feasible`` and ``verify_greedy`` are the matching checkers.
+``lower_bound_unserved`` is the unbeatable floor set by total output
+power alone.
 """
 
 from __future__ import annotations
@@ -269,6 +270,25 @@ def lower_bound_unserved(trace, total_output_power_mw: float) -> np.ndarray:
     return np.cumsum(np.maximum(0.0, -values - total_output_power_mw))
 
 
+def _checked_schedule(
+    fleet: Sequence[StoreSpec], initial: FleetState, trace, policy_trace: PolicyTrace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The trace values and rates of a schedule whose shape fits its fleet.
+
+    Raises FleetError for a bad fleet or initial state, and for a
+    schedule without one row per trace hour and one column per store.
+    """
+    validate_fleet(fleet)
+    validate_state(initial, fleet)
+    values = trace_values(trace)
+    rates = policy_trace.rates_mw
+    if rates.shape[0] != len(values):
+        raise FleetError(f"{rates.shape[0]} rate rows for {len(values)} trace hours")
+    if rates.shape[1] != len(fleet):
+        raise FleetError(f"{rates.shape[1]} rate columns for {len(fleet)} stores")
+    return values, rates
+
+
 def verify_feasible(
     fleet: Sequence[StoreSpec],
     initial: FleetState,
@@ -282,15 +302,7 @@ def verify_feasible(
     imbalance sign discipline (surplus hours may not draw more than the
     surplus; deficit hours may not discharge beyond the demand).
     """
-    validate_fleet(fleet)
-    validate_state(initial, fleet)
-    values = trace_values(trace)
-    rates = policy_trace.rates_mw
-    if rates.shape[0] != len(values):
-        raise FleetError(f"{rates.shape[0]} rate rows for {len(values)} trace hours")
-    if rates.shape[1] != len(fleet):
-        raise FleetError(f"{rates.shape[1]} rate columns for {len(fleet)} stores")
-
+    values, rates = _checked_schedule(fleet, initial, trace, policy_trace)
     etas = [s.efficiency for s in fleet]
     # Hour 0 is the schedule's first row, whatever the initial time index.
     state = FleetState(initial.levels_mwh)
@@ -318,10 +330,9 @@ def verify_greedy(
     Whenever a step spills, every store must be at its maximum charge
     rate; whenever a step leaves demand unserved, every store must be at
     its maximum discharge rate.  Raises NotGreedy with the offending hour
-    and store.
+    and store, and FleetError for a schedule that does not fit the fleet.
     """
-    values = trace_values(trace)
-    rates = policy_trace.rates_mw
+    values, rates = _checked_schedule(fleet, initial, trace, policy_trace)
     etas = [s.efficiency for s in fleet]
     levels = list(initial.levels_mwh)
     for t in range(len(values)):
@@ -407,6 +418,43 @@ def _lower_to_greedy_discharge(levels: list[float], row, re: float, fleet: Seque
         row[i] = r
 
 
+def _clip_to_levels(levels: list[float], row, re: float, fleet: Sequence[StoreSpec]) -> None:
+    """Clip one row of a rewritten schedule to the levels it now starts from.
+
+    Each rate is capped at its store's headroom and floored at minus its
+    level.  A cap can strand discharge output at a deficit hour, so
+    discharges are pulled back toward zero until the hour no longer
+    overserves; a floor can leave charging unbacked at a surplus hour,
+    so charges are pulled back until the hour no longer overdraws.
+    """
+    etas = [s.efficiency for s in fleet]
+    for i, spec in enumerate(fleet):
+        headroom = max(spec.capacity_mwh - levels[i], 0.0)
+        if row[i] > headroom:
+            row[i] = headroom
+        elif row[i] < -levels[i]:
+            row[i] = -levels[i]
+    u = imbalance(re, row, etas)
+    if re < 0.0:
+        excess = u  # discharge output beyond the demand
+        for i in range(len(fleet)):
+            if excess <= _GREEDIFY_EPS:
+                break
+            if row[i] < 0.0:
+                step = min(-row[i], excess)
+                row[i] += step
+                excess -= step
+    else:
+        deficit = -u  # charging draw beyond the surplus
+        for i, spec in enumerate(fleet):
+            if deficit <= _GREEDIFY_EPS:
+                break
+            if row[i] > 0.0:
+                step = min(row[i], deficit * spec.efficiency)
+                row[i] -= step
+                deficit -= step / spec.efficiency
+
+
 def greedify(
     fleet: Sequence[StoreSpec],
     initial: FleetState,
@@ -415,17 +463,16 @@ def greedify(
 ) -> PolicyTrace:
     """Rewrite a feasible schedule to be greedy at every hour.
 
-    Works forward through time.  At each hour the step is made greedy
-    (charging raised at surplus hours, discharging deepened at deficit
-    hours), then later hours are repaired against the shifted levels:
-    after extra charging, later rates are capped at the remaining
-    headroom; after extra discharging, later rates are floored at minus
-    the remaining level.  Where a repair would break the imbalance sign
-    at a later hour (possible when the original schedule cross-charges),
-    the offending side is trimmed back to balance.  The result is
+    One forward pass.  Once an earlier hour has changed, each row is
+    first clipped to the levels the rewritten schedule has reached
+    (``_clip_to_levels``); then the row is made greedy (charging raised
+    at surplus hours, discharging deepened at deficit hours) and the
+    levels are stepped.  Rows before the first change are not clipped,
+    so a schedule the greedy step leaves alone comes back unchanged,
+    even where it passes a bound by less than SLACK.  The result is
     feasible, greedy, and leaves no more demand unserved than the input
-    at any hour.  O(steps^2) worst case; intended as an analysis tool,
-    not a hot path.
+    at any hour; rewriting it again moves no rate beyond rounding.
+    Raises InfeasibleInput if the input schedule is not feasible.
     """
     values = trace_values(trace)
     try:
@@ -434,94 +481,33 @@ def greedify(
         raise InfeasibleInput(f"input schedule is not feasible: {exc}") from exc
 
     rates = policy_trace.rates_mw.copy()
-    etas = [s.efficiency for s in fleet]
-    n = len(fleet)
-    steps = len(values)
+    capacity = [s.capacity_mwh for s in fleet]
     levels = list(initial.levels_mwh)
-
-    for t in range(steps):
-        re = float(values[t])
-        row = rates[t]
+    changed = False
+    for re, row in zip(values.tolist(), rates):
         before = row.copy()
+        if changed:
+            _clip_to_levels(levels, row, re, fleet)
         if re >= 0.0:
             _raise_to_greedy_charge(levels, row, re, fleet)
         else:
             _lower_to_greedy_discharge(levels, row, re, fleet)
-        changed = bool(np.any(row != before))
-
-        levels = [min(max(levels[i] + row[i], 0.0), fleet[i].capacity_mwh) for i in range(n)]
-        if changed:
-            walk = list(levels)
-            if re >= 0.0:
-                _repair_after_extra_charge(fleet, etas, values, rates, walk, t + 1, steps)
-            else:
-                _repair_after_extra_discharge(fleet, etas, values, rates, walk, t + 1, steps)
-
+        changed = changed or bool(np.any(row != before))
+        levels = [min(max(level + r, 0.0), c) for level, r, c in zip(levels, row.tolist(), capacity)]
     return PolicyTrace(rates)
 
 
-def _repair_after_extra_charge(fleet, etas, values, rates, walk, start, steps):
-    """Cap later rates at the remaining headroom of the now-fuller stores."""
-    n = len(fleet)
-    for t2 in range(start, steps):
-        row = rates[t2]
-        for i, spec in enumerate(fleet):
-            headroom = max(spec.capacity_mwh - walk[i], 0.0)
-            if row[i] > headroom:
-                row[i] = headroom
-        re2 = float(values[t2])
-        if re2 < 0.0:
-            # Trimmed charging may strand discharge output; pull discharges
-            # back toward zero until the step no longer overserves.
-            u = imbalance(re2, row, etas)
-            if u > _GREEDIFY_EPS:
-                excess = u
-                for i in range(n):
-                    if excess <= _GREEDIFY_EPS:
-                        break
-                    if row[i] < 0.0:
-                        step = min(-row[i], excess)
-                        row[i] += step
-                        excess -= step
-        for i, spec in enumerate(fleet):
-            walk[i] = min(max(walk[i] + row[i], 0.0), spec.capacity_mwh)
-
-
-def _repair_after_extra_discharge(fleet, etas, values, rates, walk, start, steps):
-    """Floor later rates at minus the remaining level of the now-emptier stores."""
-    n = len(fleet)
-    for t2 in range(start, steps):
-        row = rates[t2]
-        for i in range(n):
-            floor = -walk[i]
-            if row[i] < floor:
-                row[i] = floor
-        re2 = float(values[t2])
-        if re2 >= 0.0:
-            # Weakened discharging may leave receivers drawing unbacked
-            # energy; pull charging back toward zero until balanced.
-            u = imbalance(re2, row, etas)
-            if u < -_GREEDIFY_EPS:
-                deficit = -u
-                for i, spec in enumerate(fleet):
-                    if deficit <= _GREEDIFY_EPS:
-                        break
-                    if row[i] > 0.0:
-                        step = min(row[i], deficit * spec.efficiency)
-                        row[i] -= step
-                        deficit -= step / spec.efficiency
-        for i, spec in enumerate(fleet):
-            walk[i] = min(max(walk[i] + row[i], 0.0), spec.capacity_mwh)
-
-
 def unserved_series(fleet: Sequence[StoreSpec], initial: FleetState, trace, policy_trace: PolicyTrace) -> np.ndarray:
-    """Cumulative unserved energy of an explicit rate schedule."""
-    values = trace_values(trace)
+    """Cumulative unserved energy of an explicit rate schedule.
+
+    Raises FleetError for a schedule that does not fit the fleet.
+    """
+    values, rates = _checked_schedule(fleet, initial, trace, policy_trace)
     etas = [s.efficiency for s in fleet]
     out = np.empty(len(values))
     total = 0.0
     for t in range(len(values)):
-        u = imbalance(float(values[t]), policy_trace.rates_mw[t], etas)
+        u = imbalance(float(values[t]), rates[t], etas)
         total += max(0.0, -u)
         out[t] = total
     return out

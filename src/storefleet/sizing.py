@@ -55,8 +55,9 @@ class StorePrices:
     input_power_usd_per_kw: float
 
     def __post_init__(self):
-        if min(self.capacity_usd_per_kwh, self.output_power_usd_per_kw, self.input_power_usd_per_kw) < 0.0:
-            raise ValueError("prices must be nonnegative")
+        for price in (self.capacity_usd_per_kwh, self.output_power_usd_per_kw, self.input_power_usd_per_kw):
+            if not 0.0 <= price < math.inf:
+                raise ValueError(f"prices must be finite and nonnegative, got {price}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,11 @@ class ReliabilityStandard:
     max_unserved_gwh_per_year: float
 
     def __post_init__(self):
-        if self.max_unserved_gwh_per_year < 0.0:
-            raise ValueError("reliability standard must be nonnegative")
+        # Infinity is allowed and means no limit.
+        if not self.max_unserved_gwh_per_year >= 0.0:
+            raise ValueError(
+                f"reliability standard must be nonnegative, got {self.max_unserved_gwh_per_year}"
+            )
 
     def allowance_mwh(self, years: float) -> float:
         return self.max_unserved_gwh_per_year * 1e3 * years
@@ -239,43 +243,38 @@ def _meets_standard(
 
 def min_required_output_power(
     trace,
-    fleet_template: Sequence[StoreSpec],
+    fleet: Sequence[StoreSpec],
     standard: ReliabilityStandard,
     lambdas: Sequence[float] | None = None,
     tol_mw: float = 100.0,
 ) -> float:
-    """Smallest total output power meeting the standard.
+    """Smallest output power of ``fleet[0]`` meeting the standard.
 
-    The template fixes each store's share of the total (output powers are
-    scaled by a common factor); capacities and input powers should be set
+    The other stores are held as given, and ``fleet[0]``'s own output
+    power is ignored; its capacity and input power should be set
     effectively unconstrained by the caller so that output power is the
-    only binding resource.  Raises Infeasible if even output power equal
-    to the peak demand cannot meet the standard.
+    only binding resource.  The search checks the peak demand, then
+    zero, then bisects between them to ``tol_mw``.  Raises Infeasible if
+    even output power equal to the peak demand cannot meet the standard,
+    and ValueError for an empty fleet.
     """
+    if not fleet:
+        raise ValueError("fleet must contain at least one store")
     values = trace_values(trace)
     if lambdas is None:
-        lambdas = [0.0] * len(fleet_template)
-    total_template = sum(s.output_power_mw for s in fleet_template)
-    if not math.isfinite(total_template) or total_template <= 0.0:
-        raise ValueError("template output powers must be finite and positive")
-    weights = [s.output_power_mw / total_template for s in fleet_template]
-    peak_demand = float(np.max(np.maximum(0.0, -values)))
+        lambdas = [0.0] * len(fleet)
+    peak_demand = float(np.max(np.maximum(0.0, -values), initial=0.0))
     if peak_demand == 0.0:
         return 0.0
 
-    def with_total(total_mw: float) -> list[StoreSpec]:
-        floor = 1e-9  # output power must stay strictly positive
-        return [
-            replace(s, output_power_mw=max(w * total_mw, floor))
-            for s, w in zip(fleet_template, weights)
-        ]
-
-    def feasible(total_mw: float) -> bool:
-        return _meets_standard(with_total(total_mw), trace, lambdas, standard)
+    def feasible(power_mw: float) -> bool:
+        # Output power must stay strictly positive.
+        first = replace(fleet[0], output_power_mw=max(power_mw, 1e-9))
+        return _meets_standard([first, *fleet[1:]], trace, lambdas, standard)
 
     if not feasible(peak_demand):
         raise Infeasible(
-            f"standard unmet even with total output power {peak_demand} MW (the peak demand)"
+            f"standard unmet even with output power {peak_demand} MW (the peak demand)"
         )
     if feasible(0.0):
         return 0.0
@@ -460,10 +459,11 @@ def _optimize_long_store(
 ) -> SizingResult | None:
     """Size the flexible store against fixed companions; None if infeasible.
 
-    Output power is pinned at its feasible minimum first, then for each
-    input power on a geometric grid the capacity is bisected down to the
-    smallest value meeting the standard; the first strictly cheapest
-    corner wins.
+    Output power is pinned at its feasible minimum first
+    (``min_required_output_power`` with capacity and input power
+    effectively unconstrained), then for each input power on a
+    geometric grid the capacity is bisected down to the smallest value
+    meeting the standard; the first strictly cheapest corner wins.
 
     Corners that cannot cost less than ``best``, the lower of
     ``bound_usd`` and the cheapest corner so far, are cut short.  A
@@ -503,21 +503,16 @@ def _optimize_long_store(
         )
         return [long_store, *secondary]
 
-    def feasible_long_power(long_p_mw):
-        return _meets_standard(
-            build(capacity_big, max(long_p_mw, 1e-9), input_big), trace, lambdas, standard
-        )
-
     # The bracket must let the long store cover the peak alone: companion
     # stores can be empty at the worst hour, so their power is no
     # substitute for long-store power there.
-    peak_demand = float(np.max(np.maximum(0.0, -values), initial=0.0))
-    if not feasible_long_power(peak_demand):
+    try:
+        p_min = max(min_required_output_power(
+            trace, build(capacity_big, 1e-9, input_big), standard, lambdas, options.p_tol_mw
+        ), 1e-9)
+    except Infeasible:
         return None
-    if feasible_long_power(0.0):
-        p_min = 1e-9
-    else:
-        p_min = max(_bisect_min(feasible_long_power, 0.0, peak_demand, options.p_tol_mw), 1e-9)
+    peak_demand = float(np.max(np.maximum(0.0, -values), initial=0.0))
 
     if secondary and options.p_grid_points > 1 and peak_demand > p_min:
         k = options.p_grid_points

@@ -181,6 +181,14 @@ FIXED_DIMS_SCENARIO = {
 }
 
 
+# A three-hour scenario that both ``size`` and ``size --no-optimize`` accept.
+_SIZE_SCENARIO = FIXED_DIMS_SCENARIO | {
+    "trace": {"inline_mw": [5.0, -3.0, -4.0]},
+    "reliability": {"max_unserved_gwh_per_year": 0.0},
+    "sizing": {"efficiency": 0.4},
+}
+
+
 class TestSizeCommand:
     def test_fixed_dims_cost_report(self, tmp_path):
         config = write_config(tmp_path, FIXED_DIMS_SCENARIO)
@@ -210,6 +218,37 @@ class TestSizeCommand:
         for key in ("output_power_mw", "input_power_mw", "cost_total_bn_usd"):
             assert servable["stores"][0][key] == split["stores"][0][key]
         assert servable["total_cost_usd"] == split["total_cost_usd"]
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", sorted(_PRICES))
+    def test_non_finite_price_is_config_error(self, tmp_path, capsys, optimize, bad, field):
+        config = write_config(tmp_path, _SIZE_SCENARIO | {"costs": {"long": _PRICES | {field: bad}}})
+        argv = ["size", "--config", config, "--out", str(tmp_path / "out")]
+        assert main(argv + ([] if optimize else ["--no-optimize"])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: config error: costs[long]: prices must be finite")
+        assert not (tmp_path / "out" / "sizing.json").exists()
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_nan_standard_is_config_error(self, tmp_path, capsys, optimize):
+        config = write_config(
+            tmp_path, _SIZE_SCENARIO | {"reliability": {"max_unserved_gwh_per_year": math.nan}}
+        )
+        argv = ["size", "--config", config, "--out", str(tmp_path / "out")]
+        assert main(argv + ([] if optimize else ["--no-optimize"])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: config error: reliability: reliability standard must")
+
+    def test_missing_efficiency_is_reported_before_the_trace_is_built(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr(cli, "build_trace", lambda *args: built.append(args))
+        config = write_config(tmp_path, _SIZE_SCENARIO | {"sizing": {}})
+        assert main(["size", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert "size needs sizing.efficiency" in capsys.readouterr().err
+        assert built == []
 
     def test_companion_without_prices_is_config_error(self, tmp_path, capsys):
         companion = {"name": "medium", "capacity_mwh": 5.0, "output_power_mw": 3.0,

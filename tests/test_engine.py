@@ -27,6 +27,7 @@ from storefleet.fleet import (
     StoreSpec,
     apply_step,
     full_state,
+    imbalance,
     merge_equivalent,
 )
 from storefleet.policies import Policy
@@ -305,6 +306,29 @@ class TestVerifiers:
         fleet = [one_store()]
         verify_greedy(fleet, full_state(fleet), np.empty(0), PolicyTrace(np.empty((0, 1))))
 
+    @pytest.mark.parametrize("check", [verify_feasible, verify_greedy, unserved_series])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[-1.0, 0.0], [-1.0, 0.0]], "2 rate columns for 1 stores"),
+            (np.empty((2, 0)), "0 rate columns for 1 stores"),
+            ([[-1.0], [-1.0], [-1.0]], "3 rate rows for 2 trace hours"),
+            ([[-1.0]], "1 rate rows for 2 trace hours"),
+        ],
+    )
+    def test_schedule_that_does_not_fit_is_rejected(self, check, rows, message):
+        fleet = [one_store()]
+        with pytest.raises(FleetError, match=message):
+            check(fleet, FleetState((5.0,)), [-3.0, -4.0], PolicyTrace(rows))
+
+    @pytest.mark.parametrize("check", [verify_feasible, verify_greedy, unserved_series])
+    def test_state_that_does_not_fit_is_rejected(self, check):
+        fleet = [one_store()]
+        with pytest.raises(FleetError, match="2 levels for 1 stores"):
+            check(fleet, FleetState((5.0, 5.0)), [-3.0], PolicyTrace([[-1.0]]))
+        with pytest.raises(FleetError, match="at least one store"):
+            check([], FleetState(()), [-3.0], PolicyTrace(np.empty((1, 0))))
+
 
 class TestGreedify:
     def test_already_greedy_is_fixed_point(self):
@@ -325,6 +349,35 @@ class TestGreedify:
         after = greedify(fleet, initial, values, before)
         assert after.rates_mw.tolist() == [[-3.0], [-1.0]]
         assert list(unserved_series(fleet, initial, values, after)) == [0.0, 0.0]
+        verify_greedy(fleet, initial, values, after)
+
+    def test_greedy_input_past_a_bound_within_slack_is_kept(self):
+        # Both rows pass a level bound by less than SLACK, which the checks
+        # forgive; with no hour changed, no row is clipped either.
+        fleet = [StoreSpec("s", 10, 20, 20, 1.0)]
+        initial = FleetState((9.0,))
+        values = [1.0, -12.0]
+        greedy = PolicyTrace([[1.0 + 0.5 * SLACK], [-10.0 - 0.5 * SLACK]])
+        verify_greedy(fleet, initial, values, greedy)
+        assert np.array_equal(greedify(fleet, initial, values, greedy).rates_mw, greedy.rates_mw)
+
+    @pytest.mark.parametrize(
+        "initial, values, rows, expected",
+        [
+            # Hour 0's extra discharge leaves A 2 MWh for hour 1, so B's
+            # cross-charge draw is cut to what the surplus and A supply.
+            ((5.0, 0.0), [-3.0, 1.0], [[0.0, 0.0], [-5.0, 6.0]], [[-3.0, 0.0], [-2.0, 3.0]]),
+            # Hour 0's extra charge leaves B 5 MWh of headroom for hour 1,
+            # so A's discharge beyond demand and B's charging is cut back.
+            ((100.0, 0.0), [5.0, -2.0], [[0.0, 0.0], [-12.0, 10.0]], [[0.0, 5.0], [-7.0, 5.0]]),
+        ],
+    )
+    def test_clipped_cross_charge_is_pulled_back(self, initial, values, rows, expected):
+        fleet = [StoreSpec("A", 100, 50, 50, 1.0), StoreSpec("B", 10, 50, 50, 1.0)]
+        initial = FleetState(initial)
+        after = greedify(fleet, initial, values, PolicyTrace(rows))
+        assert after.rates_mw.tolist() == expected
+        verify_feasible(fleet, initial, values, after)
         verify_greedy(fleet, initial, values, after)
 
     def test_infeasible_input_rejected(self):
@@ -350,6 +403,50 @@ class TestGreedify:
             assert np.all(ue_after <= ue_before + 1e-6)
             again = greedify(fleet, initial, values, after)
             assert np.allclose(again.rates_mw, after.rates_mw, atol=1e-9)
+
+    @staticmethod
+    def _wasteful_schedule(rng, steps, n):
+        fleet = random_fleet(rng, n)
+        values = random_trace_values(rng, steps)
+        initial = FleetState(random_levels(rng, fleet))
+        rates = random_feasible_rates(rng, fleet, initial.levels_mwh, values, cross_prob=0.4)
+        return fleet, initial, values, PolicyTrace(rates)
+
+    def test_one_pass_work_bound(self, monkeypatch):
+        # One forward pass: a fixed number of imbalance evaluations per
+        # hour however many hours change, where walking every later hour
+        # after each change costs hundreds per hour at this length.
+        from storefleet import engine
+
+        fleet, initial, values, before = self._wasteful_schedule(np.random.default_rng(59), 2000, 3)
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return imbalance(*args)
+
+        monkeypatch.setattr(engine, "imbalance", counted)
+        after = greedify(fleet, initial, values, before)
+        changed_hours = int(np.sum(np.any(after.rates_mw != before.rates_mw, axis=1)))
+        assert changed_hours > 1000
+        assert len(calls) <= 4 * len(values)
+
+    def test_long_schedules_keep_the_contract(self):
+        rng = np.random.default_rng(61)
+        changed = 0
+        for _ in range(50):
+            steps = int(rng.integers(500, 2001))
+            fleet, initial, values, before = self._wasteful_schedule(rng, steps, int(rng.integers(1, 4)))
+            after = greedify(fleet, initial, values, before)
+            verify_feasible(fleet, initial, values, after)
+            verify_greedy(fleet, initial, values, after)
+            ue_before = unserved_series(fleet, initial, values, before)
+            ue_after = unserved_series(fleet, initial, values, after)
+            assert np.all(ue_after <= ue_before + 1e-6)
+            again = greedify(fleet, initial, values, after)
+            assert np.allclose(again.rates_mw, after.rates_mw, atol=1e-9)
+            changed += ue_after[-1] < ue_before[-1] - 1.0
+        assert changed >= 45
 
     def test_discharge_modification_bounds_level_drawdown(self):
         # One withheld deficit hour; after repair the unserved saving at

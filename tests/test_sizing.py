@@ -83,6 +83,14 @@ class TestFleetCost:
         with pytest.raises(ValueError):
             StorePrices(-1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", range(3))
+    def test_non_finite_prices_rejected(self, bad, field):
+        prices = [1.0, 2.0, 3.0]
+        prices[field] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            StorePrices(*prices)
+
 
 def _result_with_unserved(total_mwh: float) -> SimResult:
     return SimResult(
@@ -94,6 +102,18 @@ def _result_with_unserved(total_mwh: float) -> SimResult:
         cross_charged_mwh=0.0,
         final_state=FleetState((0.0,)),
     )
+
+
+class TestReliabilityStandard:
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+    def test_nan_or_negative_rejected(self, bad):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ReliabilityStandard(bad)
+
+    def test_infinite_means_no_limit(self):
+        standard = ReliabilityStandard(math.inf)
+        assert standard.allowance_mwh(2.0) == math.inf
+        assert check_reliability(_result_with_unserved(1e12), 1.0, standard)
 
 
 class TestCheckReliability:
@@ -316,6 +336,21 @@ class TestMinRequiredOutputPower:
                 )
                 assert p <= previous + 0.05
                 previous = p
+
+    def test_sizes_the_first_store_and_holds_the_others(self):
+        # The companion's 5 MW covers part of the 7 MW peak; the first
+        # store's own output power in the fleet is ignored.
+        trace = [-7.0, -3.0, 5.0, -2.0]
+        companion = StoreSpec("c", 1e7, 5.0, 1e6, 1.0)
+        for first in (_big_store(), _big_store(output_mw=1e-3)):
+            p_star = min_required_output_power(
+                trace, [first, companion], ReliabilityStandard(0.0), tol_mw=1e-6
+            )
+            assert p_star == pytest.approx(2.0, abs=1e-4)
+
+    def test_empty_fleet_rejected(self):
+        with pytest.raises(ValueError, match="at least one store"):
+            min_required_output_power([-1.0], [], ReliabilityStandard(0.0))
 
     def test_energy_shortage_is_infeasible(self):
         starved = StoreSpec("small", 50.0, 1e3, 1e3, 1.0)
