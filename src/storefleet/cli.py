@@ -35,6 +35,9 @@ from .sizing import Infeasible, ReliabilityStandard, SizingOptions, StorePrices
 from .traces import InvalidParams, ResidualTrace, SchemaError, SynthParams, TraceError
 
 
+MAX_STATS_BINS = 100_000  # `stats --bins` upper bound: keeps the histogram small
+
+
 class ConfigError(Exception):
     pass
 
@@ -348,6 +351,8 @@ def _prices(scenario: Scenario, names) -> list[StorePrices]:
 def cmd_size(scenario: Scenario, out_dir: Path, args) -> int:
     convention = LossConvention(args.convention)
     if args.no_optimize:
+        if not scenario.stores:
+            raise ConfigError("size --no-optimize needs at least one store")
         prices = _prices(scenario, [s.name for s in scenario.stores])
         stores, total_usd = sizing.price_stores(scenario.stores, prices)
         report = sizing.cost_report_to_dict(stores, total_usd, "fixed", convention)
@@ -487,6 +492,10 @@ def cmd_synth(scenario: Scenario, out_dir: Path, args) -> int:
 
 
 def cmd_stats(scenario: Scenario, out_dir: Path, args) -> int:
+    if not 1 <= args.bins <= MAX_STATS_BINS:
+        raise ConfigError(f"--bins must be an integer in [1, {MAX_STATS_BINS}], got {args.bins}")
+    if args.max_lag < 0:
+        raise ConfigError(f"--max-lag must be >= 0, got {args.max_lag}")
     trace = build_trace(scenario, args.seed)
     lags = range(0, min(args.max_lag + 1, len(trace)))
     stats = traces.trace_stats(trace, bins=args.bins, lags=lags)

@@ -10,15 +10,17 @@ power and capacity searches of the optimisers bisect to a tolerance.
 Their reliability checks stop simulating a candidate as soon as its
 cumulative unserved energy exceeds the standard's allowance.
 
-The searches are also bounded by cost.  A corner of the long-store
-search (an output power and an input power) costs at least its price at
-zero capacity, and its price grows with capacity, so a corner is
-skipped when that price already reaches the best total found so far,
-and its capacity bisection is abandoned once the lower end of its
-bracket prices at or above that total.  Such a corner could only return
-a total no lower than the best, and only a strictly cheaper one
-replaces the best, so the bound changes no answer: it only saves the
-simulations of corners that cannot win.
+``optimize_fleet`` is the one sizing search: one loop over grid entry,
+decay-rate combo, output power and input power, one best total, one
+bound and one final simulation of the winner.  A corner of that loop
+(an output power and an input power) costs at least its price at zero
+capacity, and its price grows with capacity, so a corner is skipped
+when that price already reaches the best total found so far, and its
+capacity bisection is abandoned once the lower end of its bracket
+prices at or above that total.  Such a corner could only return a total
+no lower than the best, and only a strictly cheaper one replaces the
+best, so the bound changes no answer: it only saves the simulations of
+corners that cannot win.
 """
 
 from __future__ import annotations
@@ -446,125 +448,6 @@ def tune_lambdas(
     return ValueParams(best)
 
 
-def _optimize_long_store(
-    trace,
-    prices: StorePrices,
-    standard: ReliabilityStandard,
-    efficiency: float,
-    secondary: Sequence[StoreSpec],
-    secondary_prices: Sequence[StorePrices],
-    lambdas: Sequence[float],
-    options: SizingOptions,
-    bound_usd: float = math.inf,
-) -> SizingResult | None:
-    """Size the flexible store against fixed companions; None if infeasible.
-
-    Output power is pinned at its feasible minimum first
-    (``min_required_output_power`` with capacity and input power
-    effectively unconstrained), then for each input power on a
-    geometric grid the capacity is bisected down to the smallest value
-    meeting the standard; the first strictly cheapest corner wins.
-
-    Corners that cannot cost less than ``best``, the lower of
-    ``bound_usd`` and the cheapest corner so far, are cut short.  A
-    corner's price is ``cost0``, its price at zero capacity, plus a
-    capacity term that grows with capacity.  So the corner is skipped,
-    with no simulation, when ``best <= cost0``, and its bisection is
-    abandoned once the lower end of its bracket prices at ``best`` or
-    more, since the answer lies strictly above that end.  That end is
-    found in closed form with a margin of 1e-12 of ``best``, which
-    covers the rounding of the price sum; a zero capacity price never
-    abandons.  Corners that can win keep the brackets and midpoints of
-    an unbounded search, so the answer is the unbounded one whenever
-    that beats ``bound_usd``.  Returns None, with no final simulation,
-    when no corner beats ``bound_usd``.
-    """
-    values = trace_values(trace)
-    years = _years(values)
-    name = options.long_store_name
-
-    total_demand = float(np.sum(np.maximum(0.0, -values)))
-    capacity_big = max(total_demand, 1.0)
-    input_big = max(float(np.max(values, initial=0.0)), 1.0)
-
-    all_prices = [prices, *secondary_prices]
-    # USD per servable MWh of long-store capacity, as price_stores charges it.
-    capacity_usd_per_mwh = _KWH_PER_MWH * prices.capacity_usd_per_kwh * convention_factor(
-        efficiency, LossConvention.INPUT_SIDE, LossConvention.SPLIT_SQRT
-    )
-
-    def build(capacity, output_mw, input_mw):
-        long_store = StoreSpec(
-            name=name,
-            capacity_mwh=capacity,
-            output_power_mw=output_mw,
-            input_power_mw=input_mw,
-            efficiency=efficiency,
-        )
-        return [long_store, *secondary]
-
-    # The bracket must let the long store cover the peak alone: companion
-    # stores can be empty at the worst hour, so their power is no
-    # substitute for long-store power there.
-    try:
-        p_min = max(min_required_output_power(
-            trace, build(capacity_big, 1e-9, input_big), standard, lambdas, options.p_tol_mw
-        ), 1e-9)
-    except Infeasible:
-        return None
-    peak_demand = float(np.max(np.maximum(0.0, -values), initial=0.0))
-
-    if secondary and options.p_grid_points > 1 and peak_demand > p_min:
-        k = options.p_grid_points
-        p_values = [p_min + (peak_demand - p_min) * j / (k - 1) for j in range(k)]
-    else:
-        p_values = [p_min]
-
-    best: tuple[float, float, float] | None = None
-    best_cost = math.inf
-    for p_long in p_values:
-        for q in _q_grid(values, options):
-            bound = min(bound_usd, best_cost)
-            give_up = math.inf
-            if bound < math.inf:
-                _, cost0 = price_stores(build(0.0, p_long, q), all_prices)
-                if bound <= cost0:
-                    continue
-                if capacity_usd_per_mwh > 0.0:
-                    give_up = (bound * (1.0 + 1e-12) - cost0) / capacity_usd_per_mwh
-
-            def feasible_capacity(capacity):
-                return _meets_standard(
-                    build(max(capacity, 1e-9), p_long, q), trace, lambdas, standard
-                )
-
-            if not feasible_capacity(capacity_big):
-                continue
-            e_min = _bisect_min(
-                feasible_capacity, 0.0, capacity_big, options.e_tol_mwh, give_up
-            )
-            if e_min is None:
-                continue
-            _, cost = price_stores(build(e_min, p_long, q), all_prices)
-            if cost < best_cost:
-                best_cost = cost
-                best = (e_min, p_long, q)
-    if best is None:
-        return None
-
-    e_min, p_long, q = best
-    final_fleet = build(max(e_min, 1e-9), p_long, q)
-    result = simulate(final_fleet, trace, Policy.value(lambdas))
-    stores, total_usd = price_stores(final_fleet, all_prices)
-    return SizingResult(
-        stores=stores,
-        total_cost_usd=total_usd,
-        annual_unserved_gwh=result.total_unserved_mwh / years / 1e3,
-        lambdas_per_hour=tuple(float(x) for x in lambdas),
-        served_external_mwh=tuple(float(x) for x in result.served_external_mwh),
-    )
-
-
 def optimize_single_store(
     trace,
     prices: StorePrices,
@@ -597,16 +480,33 @@ def optimize_fleet(
     """Cheapest (long store + fixed companions) configuration on a grid.
 
     Each grid entry fixes the dimensions of zero or more companion stores
-    (servable-energy convention).  For every entry and every decay-rate
-    combination on the grid, the long store is dimensioned by
-    ``_optimize_long_store`` and the first strictly cheapest feasible
-    configuration overall is returned.  Each such search is bounded by
-    the best total found before it, which cuts short the corners that
-    cannot beat it and changes no answer.  Decay rates are searched on
+    (servable-energy convention).  Prices are looked up by store name,
+    and every entry's prices and decay-rate combos are checked before
+    the first simulation.  One loop then dimensions the long store for
+    every entry and every decay-rate combination on the grid.  Its
+    output power is pinned at its feasible minimum first
+    (``min_required_output_power`` with capacity and input power
+    effectively unconstrained); with companions and ``p_grid_points`` >
+    1, powers up to the peak demand are tried as well.  For each output
+    power and each input power on a geometric grid (a corner), the
+    capacity is bisected down to the smallest value meeting the
+    standard.  The first strictly cheapest corner overall wins, and one
+    full simulation of it gives the result.  Decay rates are searched on
     cost, not tuned on unserved energy alone: serving the fast cycles
     from an efficient companion shrinks the long store's capacity long
-    before it shows up in unserved energy.  Prices are looked up by
-    store name.  Raises Infeasible if nothing on the grid meets the
+    before it shows up in unserved energy.
+
+    One bound, the cheapest total so far, cuts short the corners that
+    cannot beat it.  A corner's price is ``cost0``, its price at zero
+    capacity, plus a capacity term that grows with capacity.  So the
+    corner is skipped, with no simulation, when the bound is at most
+    ``cost0``, and its bisection is abandoned once the lower end of its
+    bracket prices at the bound or more, since the answer lies strictly
+    above that end.  That end is found in closed form with a margin of
+    1e-12 of the bound, which covers the rounding of the price sum; a
+    zero capacity price never abandons.  Corners that can win keep the
+    brackets and midpoints of an unbounded search, so the bound changes
+    no answer.  Raises Infeasible if nothing on the grid meets the
     standard.
     """
     options = options or SizingOptions()
@@ -615,34 +515,96 @@ def optimize_fleet(
     long_name = options.long_store_name
     if long_name not in costs:
         raise KeyError(f"no prices for long store {long_name!r}")
-    values = trace_values(trace)
-    if float(np.sum(np.maximum(0.0, -values))) <= standard.allowance_mwh(_years(values)):
-        nothing = SizedStore(long_name, 0.0, 0.0, 0.0, efficiency_long, StoreCost(0.0, 0.0, 0.0))
-        return SizingResult(stores=(nothing,), total_cost_usd=0.0, annual_unserved_gwh=0.0,
-                            lambdas_per_hour=(0.0,), served_external_mwh=(0.0,))
-
-    best: SizingResult | None = None
+    entries = []
     for secondary in secondary_grid:
         secondary = tuple(secondary)
-        secondary_prices = []
         for s in secondary:
             if s.name not in costs:
                 raise KeyError(f"no prices for store {s.name!r}")
-            secondary_prices.append(costs[s.name])
-        for lambdas in _lambda_combos(options.lambda_grid, 1 + len(secondary)):
-            candidate = _optimize_long_store(
-                trace, costs[long_name], standard, efficiency_long,
-                secondary=secondary, secondary_prices=secondary_prices,
-                lambdas=lambdas, options=options,
-                bound_usd=math.inf if best is None else best.total_cost_usd,
-            )
-            if candidate is not None and (
-                best is None or candidate.total_cost_usd < best.total_cost_usd
-            ):
-                best = candidate
+        all_prices = [costs[long_name], *(costs[s.name] for s in secondary)]
+        entries.append(
+            (secondary, all_prices, _lambda_combos(options.lambda_grid, 1 + len(secondary)))
+        )
+
+    values = trace_values(trace)
+    years = _years(values)
+    demand = np.maximum(0.0, -values)
+    total_demand = float(np.sum(demand))
+    if total_demand <= standard.allowance_mwh(years):
+        nothing = SizedStore(long_name, 0.0, 0.0, 0.0, efficiency_long, StoreCost(0.0, 0.0, 0.0))
+        return SizingResult(stores=(nothing,), total_cost_usd=0.0, annual_unserved_gwh=0.0,
+                            lambdas_per_hour=(0.0,), served_external_mwh=(0.0,))
+    peak_demand = float(np.max(demand, initial=0.0))
+    capacity_big = max(total_demand, 1.0)
+    input_big = max(float(np.max(values, initial=0.0)), 1.0)
+    q_values = _q_grid(values, options)
+    # USD per servable MWh of long-store capacity, as price_stores charges it.
+    capacity_usd_per_mwh = _KWH_PER_MWH * costs[long_name].capacity_usd_per_kwh * (
+        convention_factor(efficiency_long, LossConvention.INPUT_SIDE, LossConvention.SPLIT_SQRT)
+    )
+
+    best_cost = math.inf
+    best = None  # (fleet, priced stores, decay rates) of the cheapest corner so far
+    for secondary, all_prices, combos in entries:
+        def build(capacity, output_mw, input_mw):
+            return [StoreSpec(long_name, capacity, output_mw, input_mw, efficiency_long), *secondary]
+
+        for lambdas in combos:
+            # The bracket must let the long store cover the peak alone:
+            # companion stores can be empty at the worst hour, so their
+            # power is no substitute for long-store power there.
+            try:
+                p_min = max(min_required_output_power(
+                    trace, build(capacity_big, 1e-9, input_big), standard, lambdas,
+                    options.p_tol_mw
+                ), 1e-9)
+            except Infeasible:
+                continue
+            if secondary and options.p_grid_points > 1 and peak_demand > p_min:
+                k = options.p_grid_points
+                p_values = [p_min + (peak_demand - p_min) * j / (k - 1) for j in range(k)]
+            else:
+                p_values = [p_min]
+
+            for p_long in p_values:
+                for q in q_values:
+                    give_up = math.inf
+                    if best_cost < math.inf:
+                        _, cost0 = price_stores(build(0.0, p_long, q), all_prices)
+                        if best_cost <= cost0:
+                            continue
+                        if capacity_usd_per_mwh > 0.0:
+                            give_up = (best_cost * (1.0 + 1e-12) - cost0) / capacity_usd_per_mwh
+
+                    def feasible_capacity(capacity):
+                        return _meets_standard(
+                            build(max(capacity, 1e-9), p_long, q), trace, lambdas, standard
+                        )
+
+                    if not feasible_capacity(capacity_big):
+                        continue
+                    e_min = _bisect_min(
+                        feasible_capacity, 0.0, capacity_big, options.e_tol_mwh, give_up
+                    )
+                    if e_min is None:
+                        continue
+                    fleet = build(max(e_min, 1e-9), p_long, q)
+                    stores, cost = price_stores(fleet, all_prices)
+                    if cost < best_cost:
+                        best_cost = cost
+                        best = (fleet, stores, lambdas)
     if best is None:
         raise Infeasible("no configuration on the secondary grid meets the standard")
-    return best
+
+    fleet, stores, lambdas = best
+    result = simulate(fleet, trace, Policy.value(lambdas))
+    return SizingResult(
+        stores=stores,
+        total_cost_usd=best_cost,
+        annual_unserved_gwh=result.total_unserved_mwh / years / 1e3,
+        lambdas_per_hour=tuple(float(x) for x in lambdas),
+        served_external_mwh=tuple(float(x) for x in result.served_external_mwh),
+    )
 
 
 def cost_report_to_dict(

@@ -299,8 +299,16 @@ def _try_cross_charge(rng, fleet, levels, rates):
     rates[j] += fleet[j].efficiency * x
 
 
-def random_feasible_rates(rng, fleet, initial_levels, values, cross_prob=0.3):
-    """A feasible but generally wasteful schedule (withholds, cross-charges)."""
+def random_feasible_rates(rng, fleet, initial_levels, values, cross_prob=0.3, full_prob=0.0):
+    """A feasible but generally wasteful schedule (withholds, cross-charges).
+
+    With probability ``full_prob`` an hour is served in full instead:
+    each store in turn takes all it can of what is left of the surplus or
+    deficit, and only then may a cross-charge follow.  Such an hour is
+    exactly balanced, so once a rewrite of earlier hours has lowered the
+    level its cross-charge draws on, or raised the level of the store it
+    charges, the clipped row overdraws or overserves.
+    """
     n = len(fleet)
     levels = list(initial_levels)
     rows = []
@@ -308,13 +316,14 @@ def random_feasible_rates(rng, fleet, initial_levels, values, cross_prob=0.3):
         re = float(re)
         rates = [0.0] * n
         order = list(rng.permutation(n))
+        full = full_prob > 0.0 and rng.uniform() < full_prob
         if re >= 0.0:
             budget = re
             for i in order:
                 cap = min(budget, fleet[i].max_input_draw_mw(levels[i]))
                 if cap <= 0.0:
                     continue
-                x = float(rng.uniform(0.0, cap))
+                x = cap if full else float(rng.uniform(0.0, cap))
                 rates[i] = fleet[i].efficiency * x
                 budget -= x
         else:
@@ -323,7 +332,7 @@ def random_feasible_rates(rng, fleet, initial_levels, values, cross_prob=0.3):
                 cap = min(budget, fleet[i].max_discharge_rate_mw(levels[i]))
                 if cap <= 0.0:
                     continue
-                d = float(rng.uniform(0.0, cap))
+                d = cap if full else float(rng.uniform(0.0, cap))
                 rates[i] = -d
                 budget -= d
         if rng.uniform() < cross_prob:
@@ -378,7 +387,8 @@ def random_greedy_rates(rng, fleet, initial_levels, values, cross_prob=0.2):
 def record_search(monkeypatch) -> list[str]:
     """Log the long-store search's steps, in order, while the test runs.
 
-    Events: "call" per ``_optimize_long_store`` call, "cost0" per corner
+    Events: "call" per (grid entry, decay combo), logged as its
+    ``min_required_output_power`` search starts, "cost0" per corner
     priced at zero long-store capacity, "check" per reliability check (a
     ``simulate`` with an unserved limit), "final" per full ``simulate``
     and "abandon" per capacity bisection given up.
@@ -401,7 +411,7 @@ def record_search(monkeypatch) -> list[str]:
 
         monkeypatch.setattr(sizing, name, wrapper)
 
-    logged("_optimize_long_store", before=lambda *a, **k: "call")
+    logged("min_required_output_power", before=lambda *a, **k: "call")
     logged("price_stores",
            before=lambda fleet, prices: "cost0" if fleet[0].capacity_mwh == 0.0 else None)
     logged("simulate", before=lambda *a, **k: "check" if "unserved_limit_mwh" in k else "final")
@@ -410,7 +420,7 @@ def record_search(monkeypatch) -> list[str]:
 
 
 def search_calls(events: list[str]) -> list[list[str]]:
-    """The recorded events split per ``_optimize_long_store`` call."""
+    """The recorded events split per (grid entry, decay combo)."""
     calls: list[list[str]] = []
     for event in events:
         if event == "call":

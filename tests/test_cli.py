@@ -265,6 +265,14 @@ class TestSizeCommand:
         # Single mode does not use the companions, so it does not need their prices.
         assert main(["size", "--config", config, "--mode", "single", "--out", str(out)]) == 0
 
+    def test_fixed_dims_without_stores_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"trace": {"inline_mw": [5.0, -3.0, -4.0, 6.0, -2.0, 1.0]},
+                                         "costs": {"long": _PRICES}})
+        out = tmp_path / "out"
+        assert main(["size", "--config", config, "--no-optimize", "--out", str(out)]) == 1
+        assert "size --no-optimize needs at least one store" in capsys.readouterr().err
+        assert not (out / "sizing.json").exists()
+
     def test_single_mode_runs(self, tmp_path):
         values = []
         for _ in range(3):
@@ -467,6 +475,15 @@ class TestSynthAndStats:
         assert len(acf_rows) == 49
         assert float(acf_rows[0]["acf"]) == 1.0
         assert sum(int(r["count"]) for r in hist_rows) == int(round(0.05 * 8760))
+
+
+    def test_stats_flags_at_their_bounds(self, tmp_path):
+        config = write_config(tmp_path, {"trace": {"inline_mw": [5.0, -3.0, -4.0, 6.0, -2.0, 1.0]}})
+        out = tmp_path / "out"
+        argv = ["stats", "--config", config, "--bins", str(cli.MAX_STATS_BINS), "--max-lag", "0"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert len(list(csv.DictReader(open(out / "histogram.csv")))) == cli.MAX_STATS_BINS
+        assert [row["lag"] for row in csv.DictReader(open(out / "acf.csv"))] == ["0"]
 
 
 class TestTuneCommand:
@@ -704,6 +721,10 @@ class TestFlags:
             ["tune", "--convention", "split"],
             ["synth", "--threads", "2"],
             ["stats", "--convention", "input"],
+            ["stats", "--bins", "0"],
+            ["stats", "--bins", "-3"],
+            ["stats", "--bins", "1000000000000"],
+            ["stats", "--max-lag", "-5"],
         ],
     )
     def test_unread_or_bad_flag_is_config_error(self, tmp_path, capsys, argv):

@@ -394,22 +394,28 @@ class TestGreedify:
             values = random_trace_values(rng, steps)
             initial = FleetState(random_levels(rng, fleet))
             rates = random_feasible_rates(rng, fleet, initial.levels_mwh, values)
-            before = PolicyTrace(rates)
-            after = greedify(fleet, initial, values, before)
-            verify_feasible(fleet, initial, values, after)
-            verify_greedy(fleet, initial, values, after)
-            ue_before = unserved_series(fleet, initial, values, before)
-            ue_after = unserved_series(fleet, initial, values, after)
-            assert np.all(ue_after <= ue_before + 1e-6)
-            again = greedify(fleet, initial, values, after)
-            assert np.allclose(again.rates_mw, after.rates_mw, atol=1e-9)
+            self._greedify_keeps_the_contract(fleet, initial, values, PolicyTrace(rates))
 
     @staticmethod
-    def _wasteful_schedule(rng, steps, n):
+    def _greedify_keeps_the_contract(fleet, initial, values, before):
+        """Rewrite ``before``; the result is feasible, greedy, no worse at any
+        hour and a fixed point.  Returns both unserved-energy series."""
+        after = greedify(fleet, initial, values, before)
+        verify_feasible(fleet, initial, values, after)
+        verify_greedy(fleet, initial, values, after)
+        ue_before = unserved_series(fleet, initial, values, before)
+        ue_after = unserved_series(fleet, initial, values, after)
+        assert np.all(ue_after <= ue_before + 1e-6)
+        again = greedify(fleet, initial, values, after)
+        assert np.allclose(again.rates_mw, after.rates_mw, atol=1e-9)
+        return ue_before, ue_after
+
+    @staticmethod
+    def _wasteful_schedule(rng, steps, n, cross_prob=0.4, full_prob=0.0):
         fleet = random_fleet(rng, n)
         values = random_trace_values(rng, steps)
         initial = FleetState(random_levels(rng, fleet))
-        rates = random_feasible_rates(rng, fleet, initial.levels_mwh, values, cross_prob=0.4)
+        rates = random_feasible_rates(rng, fleet, initial.levels_mwh, values, cross_prob, full_prob)
         return fleet, initial, values, PolicyTrace(rates)
 
     def test_one_pass_work_bound(self, monkeypatch):
@@ -437,16 +443,34 @@ class TestGreedify:
         for _ in range(50):
             steps = int(rng.integers(500, 2001))
             fleet, initial, values, before = self._wasteful_schedule(rng, steps, int(rng.integers(1, 4)))
-            after = greedify(fleet, initial, values, before)
-            verify_feasible(fleet, initial, values, after)
-            verify_greedy(fleet, initial, values, after)
-            ue_before = unserved_series(fleet, initial, values, before)
-            ue_after = unserved_series(fleet, initial, values, after)
-            assert np.all(ue_after <= ue_before + 1e-6)
-            again = greedify(fleet, initial, values, after)
-            assert np.allclose(again.rates_mw, after.rates_mw, atol=1e-9)
+            ue_before, ue_after = self._greedify_keeps_the_contract(fleet, initial, values, before)
             changed += ue_after[-1] < ue_before[-1] - 1.0
         assert changed >= 45
+
+    def test_random_schedules_reach_the_pull_back(self, monkeypatch):
+        # Hours served in full and then cross-charged are exactly balanced,
+        # so once an earlier rewrite caps their charge or floors their
+        # discharge they overserve or overdraw, and only the pull-back in
+        # ``_clip_to_levels`` keeps the rewritten schedule feasible.
+        from storefleet import engine
+
+        pulled = {"charge": 0, "discharge": 0}
+
+        def counted(levels, row, re, fleet):
+            clipped = [min(max(r, -level), max(s.capacity_mwh - level, 0.0))
+                       for r, level, s in zip(row.tolist(), levels, fleet)]
+            clip_to_levels(levels, row, re, fleet)
+            if row.tolist() != clipped:
+                pulled["discharge" if re < 0.0 else "charge"] += 1
+
+        clip_to_levels = engine._clip_to_levels
+        monkeypatch.setattr(engine, "_clip_to_levels", counted)
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            steps, n = int(rng.integers(2, 60)), int(rng.integers(2, 4))
+            schedule = self._wasteful_schedule(rng, steps, n, cross_prob=0.8, full_prob=0.5)
+            self._greedify_keeps_the_contract(*schedule)
+        assert pulled["charge"] > 0 and pulled["discharge"] > 0
 
     def test_discharge_modification_bounds_level_drawdown(self):
         # One withheld deficit hour; after repair the unserved saving at

@@ -25,7 +25,6 @@ from storefleet.sizing import (
     _bisect_min,
     _lambda_combos,
     _meets_standard,
-    _optimize_long_store,
     _shortfall,
 )
 from storefleet.traces import SynthParams, scale_to_overcapacity, synthesize
@@ -550,13 +549,20 @@ def _random_sizing_instance(rng, free_capacity: bool):
 
 
 def _unbounded_searches(values, costs, standard, grid, efficiency, options):
-    """``_optimize_long_store`` with no bound, once per (grid entry, decay combo)."""
-    return [
-        sizing._optimize_long_store(values, costs["long"], standard, efficiency, entry,
-                                    [costs[s.name] for s in entry], lambdas, options)
-        for entry in grid
-        for lambdas in _lambda_combos(options.lambda_grid, 1 + len(entry))
-    ]
+    """The fleet search with no outside bound, once per (grid entry, decay combo).
+
+    Each search is ``optimize_fleet`` on the one entry and the one combo;
+    None where it is infeasible.
+    """
+    results = []
+    for entry in grid:
+        for lambdas in _lambda_combos(options.lambda_grid, 1 + len(entry)):
+            single = replace(options, lambda_grid=tuple((rate,) for rate in lambdas))
+            try:
+                results.append(optimize_fleet(values, costs, standard, [entry], efficiency, single))
+            except Infeasible:
+                results.append(None)
+    return results
 
 
 def _exhaustive_search(values, costs, standard, grid, efficiency, options):
@@ -639,14 +645,16 @@ class TestCostBound:
         instance = _random_sizing_instance(np.random.default_rng(26), free_capacity=False)
         events = record_search(monkeypatch)
         unbounded = _unbounded_searches(*instance)
-        simulations = [call.count("check") + call.count("final") for call in search_calls(events)]
+        checks = [call.count("check") for call in search_calls(events)]
         events.clear()
         result = optimize_fleet(*instance)
         calls = search_calls(events)
         assert result == unbounded[0] == _first_strictly_cheapest(unbounded)
-        bounded = [call.count("check") + call.count("final") for call in calls]
-        assert len(bounded) == 3 and bounded[0] == simulations[0]
-        assert all(b < s for b, s in zip(bounded[1:], simulations[1:]))
+        # One full simulation, of the winner, ends the whole search.
+        assert events.count("final") == 1 and events[-1] == "final"
+        bounded = [call.count("check") for call in calls]
+        assert len(bounded) == 3 and bounded[0] == checks[0]
+        assert all(b < s for b, s in zip(bounded[1:], checks[1:]))
         assert sum(map(skipped_corners, calls)) > 0 and events.count("abandon") > 0
 
     def test_a_tied_corner_never_replaces_the_best(self, monkeypatch):
@@ -663,8 +671,7 @@ class TestCostBound:
         assert [s.name for s in result.stores] == ["long", "a"]
         assert "cost0" in second and "check" not in second[second.index("cost0"):]
         # The first entry's search, replayed under the name "b", costs the same.
-        twin = _optimize_long_store(values, costs["long"], ReliabilityStandard(0.0), 0.5, grid[1],
-                                    [ACAES], (1e-3, 1e-3), options)
+        twin = optimize_fleet(values, costs, ReliabilityStandard(0.0), [grid[1]], 0.5, options)
         assert twin.total_cost_usd == result.total_cost_usd
 
     def test_lower_bracket_exactly_at_the_threshold_is_not_abandoned(self, monkeypatch):
@@ -672,17 +679,57 @@ class TestCostBound:
         # 1024 MWh capacity bracket and a bound of 512e3 USD put the
         # capacity threshold exactly on the first lower end, 512 MWh.
         # The margin that covers rounding in the price keeps the search
-        # going there, until the lower end passes the threshold.
+        # going there, until the lower end passes the threshold.  The
+        # bound is the first entry's answer: the long store alone meets
+        # the standard from 512 MWh on, which bisects to exactly 512 MWh.
+        # With the free companion it needs 600 MWh.
         checked = []
 
         def meets(fleet, trace, lambdas, standard, initial=None):
+            if len(fleet) == 1:
+                return fleet[0].capacity_mwh >= 512.0
             checked.append(fleet[0].capacity_mwh)
             return fleet[0].capacity_mwh >= 600.0
 
         monkeypatch.setattr(sizing, "_meets_standard", meets)
-        options = SizingOptions(q_grid_points=1, e_tol_mwh=1.0, p_tol_mw=1.0)
-        args = ([-512.0, 100.0, -512.0], StorePrices(1.0, 0.0, 0.0), ReliabilityStandard(0.0),
-                1.0, (), [], (0.0,), options)
-        assert _optimize_long_store(*args, bound_usd=512e3) is None
+        options = SizingOptions(q_grid_points=1, e_tol_mwh=1.0, p_tol_mw=1.0, lambda_grid=(0.0,))
+        costs = {"long": StorePrices(1.0, 0.0, 0.0), "free": StorePrices(0.0, 0.0, 0.0)}
+        grid = [(), (StoreSpec("free", 1.0, 1.0, 1.0, 1.0),)]
+        result = optimize_fleet([-512.0, 100.0, -512.0], costs, ReliabilityStandard(0.0), grid,
+                                1.0, options)
+        assert result.total_cost_usd == 512e3 and [s.name for s in result.stores] == ["long"]
         # Two power checks at full capacity, then the corner.
         assert checked[2:] == [1024.0, 512.0, 768.0, 640.0, 576.0]
+
+
+class TestOneSearch:
+    def test_one_full_simulation_ends_the_search(self, monkeypatch):
+        # Three of this draw's five (entry, combo) searches beat the best
+        # so far in turn; only the last winner is simulated in full.
+        instance = _random_sizing_instance(np.random.default_rng(15), free_capacity=False)
+        best = math.inf
+        improvements = 0
+        for result in _unbounded_searches(*instance):
+            if result is not None and result.total_cost_usd < best:
+                best = result.total_cost_usd
+                improvements += 1
+        assert improvements == 3
+        events = record_search(monkeypatch)
+        result = optimize_fleet(*instance)
+        assert result.total_cost_usd == best
+        assert events.count("final") == 1 and events[-1] == "final"
+
+    @pytest.mark.parametrize("trace", [_cycle_trace(), [5.0, 3.0]], ids=["deficit", "no-deficit"])
+    def test_grid_errors_come_before_any_simulation(self, monkeypatch, trace):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the grid was checked")
+
+        monkeypatch.setattr(sizing, "simulate", no_simulation)
+        companion = StoreSpec("medium", 40.0, 10.0, 10.0, 0.8)
+        grid = [(), (companion,)]
+        standard = ReliabilityStandard(0.0)
+        with pytest.raises(KeyError, match="no prices for store 'medium'"):
+            optimize_fleet(trace, {"long": HYDROGEN}, standard, grid, 0.5)
+        short = SizingOptions(lambda_grid=((0.0, 1e-3),))
+        with pytest.raises(ValueError, match="1 per-store decay grids for 2 stores"):
+            optimize_fleet(trace, {"long": HYDROGEN, "medium": ACAES}, standard, grid, 0.5, short)
