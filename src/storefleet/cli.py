@@ -148,6 +148,11 @@ def _parse_store(entry: dict, convention: LossConvention) -> tuple[StoreSpec, fl
     validate_spec(spec)
     level = entry.get("initial_level_mwh")
     level = spec.capacity_mwh if level is None else _number(level, "store: initial_level_mwh")
+    # Checked as written: the servable-energy level below is a converted figure.
+    if not 0.0 <= level <= spec.capacity_mwh:
+        raise FleetError(
+            f"store {spec.name!r}: initial_level_mwh {level} outside [0, {spec.capacity_mwh}]"
+        )
     spec, level = convert_convention(spec, level, convention, LossConvention.INPUT_SIDE)
     return spec, level
 
@@ -174,6 +179,8 @@ def load_scenario(path) -> Scenario:
             spec, level = _parse_store(entry, convention)
         except FleetError as exc:
             raise ConfigError(f"{path}: bad store entry: {exc}") from None
+        if any(s.name == spec.name for s in stores):
+            raise ConfigError(f"{path}: duplicate store name {spec.name!r} in stores")
         stores.append(spec)
         levels.append(level)
 

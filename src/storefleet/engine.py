@@ -33,7 +33,7 @@ from .fleet import (
     validate_fleet,
     validate_state,
 )
-from .policies import FleetConsts, Policy
+from .policies import Policy
 
 
 # Threshold below which imbalance residue is treated as rounding dust
@@ -151,10 +151,9 @@ def simulate(
     state = initial if initial is not None else full_state(fleet)
     validate_state(state, fleet)
 
-    consts = FleetConsts(fleet)
     n = len(fleet)
     if isinstance(policy, Policy):
-        step = policy.raw_step(consts)
+        step = policy.raw_step(fleet)
     else:
         hour = itertools.count(state.time_index)
 
@@ -164,11 +163,11 @@ def simulate(
                 raise FleetError(f"decision has {len(decision.rates_mw)} rates for {n} stores")
             return list(decision.rates_mw), decision.spill_mwh, decision.unserved_mwh
 
-    capacity = consts.capacity
-    eta = consts.eta
+    capacity = [s.capacity_mwh for s in fleet]
+    eta = [s.efficiency for s in fleet]
     # The feasible box widened by SLACK, computed once per run.
-    rate_lo = [-p - SLACK for p in consts.out_power]
-    rate_hi = [m + SLACK for m in consts.max_charge]
+    rate_lo = [-s.output_power_mw - SLACK for s in fleet]
+    rate_hi = [s.efficiency * s.input_power_mw + SLACK for s in fleet]
     level_lo = -SLACK
     level_hi = [c + SLACK for c in capacity]
     stores = range(n)
@@ -336,29 +335,41 @@ def verify_greedy(
     etas = [s.efficiency for s in fleet]
     levels = list(initial.levels_mwh)
     for t in range(len(values)):
-        re = float(values[t])
         row = rates[t]
-        u = imbalance(re, row, etas)
-        if re >= 0.0 and u > SLACK:
-            for i, spec in enumerate(fleet):
-                expected = spec.max_charge_rate_mw(levels[i])
-                if row[i] < expected - SLACK:
-                    raise NotGreedy(
-                        f"hour {t}: spill {u} MWh but store {i} charges {row[i]} < {expected}",
-                        time_index=t,
-                        store=i,
-                    )
-        elif re < 0.0 and u < -SLACK:
-            for i, spec in enumerate(fleet):
-                expected = -spec.max_discharge_rate_mw(levels[i])
-                if row[i] > expected + SLACK:
-                    raise NotGreedy(
-                        f"hour {t}: unserved {-u} MWh but store {i} rate {row[i]} > {expected}",
-                        time_index=t,
-                        store=i,
-                    )
+        violation = _not_greedy(t, float(values[t]), row, levels, fleet, etas)
+        if violation is not None:
+            raise violation
         for i, spec in enumerate(fleet):
             levels[i] = min(max(levels[i] + row[i], 0.0), spec.capacity_mwh)
+
+
+def _not_greedy(t: int, re: float, row, levels, fleet: Sequence[StoreSpec], etas) -> NotGreedy | None:
+    """Hour ``t``'s greedy check, within SLACK, from the levels it starts at.
+
+    Returns the NotGreedy naming the first store short of its limit in
+    an hour that spills or leaves demand unserved, or None if the hour
+    is greedy.
+    """
+    u = imbalance(re, row, etas)
+    if re >= 0.0 and u > SLACK:
+        for i, spec in enumerate(fleet):
+            expected = spec.max_charge_rate_mw(levels[i])
+            if row[i] < expected - SLACK:
+                return NotGreedy(
+                    f"hour {t}: spill {u} MWh but store {i} charges {row[i]} < {expected}",
+                    time_index=t,
+                    store=i,
+                )
+    elif re < 0.0 and u < -SLACK:
+        for i, spec in enumerate(fleet):
+            expected = -spec.max_discharge_rate_mw(levels[i])
+            if row[i] > expected + SLACK:
+                return NotGreedy(
+                    f"hour {t}: unserved {-u} MWh but store {i} rate {row[i]} > {expected}",
+                    time_index=t,
+                    store=i,
+                )
+    return None
 
 
 def _raise_to_greedy_charge(levels: list[float], row, re: float, fleet: Sequence[StoreSpec]) -> None:
@@ -463,16 +474,17 @@ def greedify(
 ) -> PolicyTrace:
     """Rewrite a feasible schedule to be greedy at every hour.
 
-    One forward pass.  Once an earlier hour has changed, each row is
-    first clipped to the levels the rewritten schedule has reached
-    (``_clip_to_levels``); then the row is made greedy (charging raised
-    at surplus hours, discharging deepened at deficit hours) and the
-    levels are stepped.  Rows before the first change are not clipped,
-    so a schedule the greedy step leaves alone comes back unchanged,
+    One forward pass.  Until the first change, a row that passes
+    ``verify_greedy``'s check (within SLACK) is kept as it is.  Once an
+    earlier hour has changed, each row is first clipped to the levels
+    the rewritten schedule has reached (``_clip_to_levels``).  A row not
+    kept is made greedy (charging raised at surplus hours, discharging
+    deepened at deficit hours); then the levels are stepped.  So a
+    schedule ``verify_greedy`` accepts comes back unchanged, to the bit,
     even where it passes a bound by less than SLACK.  The result is
     feasible, greedy, and leaves no more demand unserved than the input
-    at any hour; rewriting it again moves no rate beyond rounding.
-    Raises InfeasibleInput if the input schedule is not feasible.
+    at any hour; rewriting it again returns it unchanged.  Raises
+    InfeasibleInput if the input schedule is not feasible.
     """
     values = trace_values(trace)
     try:
@@ -482,17 +494,19 @@ def greedify(
 
     rates = policy_trace.rates_mw.copy()
     capacity = [s.capacity_mwh for s in fleet]
+    etas = [s.efficiency for s in fleet]
     levels = list(initial.levels_mwh)
     changed = False
-    for re, row in zip(values.tolist(), rates):
-        before = row.copy()
-        if changed:
-            _clip_to_levels(levels, row, re, fleet)
-        if re >= 0.0:
-            _raise_to_greedy_charge(levels, row, re, fleet)
-        else:
-            _lower_to_greedy_discharge(levels, row, re, fleet)
-        changed = changed or bool(np.any(row != before))
+    for t, (re, row) in enumerate(zip(values.tolist(), rates)):
+        if changed or _not_greedy(t, re, row, levels, fleet, etas) is not None:
+            before = row.copy()
+            if changed:
+                _clip_to_levels(levels, row, re, fleet)
+            if re >= 0.0:
+                _raise_to_greedy_charge(levels, row, re, fleet)
+            else:
+                _lower_to_greedy_discharge(levels, row, re, fleet)
+            changed = changed or bool(np.any(row != before))
         levels = [min(max(level + r, 0.0), c) for level, r, c in zip(levels, row.tolist(), capacity)]
     return PolicyTrace(rates)
 

@@ -20,9 +20,10 @@ store discharges as hard as it can.
 * ``grtef`` charges and discharges the most efficient stores first; no
   cross-charging.
 
-``Policy.decide`` and ``Policy.raw_step`` run one plain-float step
-kernel (``_step_kernel``) that binds the per-store constants once per
-fleet; simulation loops call it millions of times.
+``Policy.raw_step(fleet)`` binds the one plain-float step kernel
+(``_step_kernel``), cross-charging included, to a fleet: it unpacks the
+per-store constants once, and simulation loops call the bound step
+millions of times.  ``Policy.decide`` runs the same kernel for one hour.
 """
 
 from __future__ import annotations
@@ -50,93 +51,19 @@ class ValueParams:
             raise ValueError(f"decay rates must be finite and >= 0, got {self.lambdas_per_hour}")
 
 
-class FleetConsts:
-    """Per-store constants unpacked once for the per-step hot path."""
-
-    __slots__ = ("n", "capacity", "out_power", "in_power", "eta", "max_charge", "inv_out")
-
-    def __init__(self, fleet: Sequence[StoreSpec]):
-        self.n = len(fleet)
-        self.capacity = [s.capacity_mwh for s in fleet]
-        self.out_power = [s.output_power_mw for s in fleet]
-        self.in_power = [s.input_power_mw for s in fleet]
-        self.eta = [s.efficiency for s in fleet]
-        self.max_charge = [s.efficiency * s.input_power_mw for s in fleet]
-        self.inv_out = [0.0 if math.isinf(p) else 1.0 / p for p in self.out_power]
-
-
-def _cross_charger(consts: FleetConsts):
-    """Bind the cross-charging pass, (levels, rates, v) -> transfers, to a fleet.
-
-    Repeatedly pair the eligible supplier with the lowest v against the
-    eligible receiver with the highest eta * v and transfer as much as
-    either side allows, while v[supplier] < eta[receiver] * v[receiver]
-    (the transfer gains value despite the round-trip loss).  ``rates``
-    is updated in place.  Each full transfer saturates one side, so the
-    loop ends within 2 * n transfers.  Returns the (supplier, receiver,
-    delivered_mwh) list.
-    """
-    n = consts.n
-    capacity = consts.capacity
-    out_power = consts.out_power
-    in_power = consts.in_power
-    eta = consts.eta
-    max_charge = consts.max_charge
-    stores = range(n)
-    inf = math.inf
-    eps = _EPS
-
-    def cross_charge(levels, rates, v) -> list[tuple[int, int, float]]:
-        transfers: list[tuple[int, int, float]] = []
-        while True:
-            supplier = None
-            sv = inf
-            for i in stores:
-                r = rates[i]
-                if r <= 0.0 and r + out_power[i] > eps and levels[i] + r > eps and v[i] < sv:
-                    supplier = i
-                    sv = v[i]
-            if supplier is None:
-                break
-            receiver = None
-            best_priority = -inf
-            for j in stores:
-                if j == supplier:
-                    continue
-                r = rates[j]
-                if r >= 0.0 and max_charge[j] - r > eps and capacity[j] - levels[j] - r > eps:
-                    priority = eta[j] * v[j]
-                    if priority > best_priority:
-                        best_priority = priority
-                        receiver = j
-            if receiver is None or not sv < best_priority:
-                break
-            eta_r = eta[receiver]
-            x = min(
-                levels[supplier] + rates[supplier],
-                out_power[supplier] + rates[supplier],
-                (capacity[receiver] - levels[receiver] - rates[receiver]) / eta_r,
-                in_power[receiver] - rates[receiver] / eta_r,
-            )
-            if x <= eps:
-                break
-            rates[supplier] -= x
-            rates[receiver] += eta_r * x
-            transfers.append((supplier, receiver, x))
-            assert len(transfers) <= 2 * n, "cross-charging failed to terminate"
-        return transfers
-
-    return cross_charge
-
-
-def _step_kernel(consts: FleetConsts, kind: str, lambdas=()):
+def _step_kernel(fleet: Sequence[StoreSpec], kind: str, lambdas=()):
     """Bind one (levels, re) -> (rates, spill, unserved) step for a policy kind.
 
     Every policy fills stores greedily in its priority order: surplus
     hours draw up to min(budget, Q, headroom / eta) per store, deficit
     hours discharge up to min(demand, P, level).  The value policy then
-    cross-charges.  Spill or unserved energy is the imbalance left over,
-    summed in store order.
+    cross-charges: it repeatedly pairs the eligible supplier with the
+    lowest v against the eligible receiver with the highest eta * v and
+    transfers as much as either side allows, while
+    v[supplier] < eta[receiver] * v[receiver] (the transfer gains value
+    despite the round-trip loss).  Each full transfer saturates one
+    side, so the loop ends within 2 * n transfers.  Spill or unserved
+    energy is the imbalance left over, summed in store order.
 
     Priority orders sort store indices by a key, highest first unless
     noted; ``sorted(..., reverse=True)`` keeps index order among equal
@@ -149,19 +76,20 @@ def _step_kernel(consts: FleetConsts, kind: str, lambdas=()):
       level / output_power when discharging;
     * grtef: eta, both ways (fixed, so sorted once here).
 
-    One store has nothing to rank or cross-charge.  The closure is built
-    once per simulation; it keeps this hour's values and keys in lists
-    it overwrites every call, so it must not be shared between threads.
+    One store has nothing to rank or cross-charge.  The per-store lists
+    are unpacked from the fleet and the closure built once per
+    simulation; it keeps this hour's values and keys in lists it
+    overwrites every call, so it must not be shared between threads.
     """
-    n = consts.n
-    capacity = consts.capacity
-    out_power = consts.out_power
-    in_power = consts.in_power
-    eta = consts.eta
-    inv_out = consts.inv_out
+    n = len(fleet)
+    capacity = [s.capacity_mwh for s in fleet]
+    out_power = [s.output_power_mw for s in fleet]
+    in_power = [s.input_power_mw for s in fleet]
+    eta = [s.efficiency for s in fleet]
+    max_charge = [s.efficiency * s.input_power_mw for s in fleet]
+    inv_out = [0.0 if math.isinf(p) else 1.0 / p for p in out_power]
     stores = range(n)
     value = kind == "value" and n > 1
-    cross_charge = _cross_charger(consts) if value else None
     fixed_order = None
     if n == 1:
         fixed_order = (0,)
@@ -173,6 +101,8 @@ def _step_kernel(consts: FleetConsts, kind: str, lambdas=()):
     by_v = v.__getitem__
     by_key = key.__getitem__
     exp = math.exp
+    inf = math.inf
+    eps = _EPS
 
     def step(levels, re):
         if value:
@@ -226,8 +156,44 @@ def _step_kernel(consts: FleetConsts, kind: str, lambdas=()):
                 if d > 0.0:
                     rates[i] = -d
                     demand -= d
-        if cross_charge is not None:
-            cross_charge(levels, rates, v)
+        if value:
+            transfers = 0
+            while True:
+                supplier = None
+                sv = inf
+                for i in stores:
+                    r = rates[i]
+                    if r <= 0.0 and r + out_power[i] > eps and levels[i] + r > eps and v[i] < sv:
+                        supplier = i
+                        sv = v[i]
+                if supplier is None:
+                    break
+                receiver = None
+                best_priority = -inf
+                for j in stores:
+                    if j == supplier:
+                        continue
+                    r = rates[j]
+                    if r >= 0.0 and max_charge[j] - r > eps and capacity[j] - levels[j] - r > eps:
+                        priority = eta[j] * v[j]
+                        if priority > best_priority:
+                            best_priority = priority
+                            receiver = j
+                if receiver is None or not sv < best_priority:
+                    break
+                eta_r = eta[receiver]
+                x = min(
+                    levels[supplier] + rates[supplier],
+                    out_power[supplier] + rates[supplier],
+                    (capacity[receiver] - levels[receiver] - rates[receiver]) / eta_r,
+                    in_power[receiver] - rates[receiver] / eta_r,
+                )
+                if x <= eps:
+                    break
+                rates[supplier] -= x
+                rates[receiver] += eta_r * x
+                transfers += 1
+                assert transfers <= 2 * n, "cross-charging failed to terminate"
         u = re
         for i in stores:
             r = rates[i]
@@ -259,7 +225,7 @@ def value_derivatives(
     look more valuable to top up and fuller ones are discharged first.
     """
     _check_lambdas(params.lambdas_per_hour, len(fleet))
-    inv_out = FleetConsts(fleet).inv_out
+    inv_out = [0.0 if math.isinf(spec.output_power_mw) else 1.0 / spec.output_power_mw for spec in fleet]
     return [
         math.exp(-lam * s * inv)
         for lam, s, inv in zip(params.lambdas_per_hour, state.levels_mwh, inv_out)
@@ -295,13 +261,13 @@ class Policy:
 
     def decide(self, state: FleetState, re_mw: float, fleet: Sequence[StoreSpec]) -> StepDecision:
         """This hour's decision for ``fleet`` at ``state``."""
-        rates, spill, unserved = self.raw_step(FleetConsts(fleet))(state.levels_mwh, re_mw)
+        rates, spill, unserved = self.raw_step(fleet)(state.levels_mwh, re_mw)
         return StepDecision(tuple(rates), spill_mwh=spill, unserved_mwh=unserved)
 
-    def raw_step(self, consts: FleetConsts):
+    def raw_step(self, fleet: Sequence[StoreSpec]):
         """Bind a (levels, re) -> (rates, spill, unserved) closure for one fleet."""
         if self.kind == "value":
             lambdas = self.params.lambdas_per_hour
-            _check_lambdas(lambdas, consts.n)
-            return _step_kernel(consts, "value", lambdas)
-        return _step_kernel(consts, self.kind)
+            _check_lambdas(lambdas, len(fleet))
+            return _step_kernel(fleet, "value", lambdas)
+        return _step_kernel(fleet, self.kind)

@@ -102,6 +102,43 @@ class TestSimulateCommand:
         assert err.startswith("storefleet: config error:")
         assert "capacity_mwh" in err and "'big'" in err
 
+    @pytest.mark.parametrize("level", [50.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("command", ["simulate", "tune"])
+    def test_initial_level_outside_store_is_config_error(self, tmp_path, capsys, level, command):
+        # Checked as written in the file, before the split-convention
+        # conversion turns 10 MWh at efficiency 0.8 into 8.94 servable MWh.
+        config = simple_simulate_config(
+            tmp_path,
+            convention="split",
+            stores=[
+                {
+                    "name": "lake",
+                    "capacity_mwh": 10.0,
+                    "output_power_mw": 8.0,
+                    "input_power_mw": 10.0,
+                    "efficiency": 0.8,
+                    "initial_level_mwh": level,
+                }
+            ],
+        )
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: config error:")
+        assert f"store 'lake': initial_level_mwh {level} outside [0, 10.0]" in err
+
+    def test_duplicate_store_name_is_config_error(self, tmp_path, capsys):
+        store = {"output_power_mw": 8.0, "input_power_mw": 10.0, "efficiency": 1.0}
+        config = simple_simulate_config(
+            tmp_path,
+            stores=[{"name": "a", "capacity_mwh": 10.0, **store},
+                    {"name": "a", "capacity_mwh": 20.0, **store}],
+            policy={"kind": "ggddf"},
+        )
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: config error:") and "duplicate store name 'a'" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("overcapacity", ["big", float("nan"), float("inf"), -1.0, -3.0])
     def test_bad_overcapacity_is_config_error(self, tmp_path, capsys, overcapacity):
         config = simple_simulate_config(

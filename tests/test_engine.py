@@ -339,6 +339,18 @@ class TestGreedify:
         result = simulate(fleet, values, Policy.value(random_lambdas(rng, 2)), initial=initial)
         out = greedify(fleet, initial, values, result.policy_trace())
         assert np.array_equal(out.rates_mw, result.rates_mw)
+        # Rounding dust inside SLACK is no reason to move a rate: hours
+        # verify_greedy accepts stay to the bit.
+        rng = np.random.default_rng(2027)
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            fleet = random_fleet(rng, n)
+            values = random_trace_values(rng, int(rng.integers(2, 201)))
+            initial = FleetState(random_levels(rng, fleet))
+            result = simulate(fleet, values, Policy.value(random_lambdas(rng, n)), initial=initial)
+            verify_greedy(fleet, initial, values, result.policy_trace())
+            out = greedify(fleet, initial, values, result.policy_trace())
+            assert np.array_equal(out.rates_mw, result.rates_mw)
 
     def test_withholding_example_repaired(self):
         fleet = [StoreSpec("s", 10, 5, 5, 1.0)]
