@@ -53,7 +53,6 @@ class Scenario:
 
     trace: list[float] | str | SynthParams | None  # inline values, CSV path or generator knobs
     overcapacity: float | None
-    convention: LossConvention
     stores: list[StoreSpec]          # servable-energy convention
     initial_levels: list[float]      # servable-energy convention
     policy: Policy | None
@@ -250,20 +249,26 @@ def load_scenario(path) -> Scenario:
             raise ConfigError(f"sizing: efficiency must lie in (0, 1], got {sizing_efficiency}")
 
     secondary_grid = []
-    for candidate in _expect(sizing_section.get("secondary_grid", []), list, "sizing: secondary_grid"):
+    grid = _expect(sizing_section.get("secondary_grid", []), list, "sizing: secondary_grid")
+    for k, candidate in enumerate(grid):
         specs = []
         for entry in _expect(candidate, list, "sizing: secondary_grid entry"):
             try:
                 spec, _ = _parse_store(entry, convention)
             except FleetError as exc:
                 raise ConfigError(f"{path}: bad secondary store: {exc}") from None
+            # Each entry joins the long store in one fleet.
+            if spec.name in (options.long_store_name, *(s.name for s in specs)):
+                raise ConfigError(
+                    f"{path}: duplicate store name {spec.name!r} in the fleet of secondary_grid"
+                    f" entry {k} (long store {options.long_store_name!r} included)"
+                )
             specs.append(spec)
         secondary_grid.append(tuple(specs))
 
     return Scenario(
         trace=trace,
         overcapacity=overcapacity,
-        convention=convention,
         stores=stores,
         initial_levels=levels,
         policy=policy,
@@ -391,15 +396,6 @@ def cmd_size(scenario: Scenario, out_dir: Path, args) -> int:
     return 0
 
 
-def _curve_point(payload):
-    demand, generation, oc, eta = payload
-    if demand is None:
-        trace = generation  # pre-built residual values
-    else:
-        trace = traces.scale_to_overcapacity(demand, generation, oc)
-    return sizing.min_single_store_capacity(trace, eta)
-
-
 def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
     etas = [_number(x, "--etas entry") for x in args.etas.split(",") if x.strip()]
     if not etas:
@@ -412,26 +408,23 @@ def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     convention = LossConvention(args.convention)
 
-    jobs = []
     if oc_list:
         demand, generation = _demand_generation(scenario, args.seed)
-        for oc in oc_list:
-            for eta in etas:
-                jobs.append((demand, generation, oc, eta))
+        curves = [(oc, traces.scale_to_overcapacity(demand, generation, oc)) for oc in oc_list]
     else:
-        trace = build_trace(scenario, args.seed)
-        for eta in etas:
-            jobs.append((None, trace, None, eta))
+        curves = [(None, build_trace(scenario, args.seed))]
+    jobs = [(oc, trace, eta) for oc, trace in curves for eta in etas]
+    _, job_traces, job_etas = zip(*jobs)
 
     workers = min(args.threads, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_curve_point, jobs))
+            results = list(pool.map(sizing.min_single_store_capacity, job_traces, job_etas))
     else:
-        results = [_curve_point(job) for job in jobs]
+        results = list(map(sizing.min_single_store_capacity, job_traces, job_etas))
 
     rows = []
-    for (_, _, oc, eta), (e_min, s0_min) in zip(jobs, results):
+    for (oc, _, eta), (e_min, s0_min) in zip(jobs, results):
         factor = convention_factor(eta, LossConvention.INPUT_SIDE, convention)
         rows.append((oc, eta, e_min * factor, s0_min * factor))
 

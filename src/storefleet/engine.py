@@ -6,6 +6,7 @@ served externally and energy moved between stores.  ``greedify``
 rewrites any feasible rate schedule, in one forward pass, into a greedy
 one that serves at least as much energy up to every hour;
 ``verify_feasible`` and ``verify_greedy`` are the matching checkers.
+They and ``unserved_series`` walk a schedule through ``apply_step``.
 ``lower_bound_unserved`` is the unbeatable floor set by total output
 power alone.
 """
@@ -269,13 +270,15 @@ def lower_bound_unserved(trace, total_output_power_mw: float) -> np.ndarray:
     return np.cumsum(np.maximum(0.0, -values - total_output_power_mw))
 
 
-def _checked_schedule(
-    fleet: Sequence[StoreSpec], initial: FleetState, trace, policy_trace: PolicyTrace
-) -> tuple[np.ndarray, np.ndarray]:
-    """The trace values and rates of a schedule whose shape fits its fleet.
+def _schedule(fleet: Sequence[StoreSpec], initial: FleetState, trace, policy_trace: PolicyTrace):
+    """Walk a rate schedule, each row stepped by ``apply_step``.
 
-    Raises FleetError for a bad fleet or initial state, and for a
-    schedule without one row per trace hour and one column per store.
+    Yields ``(t, re, row, levels_before)`` once hour ``t``'s rates and
+    levels have passed ``apply_step``'s checks (RateViolation,
+    CapacityViolation).  Hour 0 is the schedule's first row, whatever the
+    initial time index.  Raises FleetError for a bad fleet or initial
+    state, and for a schedule without one row per trace hour and one
+    column per store.
     """
     validate_fleet(fleet)
     validate_state(initial, fleet)
@@ -285,7 +288,11 @@ def _checked_schedule(
         raise FleetError(f"{rates.shape[0]} rate rows for {len(values)} trace hours")
     if rates.shape[1] != len(fleet):
         raise FleetError(f"{rates.shape[1]} rate columns for {len(fleet)} stores")
-    return values, rates
+    state = FleetState(initial.levels_mwh)
+    for t, (re, row) in enumerate(zip(values.tolist(), rates.tolist())):
+        levels = state.levels_mwh
+        state = apply_step(state, StepDecision(tuple(row)), fleet)
+        yield t, re, row, levels
 
 
 def verify_feasible(
@@ -301,12 +308,8 @@ def verify_feasible(
     imbalance sign discipline (surplus hours may not draw more than the
     surplus; deficit hours may not discharge beyond the demand).
     """
-    values, rates = _checked_schedule(fleet, initial, trace, policy_trace)
     etas = [s.efficiency for s in fleet]
-    # Hour 0 is the schedule's first row, whatever the initial time index.
-    state = FleetState(initial.levels_mwh)
-    for t, (re, row) in enumerate(zip(values.tolist(), rates.tolist())):
-        state = apply_step(state, StepDecision(tuple(row)), fleet)
+    for t, re, row, _ in _schedule(fleet, initial, trace, policy_trace):
         u = imbalance(re, row, etas)
         if re >= 0.0 and u < -SLACK:
             raise OverdrawViolation(
@@ -324,23 +327,19 @@ def verify_greedy(
     trace,
     policy_trace: PolicyTrace,
 ) -> None:
-    """Check the greedy conditions at every step of a feasible schedule.
+    """Check the greedy conditions at every step of a schedule.
 
     Whenever a step spills, every store must be at its maximum charge
     rate; whenever a step leaves demand unserved, every store must be at
     its maximum discharge rate.  Raises NotGreedy with the offending hour
-    and store, and FleetError for a schedule that does not fit the fleet.
+    and store, RateViolation or CapacityViolation for a row that leaves
+    its bounds, and FleetError for a schedule that does not fit the fleet.
     """
-    values, rates = _checked_schedule(fleet, initial, trace, policy_trace)
     etas = [s.efficiency for s in fleet]
-    levels = list(initial.levels_mwh)
-    for t in range(len(values)):
-        row = rates[t]
-        violation = _not_greedy(t, float(values[t]), row, levels, fleet, etas)
+    for t, re, row, levels in _schedule(fleet, initial, trace, policy_trace):
+        violation = _not_greedy(t, re, row, levels, fleet, etas)
         if violation is not None:
             raise violation
-        for i, spec in enumerate(fleet):
-            levels[i] = min(max(levels[i] + row[i], 0.0), spec.capacity_mwh)
 
 
 def _not_greedy(t: int, re: float, row, levels, fleet: Sequence[StoreSpec], etas) -> NotGreedy | None:
@@ -372,64 +371,32 @@ def _not_greedy(t: int, re: float, row, levels, fleet: Sequence[StoreSpec], etas
     return None
 
 
-def _raise_to_greedy_charge(levels: list[float], row, re: float, fleet: Sequence[StoreSpec]) -> None:
-    """Raise charging rates at a surplus hour until greedy.
+def _shift(row, sign: float, budget: float, limits, etas) -> None:
+    """Move rates in direction ``sign``, store by store, until ``budget`` is used.
 
-    Consumes the spilled surplus u >= 0 by raising rates toward
-    min(headroom, eta * Q), cheapest bookkeeping first: raising a
-    negative rate absorbs surplus one-for-one, raising a positive rate
-    costs 1/eta of surplus per unit of rate.  Stops when u reaches zero
-    or every store is at its maximum charge rate.
+    In the move's frame x = sign * rate, store i's x rises toward
+    limits[i] (never past it, and not at all from above it).  ``budget``
+    is imbalance: a MW of discharge moves one MW of it, a MW of charge
+    1/eta.  The part of a move below x = 0 is done first, then the part
+    above; the loop stops once the budget is within _GREEDIFY_EPS of zero.
     """
-    etas = [s.efficiency for s in fleet]
-    u = imbalance(re, row, etas)
-    for i, spec in enumerate(fleet):
-        if u <= _GREEDIFY_EPS:
-            break
-        target = spec.max_charge_rate_mw(levels[i])
-        r = row[i]
-        if r < 0.0:
-            step = min(min(target, 0.0) - r, u)
-            if step > 0.0:
-                r += step
-                u -= step
-        if u > _GREEDIFY_EPS and 0.0 <= r < target:
-            step = min(target - r, u * spec.efficiency)
-            if step > 0.0:
-                r += step
-                u -= step / spec.efficiency
-        row[i] = r
-
-
-def _lower_to_greedy_discharge(levels: list[float], row, re: float, fleet: Sequence[StoreSpec]) -> None:
-    """Lower rates at a deficit hour until greedy.
-
-    Raises served energy by lowering rates toward -min(level, P); the
-    imbalance u <= 0 rises toward zero as rates fall.  Stops when u
-    reaches zero (demand fully met) or every store is at its maximum
-    discharge rate.
-    """
-    etas = [s.efficiency for s in fleet]
-    budget = -imbalance(re, row, etas)  # unserved demand still to claw back
-    for i, spec in enumerate(fleet):
+    for i, (limit, eta) in enumerate(zip(limits, etas)):
         if budget <= _GREEDIFY_EPS:
             break
-        target = -spec.max_discharge_rate_mw(levels[i])
+        # Rate moved per MW of imbalance below and above x = 0.
+        below, above = (1.0, eta) if sign > 0.0 else (eta, 1.0)
         r = row[i]
-        if r > 0.0:
-            step = min(r - max(target, 0.0), budget * spec.efficiency)
-            if step > 0.0:
-                r -= step
-                budget -= step / spec.efficiency
-        if budget > _GREEDIFY_EPS and r <= 0.0 and r > target:
-            step = min(r - target, budget)
-            if step > 0.0:
-                r -= step
-                budget -= step
+        for start, end, per_mw in ((-math.inf, min(limit, 0.0), below), (0.0, limit, above)):
+            x = sign * r
+            if budget > _GREEDIFY_EPS and start <= x < end:
+                step = min(end - x, budget * per_mw)
+                if step > 0.0:
+                    r += sign * step
+                    budget -= step / per_mw
         row[i] = r
 
 
-def _clip_to_levels(levels: list[float], row, re: float, fleet: Sequence[StoreSpec]) -> None:
+def _clip_to_levels(levels, row, re: float, fleet: Sequence[StoreSpec]) -> None:
     """Clip one row of a rewritten schedule to the levels it now starts from.
 
     Each rate is capped at its store's headroom and floored at minus its
@@ -438,32 +405,15 @@ def _clip_to_levels(levels: list[float], row, re: float, fleet: Sequence[StoreSp
     overserves; a floor can leave charging unbacked at a surplus hour,
     so charges are pulled back until the hour no longer overdraws.
     """
-    etas = [s.efficiency for s in fleet]
     for i, spec in enumerate(fleet):
         headroom = max(spec.capacity_mwh - levels[i], 0.0)
         if row[i] > headroom:
             row[i] = headroom
         elif row[i] < -levels[i]:
             row[i] = -levels[i]
-    u = imbalance(re, row, etas)
-    if re < 0.0:
-        excess = u  # discharge output beyond the demand
-        for i in range(len(fleet)):
-            if excess <= _GREEDIFY_EPS:
-                break
-            if row[i] < 0.0:
-                step = min(-row[i], excess)
-                row[i] += step
-                excess -= step
-    else:
-        deficit = -u  # charging draw beyond the surplus
-        for i, spec in enumerate(fleet):
-            if deficit <= _GREEDIFY_EPS:
-                break
-            if row[i] > 0.0:
-                step = min(row[i], deficit * spec.efficiency)
-                row[i] -= step
-                deficit -= step / spec.efficiency
+    etas = [s.efficiency for s in fleet]
+    sign = 1.0 if re < 0.0 else -1.0
+    _shift(row, sign, sign * imbalance(re, row, etas), [0.0] * len(fleet), etas)
 
 
 def greedify(
@@ -479,12 +429,13 @@ def greedify(
     earlier hour has changed, each row is first clipped to the levels
     the rewritten schedule has reached (``_clip_to_levels``).  A row not
     kept is made greedy (charging raised at surplus hours, discharging
-    deepened at deficit hours); then the levels are stepped.  So a
-    schedule ``verify_greedy`` accepts comes back unchanged, to the bit,
-    even where it passes a bound by less than SLACK.  The result is
-    feasible, greedy, and leaves no more demand unserved than the input
-    at any hour; rewriting it again returns it unchanged.  Raises
-    InfeasibleInput if the input schedule is not feasible.
+    deepened at deficit hours); then the levels are stepped by
+    ``apply_step``.  So a schedule ``verify_greedy`` accepts comes back
+    unchanged, to the bit, even where it passes a bound by less than
+    SLACK.  The result is feasible, greedy, and leaves no more demand
+    unserved than the input at any hour; rewriting it again returns it
+    unchanged.  Raises InfeasibleInput if the input schedule is not
+    feasible.
     """
     values = trace_values(trace)
     try:
@@ -493,38 +444,39 @@ def greedify(
         raise InfeasibleInput(f"input schedule is not feasible: {exc}") from exc
 
     rates = policy_trace.rates_mw.copy()
-    capacity = [s.capacity_mwh for s in fleet]
     etas = [s.efficiency for s in fleet]
-    levels = list(initial.levels_mwh)
+    state = FleetState(initial.levels_mwh)
     changed = False
     for t, (re, row) in enumerate(zip(values.tolist(), rates)):
+        levels = state.levels_mwh
         if changed or _not_greedy(t, re, row, levels, fleet, etas) is not None:
             before = row.copy()
             if changed:
                 _clip_to_levels(levels, row, re, fleet)
-            if re >= 0.0:
-                _raise_to_greedy_charge(levels, row, re, fleet)
-            else:
-                _lower_to_greedy_discharge(levels, row, re, fleet)
+            sign = 1.0 if re >= 0.0 else -1.0
+            limits = [
+                s.max_charge_rate_mw(level) if re >= 0.0 else s.max_discharge_rate_mw(level)
+                for s, level in zip(fleet, levels)
+            ]
+            _shift(row, sign, sign * imbalance(re, row, etas), limits, etas)
             changed = changed or bool(np.any(row != before))
-        levels = [min(max(level + r, 0.0), c) for level, r, c in zip(levels, row.tolist(), capacity)]
+        state = apply_step(state, StepDecision(tuple(row.tolist())), fleet)
     return PolicyTrace(rates)
 
 
 def unserved_series(fleet: Sequence[StoreSpec], initial: FleetState, trace, policy_trace: PolicyTrace) -> np.ndarray:
     """Cumulative unserved energy of an explicit rate schedule.
 
-    Raises FleetError for a schedule that does not fit the fleet.
+    Raises RateViolation or CapacityViolation for a row that leaves its
+    bounds, and FleetError for a schedule that does not fit the fleet.
     """
-    values, rates = _checked_schedule(fleet, initial, trace, policy_trace)
     etas = [s.efficiency for s in fleet]
-    out = np.empty(len(values))
+    out = []
     total = 0.0
-    for t in range(len(values)):
-        u = imbalance(float(values[t]), rates[t], etas)
-        total += max(0.0, -u)
-        out[t] = total
-    return out
+    for _, re, row, _ in _schedule(fleet, initial, trace, policy_trace):
+        total += max(0.0, -imbalance(re, row, etas))
+        out.append(total)
+    return np.array(out, dtype=float)
 
 
 def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimResult) -> None:

@@ -77,8 +77,9 @@ _COMPONENT_COLUMNS = ("demand_mw", "wind_mw", "solar_mw")
 def _read_columns(path, schema: str | None) -> tuple[str, np.ndarray]:
     """The schema and its columns' values, one row per data line.
 
-    Cells that do not parse, NaN or infinite entries and bytes that are
-    not UTF-8 are rejected with their line number.
+    ``schema`` is ``"components"`` to pin that schema, or None to detect
+    it from the header.  Cells that do not parse, NaN or infinite entries
+    and bytes that are not UTF-8 are rejected with their line number.
     """
     try:
         return _parse_columns(path, schema)
@@ -117,12 +118,7 @@ def _parse_columns(path, schema: str | None) -> tuple[str, np.ndarray]:
                     f"{path}: header {header} has neither {_RESIDUAL_COLUMN!r} "
                     f"nor all of {_COMPONENT_COLUMNS}"
                 )
-        if schema == "residual":
-            wanted = (_RESIDUAL_COLUMN,)
-        elif schema == "components":
-            wanted = _COMPONENT_COLUMNS
-        else:
-            raise SchemaError(f"unknown schema {schema!r}")
+        wanted = (_RESIDUAL_COLUMN,) if schema == "residual" else _COMPONENT_COLUMNS
         missing = [c for c in wanted if c not in header]
         if missing:
             raise SchemaError(f"{path}: header {header} lacks {missing} for schema {schema!r}")
@@ -150,16 +146,15 @@ def _parse_columns(path, schema: str | None) -> tuple[str, np.ndarray]:
     return schema, np.asarray(rows)
 
 
-def load_csv(path, schema: str | None = None) -> ResidualTrace:
+def load_csv(path) -> ResidualTrace:
     """Load a trace from CSV.
 
-    Two schemas are accepted: a single ``residual_mw`` column, or the
-    triple ``demand_mw, wind_mw, solar_mw`` (residual = wind + solar -
-    demand).  ``schema`` may pin one of ``"residual"`` / ``"components"``
-    or be None for auto-detection from the header.  NaN or infinite
-    entries are rejected with their line number.
+    Two schemas are accepted, told apart by the header: a single
+    ``residual_mw`` column, or the triple ``demand_mw, wind_mw, solar_mw``
+    (residual = wind + solar - demand).  NaN or infinite entries are
+    rejected with their line number.
     """
-    schema, rows = _read_columns(path, schema)
+    schema, rows = _read_columns(path, None)
     if schema == "residual":
         values = rows[:, 0]
     else:

@@ -8,7 +8,9 @@ test holds the sha256 of the CLI ``simulate`` outputs for a small fixed
 scenario per policy, so any change to float operation order in the
 step, the engine loop or the CSV writer shows.  Another holds the sha256
 of ``sizing.json`` from ``size`` on the benchmark's sizing scenario, so
-a change to the sizing search that moves an answer shows.
+a change to the sizing search that moves an answer shows.  A third
+holds the sha256 of ``greedify``'s rewrites of seeded random schedules,
+so a change to the rewrite's float operations shows.
 """
 
 import hashlib
@@ -23,11 +25,12 @@ import pytest
 
 from storefleet import engine
 from storefleet.cli import main
-from storefleet.engine import simulate, write_simulation_csv
+from storefleet.engine import PolicyTrace, greedify, simulate, unserved_series, write_simulation_csv
 from storefleet.fleet import FleetError, FleetState
 from storefleet.policies import Policy
 
 from oracles import (
+    random_feasible_rates,
     random_fleet,
     random_lambdas,
     random_levels,
@@ -253,3 +256,31 @@ def test_size_outputs_match_golden_digests(tmp_path, monkeypatch, seed, conventi
     assert events.count("abandon") > 0 or mode == "single"
     digest = hashlib.sha256((out / "sizing.json").read_bytes()).hexdigest()
     assert digest == _SIZING_DIGESTS[seed, convention, mode]
+
+
+# sha256 over the rewritten rates and their cumulative unserved energy,
+# recorded before the schedule checkers and greedify's rate moves were
+# folded into one walk and one move rule.
+_GREEDIFY_DIGEST = "cdfd869bad9d14019a8b8b5c41a234d9b8e63615c0ebb2d5c656545f70c79a98"
+
+
+def test_greedify_outputs_match_golden_digest():
+    # Hours served in full (full_prob > 0) and then cross-charged make
+    # greedify pull rates back as well as raise or deepen them.
+    digest = hashlib.sha256()
+    changed = 0
+    for seed, full_prob in ((2027, 0.0), (11, 0.5)):
+        rng = np.random.default_rng(seed)
+        for _ in range(150):
+            n = int(rng.integers(1, 4))
+            fleet = random_fleet(rng, n, bool(rng.integers(2)), bool(rng.integers(2)))
+            values = random_trace_values(rng, int(rng.integers(2, 120)))
+            initial = FleetState(random_levels(rng, fleet))
+            cross_prob = (0.0, 0.4, 0.8)[int(rng.integers(3))]
+            rates = random_feasible_rates(rng, fleet, initial.levels_mwh, values, cross_prob, full_prob)
+            out = greedify(fleet, initial, values, PolicyTrace(rates))
+            digest.update(out.rates_mw.tobytes())
+            digest.update(unserved_series(fleet, initial, values, out).tobytes())
+            changed += not np.array_equal(out.rates_mw, rates)
+    assert changed > 250
+    assert digest.hexdigest() == _GREEDIFY_DIGEST

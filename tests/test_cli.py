@@ -302,6 +302,26 @@ class TestSizeCommand:
         # Single mode does not use the companions, so it does not need their prices.
         assert main(["size", "--config", config, "--mode", "single", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize(
+        "long_name, names",
+        [("long", ["long"]), ("long", ["medium", "medium"]), ("lake", ["medium", "lake"])],
+    )
+    def test_companion_name_clash_is_config_error(self, tmp_path, capsys, long_name, names):
+        # A companion named as the long store, or as another store of its
+        # entry, would be priced and reported as that store.
+        sizing = FRONT_DOOR_SCENARIO["sizing"] | {
+            "long_store_name": long_name,
+            "secondary_grid": [[], [_COMPANION | {"name": name} for name in names]],
+        }
+        costs = {long_name: _PRICES, "medium": _PRICES}
+        config = write_config(tmp_path, FRONT_DOOR_SCENARIO | {"sizing": sizing, "costs": costs})
+        out = tmp_path / "out"
+        assert main(["size", "--mode", "fleet", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: config error:")
+        assert f"duplicate store name {names[-1]!r}" in err
+        assert not out.exists()
+
     def test_fixed_dims_without_stores_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, {"trace": {"inline_mw": [5.0, -3.0, -4.0, 6.0, -2.0, 1.0]},
                                          "costs": {"long": _PRICES}})
@@ -784,8 +804,8 @@ class TestFlags:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         config = write_config(tmp_path, {"trace": {"inline_mw": [10.0, -4.0, -4.0, -4.0]}})

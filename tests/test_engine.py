@@ -314,6 +314,8 @@ class TestVerifiers:
             (np.empty((2, 0)), "0 rate columns for 1 stores"),
             ([[-1.0], [-1.0], [-1.0]], "3 rate rows for 2 trace hours"),
             ([[-1.0]], "1 rate rows for 2 trace hours"),
+            # Past the store's 8 MW output: a RateViolation from apply_step.
+            ([[-9.0], [-1.0]], "^hour 0: store 0 rate -9.0 outside"),
         ],
     )
     def test_schedule_that_does_not_fit_is_rejected(self, check, rows, message):
