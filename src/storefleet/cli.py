@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -84,6 +84,14 @@ def _numbers(value, what: str) -> list[float]:
     return [_number(x, f"{what} entry") for x in _expect(value, list, what)]
 
 
+def _section(value, keys, what: str) -> dict:
+    """``value`` as an object, checked to hold no key outside ``keys``."""
+    for key in _expect(value, dict, what):
+        if key not in keys:
+            raise ConfigError(f"{what}: unknown key {key!r}")
+    return value
+
+
 def _expect(value, kind: type, what: str):
     if not isinstance(value, kind):
         name = "an object" if kind is dict else "a list"
@@ -118,10 +126,20 @@ def _seeded(params: SynthParams, seed: int | None) -> SynthParams:
 
 
 _TRACE_SOURCES = ("inline_mw", "csv_path", "synthetic")
+# The keys each scenario section may hold; any other is a config error.
+_SCENARIO_KEYS = {
+    "trace", "overcapacity", "convention", "stores", "policy", "costs", "reliability", "sizing",
+}
+_POLICY_KEYS = {"kind", "lambdas_per_hour"}
+_RELIABILITY_KEYS = {"max_unserved_gwh_per_year"}
+_STORE_KEYS = {f.name for f in fields(StoreSpec)} | {"initial_level_mwh"}
+_PRICE_KEYS = {f.name for f in fields(StorePrices)}
+_OPTION_KEYS = tuple(f.name for f in fields(SizingOptions))
+_SIZING_KEYS = {*_OPTION_KEYS, "efficiency", "secondary_grid"}
 
 
 def _parse_trace(section) -> list[float] | str | SynthParams:
-    section = _expect(section, dict, "trace")
+    section = _section(section, _TRACE_SOURCES, "trace")
     keys = [key for key in _TRACE_SOURCES if key in section]
     if len(keys) != 1:
         raise ConfigError(f"trace needs exactly one of {' / '.join(_TRACE_SOURCES)}, got {keys}")
@@ -136,7 +154,7 @@ def _parse_trace(section) -> list[float] | str | SynthParams:
 
 
 def _parse_store(entry: dict, convention: LossConvention) -> tuple[StoreSpec, float]:
-    entry = _expect(entry, dict, "store")
+    entry = _section(entry, _STORE_KEYS, "store")
     spec = StoreSpec(
         name=str(_require(entry, "name", "store")),
         capacity_mwh=_require_number(entry, "capacity_mwh", "store"),
@@ -164,14 +182,16 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    raw = _expect(raw, dict, f"{path}: scenario")
+    raw = _section(raw, _SCENARIO_KEYS, f"{path}: scenario")
     trace = _parse_trace(raw["trace"]) if "trace" in raw else None
     overcapacity = _overcapacity(raw.get("overcapacity"))
 
     try:
-        convention = LossConvention.parse(raw.get("convention", "split"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        convention = LossConvention(raw.get("convention", "split"))
+    except ValueError:  # the default is valid, so the key is there
+        raise ConfigError(
+            f"unknown loss convention {raw['convention']!r}; expected 'input' or 'split'"
+        ) from None
     stores, levels = [], []
     for entry in _expect(raw.get("stores", []), list, "stores"):
         try:
@@ -185,7 +205,7 @@ def load_scenario(path) -> Scenario:
 
     policy = None
     if "policy" in raw:
-        p = _expect(raw["policy"], dict, "policy")
+        p = _section(raw["policy"], _POLICY_KEYS, "policy")
         kind = _require(p, "kind", "policy")
         if kind == "value":
             lambdas = p.get("lambdas_per_hour", [0.0] * len(stores))
@@ -204,7 +224,7 @@ def load_scenario(path) -> Scenario:
 
     costs = {}
     for name, entry in _expect(raw.get("costs", {}), dict, "costs").items():
-        entry = _expect(entry, dict, f"costs[{name}]")
+        entry = _section(entry, _PRICE_KEYS, f"costs[{name}]")
         try:
             costs[name] = StorePrices(
                 capacity_usd_per_kwh=_require_number(entry, "capacity_usd_per_kwh", f"costs[{name}]"),
@@ -216,7 +236,7 @@ def load_scenario(path) -> Scenario:
 
     standard = None
     if "reliability" in raw:
-        reliability = _expect(raw["reliability"], dict, "reliability")
+        reliability = _section(raw["reliability"], _RELIABILITY_KEYS, "reliability")
         try:
             standard = ReliabilityStandard(
                 _require_number(reliability, "max_unserved_gwh_per_year", "reliability")
@@ -224,21 +244,11 @@ def load_scenario(path) -> Scenario:
         except ValueError as exc:
             raise ConfigError(f"reliability: {exc}") from None
 
-    sizing_section = _expect(raw.get("sizing", {}), dict, "sizing")
-    option_fields = {}
-    for key in (
-        "q_grid_points",
-        "q_grid_lo_factor",
-        "e_tol_mwh",
-        "p_tol_mw",
-        "p_grid_points",
-        "long_store_name",
-        "lambda_grid",
-    ):
-        if key in sizing_section:
-            option_fields[key] = sizing_section[key]
+    sizing_section = _section(raw.get("sizing", {}), _SIZING_KEYS, "sizing")
     try:
-        options = SizingOptions(**option_fields)
+        options = SizingOptions(
+            **{key: sizing_section[key] for key in _OPTION_KEYS if key in sizing_section}
+        )
     except ValueError as exc:
         raise ConfigError(f"sizing: {exc}") from None
 
@@ -366,8 +376,7 @@ def cmd_size(scenario: Scenario, out_dir: Path, args) -> int:
         if not scenario.stores:
             raise ConfigError("size --no-optimize needs at least one store")
         prices = _prices(scenario, [s.name for s in scenario.stores])
-        stores, total_usd = sizing.price_stores(scenario.stores, prices)
-        report = sizing.cost_report_to_dict(stores, total_usd, "fixed", convention)
+        report = sizing.cost_report(scenario.stores, prices, "fixed", convention)
     else:
         if scenario.standard is None:
             raise ConfigError("size needs a reliability section")
@@ -384,9 +393,8 @@ def cmd_size(scenario: Scenario, out_dir: Path, args) -> int:
             )
         except ValueError as exc:  # a per-store decay grid too short for a candidate
             raise ConfigError(f"sizing: {exc}") from None
-        report = sizing.cost_report_to_dict(
-            result.stores, result.total_cost_usd, args.mode, convention
-        )
+        prices = _prices(scenario, [s.name for s in result.fleet])
+        report = sizing.cost_report(result.fleet, prices, args.mode, convention)
         report.update(
             annual_unserved_gwh=result.annual_unserved_gwh,
             lambdas_per_hour=list(result.lambdas_per_hour),

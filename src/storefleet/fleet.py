@@ -73,13 +73,6 @@ class LossConvention(Enum):
     INPUT_SIDE = "input"
     SPLIT_SQRT = "split"
 
-    @classmethod
-    def parse(cls, text: str) -> "LossConvention":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown loss convention {text!r}; expected 'input' or 'split'")
-
 
 @dataclass(frozen=True)
 class StoreSpec:

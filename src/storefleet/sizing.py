@@ -364,25 +364,14 @@ class SizingOptions:
 
 
 @dataclass(frozen=True)
-class SizedStore:
-    """One store's reported dimensions and cost."""
-
-    name: str
-    capacity_mwh: float
-    output_power_mw: float
-    input_power_mw: float
-    efficiency: float
-    cost: StoreCost
-
-
-@dataclass(frozen=True)
 class SizingResult:
-    """Optimiser output: dimensions, costs and achieved reliability.
+    """Optimiser output: the sized fleet, its cost and achieved reliability.
 
-    Capacities are in the split convention, from which costs are priced.
+    ``fleet`` holds the servable-energy stores that were simulated;
+    ``total_cost_usd`` is their price on split-convention dimensions.
     """
 
-    stores: tuple[SizedStore, ...]
+    fleet: tuple[StoreSpec, ...]
     total_cost_usd: float
     annual_unserved_gwh: float
     lambdas_per_hour: tuple[float, ...]
@@ -401,25 +390,18 @@ def _q_grid(values: np.ndarray, options: SizingOptions) -> list[float]:
     return [lo * ratio**k for k in range(options.q_grid_points)]
 
 
-def price_stores(
-    fleet: Sequence[StoreSpec], prices: Sequence[StorePrices]
-) -> tuple[tuple[SizedStore, ...], float]:
-    """Servable-energy stores as reported: split-convention dimensions, priced.
-
-    Returns one SizedStore per store and the fleet's total cost, USD.
-    """
+def _split_dims(fleet: Sequence[StoreSpec]) -> list[tuple[float, float, float]]:
     to_split = (LossConvention.INPUT_SIDE, LossConvention.SPLIT_SQRT)
-    dims = [
+    return [
         (s.capacity_mwh * convention_factor(s.efficiency, *to_split), s.output_power_mw,
          s.input_power_mw)
         for s in fleet
     ]
-    breakdown = fleet_cost(dims, prices)
-    stores = tuple(
-        SizedStore(s.name, *dim, s.efficiency, cost)
-        for s, dim, cost in zip(fleet, dims, breakdown.per_store)
-    )
-    return stores, breakdown.total_usd
+
+
+def price_stores(fleet: Sequence[StoreSpec], prices: Sequence[StorePrices]) -> float:
+    """Total cost, USD, of servable-energy stores priced on split-convention dimensions."""
+    return fleet_cost(_split_dims(fleet), prices).total_usd
 
 
 def tune_lambdas(
@@ -506,9 +488,12 @@ def optimize_fleet(
     1e-12 of the bound, which covers the rounding of the price sum; a
     zero capacity price never abandons.  Corners that can win keep the
     brackets and midpoints of an unbounded search, so the bound changes
-    no answer.  Raises Infeasible if nothing on the grid meets the
-    standard.
+    no answer.  Raises ValueError, before anything else, for an
+    ``efficiency_long`` outside (0, 1], and Infeasible if nothing on the
+    grid meets the standard.
     """
+    if not 0.0 < efficiency_long <= 1.0:
+        raise ValueError(f"efficiency must lie in (0, 1], got {efficiency_long}")
     options = options or SizingOptions()
     if len(secondary_grid) == 0:
         raise ValueError("secondary grid must be nonempty (use [()] for no companion store)")
@@ -531,8 +516,8 @@ def optimize_fleet(
     demand = np.maximum(0.0, -values)
     total_demand = float(np.sum(demand))
     if total_demand <= standard.allowance_mwh(years):
-        nothing = SizedStore(long_name, 0.0, 0.0, 0.0, efficiency_long, StoreCost(0.0, 0.0, 0.0))
-        return SizingResult(stores=(nothing,), total_cost_usd=0.0, annual_unserved_gwh=0.0,
+        nothing = StoreSpec(long_name, 0.0, 0.0, 0.0, efficiency_long)
+        return SizingResult(fleet=(nothing,), total_cost_usd=0.0, annual_unserved_gwh=0.0,
                             lambdas_per_hour=(0.0,), served_external_mwh=(0.0,))
     peak_demand = float(np.max(demand, initial=0.0))
     capacity_big = max(total_demand, 1.0)
@@ -544,7 +529,7 @@ def optimize_fleet(
     )
 
     best_cost = math.inf
-    best = None  # (fleet, priced stores, decay rates) of the cheapest corner so far
+    best = None  # (fleet, decay rates) of the cheapest corner so far
     for secondary, all_prices, combos in entries:
         def build(capacity, output_mw, input_mw):
             return [StoreSpec(long_name, capacity, output_mw, input_mw, efficiency_long), *secondary]
@@ -570,7 +555,7 @@ def optimize_fleet(
                 for q in q_values:
                     give_up = math.inf
                     if best_cost < math.inf:
-                        _, cost0 = price_stores(build(0.0, p_long, q), all_prices)
+                        cost0 = price_stores(build(0.0, p_long, q), all_prices)
                         if best_cost <= cost0:
                             continue
                         if capacity_usd_per_mwh > 0.0:
@@ -589,17 +574,17 @@ def optimize_fleet(
                     if e_min is None:
                         continue
                     fleet = build(max(e_min, 1e-9), p_long, q)
-                    stores, cost = price_stores(fleet, all_prices)
+                    cost = price_stores(fleet, all_prices)
                     if cost < best_cost:
                         best_cost = cost
-                        best = (fleet, stores, lambdas)
+                        best = (fleet, lambdas)
     if best is None:
         raise Infeasible("no configuration on the secondary grid meets the standard")
 
-    fleet, stores, lambdas = best
+    fleet, lambdas = best
     result = simulate(fleet, trace, Policy.value(lambdas))
     return SizingResult(
-        stores=stores,
+        fleet=tuple(fleet),
         total_cost_usd=best_cost,
         annual_unserved_gwh=result.total_unserved_mwh / years / 1e3,
         lambdas_per_hour=tuple(float(x) for x in lambdas),
@@ -607,17 +592,21 @@ def optimize_fleet(
     )
 
 
-def cost_report_to_dict(
-    stores: Sequence[SizedStore], total_cost_usd: float, mode: str, convention: LossConvention
+def cost_report(
+    fleet: Sequence[StoreSpec], prices: Sequence[StorePrices], mode: str,
+    convention: LossConvention,
 ) -> dict:
-    """JSON-ready dimension and cost table, laid out as published tables are.
+    """JSON-ready dimension and cost table of servable-energy stores.
 
-    ``stores`` hold split-convention capacities; the table gives them in
-    ``convention``.  Costs are the split-priced ones either way.
+    Laid out as published tables are: capacities are given in
+    ``convention``, by way of the split convention the prices assume, and
+    every cost and the total come from one ``fleet_cost`` breakdown.
     """
+    dims = _split_dims(fleet)
+    breakdown = fleet_cost(dims, prices)
     rows = []
-    for s in stores:
-        capacity = s.capacity_mwh * convention_factor(
+    for s, (split_capacity, _, _), cost in zip(fleet, dims, breakdown.per_store):
+        capacity = split_capacity * convention_factor(
             s.efficiency, LossConvention.SPLIT_SQRT, convention
         )
         rows.append({
@@ -629,15 +618,16 @@ def cost_report_to_dict(
             "output_power_gw": s.output_power_mw / 1e3,
             "input_power_mw": s.input_power_mw,
             "input_power_gw": s.input_power_mw / 1e3,
-            "cost_capacity_bn_usd": s.cost.capacity_usd / _USD_PER_BN,
-            "cost_output_power_bn_usd": s.cost.output_power_usd / _USD_PER_BN,
-            "cost_input_power_bn_usd": s.cost.input_power_usd / _USD_PER_BN,
-            "cost_total_bn_usd": s.cost.total_usd / _USD_PER_BN,
+            "cost_capacity_bn_usd": cost.capacity_usd / _USD_PER_BN,
+            "cost_output_power_bn_usd": cost.output_power_usd / _USD_PER_BN,
+            "cost_input_power_bn_usd": cost.input_power_usd / _USD_PER_BN,
+            "cost_total_bn_usd": cost.total_usd / _USD_PER_BN,
         })
+    total_usd = breakdown.total_usd
     return {
         "mode": mode,
         "convention": convention.value,
         "stores": rows,
-        "total_cost_bn_usd": total_cost_usd / _USD_PER_BN,
-        "total_cost_usd": total_cost_usd,
+        "total_cost_bn_usd": total_usd / _USD_PER_BN,
+        "total_cost_usd": total_usd,
     }

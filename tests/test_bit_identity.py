@@ -8,7 +8,10 @@ test holds the sha256 of the CLI ``simulate`` outputs for a small fixed
 scenario per policy, so any change to float operation order in the
 step, the engine loop or the CSV writer shows.  Another holds the sha256
 of ``sizing.json`` from ``size`` on the benchmark's sizing scenario, so
-a change to the sizing search that moves an answer shows.  A third
+a change to the sizing search that moves an answer shows, and from
+``size --no-optimize`` on its fixed fleet, so a change to the cost
+table's float operations (the round trip through the split convention
+included) shows.  A third
 holds the sha256 of ``greedify``'s rewrites of seeded random schedules,
 so a change to the rewrite's float operations shows.
 """
@@ -239,6 +242,7 @@ _SIZING_DIGESTS = {
     (21, "split", "fleet"): "f071b1a72e6e6fe58bc25088bd7f1315b214654d7c83a1a91b5689bfe3d396fd",
     (21, "input", "fleet"): "c9962883036481b4ae050adbef060f11656d9530257851f178f8cd900683b7c9",
     (3, "split", "single"): "59e9a9be615d9574daecf4fd5e682e1435528db046e8e7b5c8e307e96056deae",
+    (3, "input", "single"): "c263ae5d38f3ebc188ad5b03f34c8fcc98ac7e7b3a450165fefd748ad7de8beb",
 }
 
 
@@ -256,6 +260,28 @@ def test_size_outputs_match_golden_digests(tmp_path, monkeypatch, seed, conventi
     assert events.count("abandon") > 0 or mode == "single"
     digest = hashlib.sha256((out / "sizing.json").read_bytes()).hexdigest()
     assert digest == _SIZING_DIGESTS[seed, convention, mode]
+
+
+# convention -> sha256 of sizing.json from ``size --no-optimize`` on the
+# benchmark's simulate-long fleet, recorded before the cost table was
+# built from the servable-energy stores.
+_FIXED_SIZING_DIGESTS = {
+    "split": "d0e034945c618ff99b7a76532706e479807a734cbaa398e81b349fcc9f9243fc",
+    "input": "27adaad4c0189e3873414e8d8cbd8132a0aab17dccb21e8393bdd7b78f8c7a00",
+}
+
+
+@pytest.mark.parametrize("convention", sorted(_FIXED_SIZING_DIGESTS))
+def test_fixed_size_outputs_match_golden_digests(tmp_path, convention):
+    scenario = _benchmark_scenarios().simulate_long_scenarios(1, 0.01)["value"]
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    argv = ["size", "--config", str(config), "--out", str(out), "--no-optimize",
+            "--convention", convention]
+    assert main(argv) == 0
+    digest = hashlib.sha256((out / "sizing.json").read_bytes()).hexdigest()
+    assert digest == _FIXED_SIZING_DIGESTS[convention]
 
 
 # sha256 over the rewritten rates and their cumulative unserved energy,

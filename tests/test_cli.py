@@ -766,6 +766,35 @@ class TestTraceSectionErrors:
         assert capsys.readouterr().err.startswith("storefleet: config error: --seed: seed")
 
 
+class TestUnknownKeys:
+    # One misspelt key per section, next to the valid ones: each would
+    # otherwise be dropped and its default used in silence.
+    @pytest.mark.parametrize(
+        "path,key,section",
+        [
+            ((), "conventon", "scenario"),
+            (("trace",), "csv_pth", "trace"),
+            (("stores", 0), "initial_levl_mwh", "store"),
+            (("policy",), "lambdas_per_hr", "policy"),
+            (("costs", "long"), "capacity_usd_per_kw", "costs[long]"),
+            (("reliability",), "max_unserved_gwh", "reliability"),
+            (("sizing",), "e_tol", "sizing"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["simulate"], ["size", "--no-optimize"]])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, path, key, section, command):
+        scenario = copy.deepcopy(FRONT_DOOR_SCENARIO)
+        parent = scenario
+        for step in path:
+            parent = parent[step]
+        parent[key] = 1.0
+        config = write_config(tmp_path, scenario)
+        assert main([*command, "--config", config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: config error:")
+        assert f"{section}: unknown key {key!r}" in err
+
+
 class TestFlags:
     @pytest.mark.parametrize(
         "argv",

@@ -14,7 +14,7 @@ from storefleet.sizing import (
     SizingOptions,
     StorePrices,
     check_reliability,
-    cost_report_to_dict,
+    cost_report,
     fleet_cost,
     min_required_output_power,
     min_single_store_capacity,
@@ -371,7 +371,7 @@ class TestOptimizeSingleStore:
             [5.0, 3.0], HYDROGEN, ReliabilityStandard(0.0), 0.4
         )
         assert result.total_cost_usd == 0.0
-        assert result.stores[0].capacity_mwh == 0.0
+        assert result.fleet[0].capacity_mwh == 0.0
 
     def test_free_input_power_drives_q_to_grid_max(self):
         # E_min(Q) = max(100, 300 - 2Q) on the cycle trace, so with free
@@ -381,8 +381,8 @@ class TestOptimizeSingleStore:
         result = optimize_single_store(
             _cycle_trace(), prices, ReliabilityStandard(0.0), 1.0, options
         )
-        assert result.stores[0].input_power_mw == pytest.approx(100.0, rel=1e-9)
-        assert result.stores[0].capacity_mwh == pytest.approx(100.0, abs=0.1)
+        assert result.fleet[0].input_power_mw == pytest.approx(100.0, rel=1e-9)
+        assert result.fleet[0].capacity_mwh == pytest.approx(100.0, abs=0.1)
 
     def test_matches_exhaustive_grid_oracle(self):
         options = SizingOptions(q_grid_points=8, e_tol_mwh=0.05, p_tol_mw=0.001)
@@ -435,18 +435,21 @@ class TestOptimizeSingleStore:
         options = SizingOptions(q_grid_points=6, e_tol_mwh=0.05, p_tol_mw=0.01)
         standard = ReliabilityStandard(0.0)
         result = optimize_single_store(_cycle_trace(), HYDROGEN, standard, 0.7, options)
-        sized = result.stores[0]
-        servable = sized.capacity_mwh * 0.7**0.5  # back to servable energy
+        # The result holds servable capacities: the report gives them in
+        # the split convention, and in the input convention converts the
+        # split figure back to servable energy.
+        sized = result.fleet[0]
+        split = sized.capacity_mwh * 0.7**-0.5
+        servable = split * 0.7**0.5
+        for convention, capacity in ((LossConvention.SPLIT_SQRT, split),
+                                     (LossConvention.INPUT_SIDE, servable)):
+            report = cost_report(result.fleet, [HYDROGEN], "single", convention)
+            assert report["stores"][0]["capacity_mwh"] == capacity
+            assert report["total_cost_usd"] == result.total_cost_usd
         store = StoreSpec("s", servable, sized.output_power_mw, sized.input_power_mw, 0.7)
         sim = simulate([store], _cycle_trace(), Policy.value([0.0]))
         years = len(_cycle_trace()) / 8760.0
         assert check_reliability(sim, years, standard)
-        # The result holds split capacities: the report gives them back
-        # as they are, and in the input convention as servable energy.
-        for convention, capacity in ((LossConvention.SPLIT_SQRT, sized.capacity_mwh),
-                                     (LossConvention.INPUT_SIDE, servable)):
-            report = cost_report_to_dict(result.stores, result.total_cost_usd, "single", convention)
-            assert report["stores"][0]["capacity_mwh"] == capacity
 
 
 class TestTuneLambdas:
@@ -485,8 +488,8 @@ class TestOptimizeFleet:
             _cycle_trace(), {"long": HYDROGEN}, standard, [()], 0.7, options
         )
         assert fleet_result.total_cost_usd == pytest.approx(single.total_cost_usd, rel=1e-12)
-        assert fleet_result.stores[0].capacity_mwh == pytest.approx(
-            single.stores[0].capacity_mwh, rel=1e-9
+        assert fleet_result.fleet[0].capacity_mwh == pytest.approx(
+            single.fleet[0].capacity_mwh, rel=1e-9
         )
         assert fleet_result.lambdas_per_hour == single.lambdas_per_hour
 
@@ -512,6 +515,15 @@ class TestOptimizeFleet:
     def test_missing_prices_rejected(self):
         with pytest.raises(KeyError):
             optimize_fleet(_cycle_trace(), {}, ReliabilityStandard(0.0), [()], 0.5)
+
+    @pytest.mark.parametrize("efficiency", [0.0, -0.4, 1.5, math.nan, math.inf])
+    def test_efficiency_outside_unit_interval_rejected_first(self, efficiency):
+        standard = ReliabilityStandard(0.0)
+        with pytest.raises(ValueError, match="efficiency must lie in"):
+            optimize_fleet(_cycle_trace(), {"long": HYDROGEN}, standard, [()], efficiency)
+        # Before the grid and the prices are looked at.
+        with pytest.raises(ValueError, match="efficiency must lie in"):
+            optimize_fleet(_cycle_trace(), {}, standard, [], efficiency)
 
 
 def _random_sizing_instance(rng, free_capacity: bool):
@@ -570,7 +582,7 @@ def _exhaustive_search(values, costs, standard, grid, efficiency, options):
 
     Every corner of every (grid entry, decay combo) is bisected in full,
     with the same brackets as the package's search.  Returns the total,
-    the priced stores and the decay rates of the first strictly cheapest
+    the fleet and the decay rates of the first strictly cheapest
     corner, or None if no corner meets the standard.
     """
     capacity_big = max(float(np.sum(np.maximum(0.0, -values))), 1.0)
@@ -602,9 +614,9 @@ def _exhaustive_search(values, costs, standard, grid, efficiency, options):
                     if not feasible(capacity_big, p, q):
                         continue
                     e = _bisect_min(lambda c: feasible(c, p, q), 0.0, capacity_big, options.e_tol_mwh)
-                    stores, total = sizing.price_stores(fleet(e, p, q), prices)
+                    total = sizing.price_stores(fleet(e, p, q), prices)
                     if best is None or total < best[0]:
-                        best = (total, stores, lambdas)
+                        best = (total, tuple(fleet(e, p, q)), lambdas)
     return best
 
 
@@ -633,7 +645,7 @@ class TestCostBound:
                 continue
             result = optimize_fleet(*instance)
             assert result == expected
-            assert (result.total_cost_usd, result.stores, result.lambdas_per_hour) == exhaustive
+            assert (result.total_cost_usd, result.fleet, result.lambdas_per_hour) == exhaustive
             skipped += sum(map(skipped_corners, search_calls(events)))
             abandoned += events.count("abandon")
         # The instances must exercise both ways of cutting a corner short.
@@ -668,7 +680,7 @@ class TestCostBound:
         events = record_search(monkeypatch)
         result = optimize_fleet(values, costs, ReliabilityStandard(0.0), grid, 0.5, options)
         first, second = search_calls(events)
-        assert [s.name for s in result.stores] == ["long", "a"]
+        assert [s.name for s in result.fleet] == ["long", "a"]
         assert "cost0" in second and "check" not in second[second.index("cost0"):]
         # The first entry's search, replayed under the name "b", costs the same.
         twin = optimize_fleet(values, costs, ReliabilityStandard(0.0), [grid[1]], 0.5, options)
@@ -697,7 +709,7 @@ class TestCostBound:
         grid = [(), (StoreSpec("free", 1.0, 1.0, 1.0, 1.0),)]
         result = optimize_fleet([-512.0, 100.0, -512.0], costs, ReliabilityStandard(0.0), grid,
                                 1.0, options)
-        assert result.total_cost_usd == 512e3 and [s.name for s in result.stores] == ["long"]
+        assert result.total_cost_usd == 512e3 and [s.name for s in result.fleet] == ["long"]
         # Two power checks at full capacity, then the corner.
         assert checked[2:] == [1024.0, 512.0, 768.0, 640.0, 576.0]
 
