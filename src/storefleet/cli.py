@@ -267,6 +267,11 @@ def load_scenario(path) -> Scenario:
                 spec, _ = _parse_store(entry, convention)
             except FleetError as exc:
                 raise ConfigError(f"{path}: bad secondary store: {exc}") from None
+            if "initial_level_mwh" in entry:
+                raise ConfigError(
+                    f"{path}: store {spec.name!r} of secondary_grid entry {k}: initial_level_mwh"
+                    " is not allowed; the fleet search starts every companion full"
+                )
             # Each entry joins the long store in one fleet.
             if spec.name in (options.long_store_name, *(s.name for s in specs)):
                 raise ConfigError(

@@ -41,8 +41,8 @@ from .policies import Policy
 # rather than something greedify needs to act on.
 _GREEDIFY_EPS = 1e-9
 
-# Rows converted from arrays to Python floats at a time by
-# write_simulation_csv.
+# Rows formatted at a time by write_simulation_csv; each distinct value
+# of a block is formatted once.
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -503,15 +503,30 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        # Rows go out in blocks: tolist() turns a block into Python
-        # floats in one call, and only one block's floats are alive.
-        # The float trace column makes every block float.
+        # Rows go out in blocks, so only one block's cell texts are
+        # alive.  The float trace column makes every block float.
         for start in range(0, steps, _CSV_BLOCK_ROWS):
             stop = min(start + _CSV_BLOCK_ROWS, steps)
             block = np.column_stack([c[start:stop] for c in columns])
             fh.write(
                 "".join(
-                    f"{t},{','.join(map(repr, row))}\n"
-                    for t, row in zip(range(start, stop), block.tolist())
+                    f"{t},{','.join(row)}\n"
+                    for t, row in zip(range(start, stop), _csv_cells(block))
                 )
             )
+
+
+def _csv_cells(block: np.ndarray) -> list[list[str]]:
+    """Each cell's repr, row by row, with each distinct value formatted once.
+
+    Most cells repeat a value already seen in their block (zero and
+    power-limit rates, full stores, flat cumulative columns).  Values
+    are told apart by their bits, not by ==, because -0.0 and 0.0
+    compare equal but print differently; equal bits print equally, so
+    every cell is the repr of its own float.  The intermediate arrays
+    die on return, before the next block is built.
+    """
+    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    # The inverse's shape differs between numpy 2 releases.
+    return texts[inverse.reshape(block.shape)].tolist()

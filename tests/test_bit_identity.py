@@ -28,8 +28,15 @@ import pytest
 
 from storefleet import engine
 from storefleet.cli import main
-from storefleet.engine import PolicyTrace, greedify, simulate, unserved_series, write_simulation_csv
-from storefleet.fleet import FleetError, FleetState
+from storefleet.engine import (
+    PolicyTrace,
+    SimResult,
+    greedify,
+    simulate,
+    unserved_series,
+    write_simulation_csv,
+)
+from storefleet.fleet import FleetError, FleetState, StoreSpec
 from storefleet.policies import Policy
 
 from oracles import (
@@ -114,6 +121,41 @@ def test_block_csv_writer_matches_per_cell_writer(tmp_path, monkeypatch, block_r
     assert path.read_text(encoding="utf-8") == _reference_csv(values, fleet, result)
 
 
+# Cells whose repr a writer that dedupes on float values rather than on
+# bits gets wrong: -0.0 and 0.0 compare equal but print differently.
+_EDGE_VALUES = (
+    -0.0, 0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+    5e-324, 1e16, 1e-05, 0.1, -2.5,
+)
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, 4096])
+def test_block_csv_writer_keeps_edge_values(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(engine, "_CSV_BLOCK_ROWS", block_rows)
+    hours, n = 40, 2
+    # Row t holds seven consecutive edge values from offset t, so values
+    # repeat within and across rows, and many rows hold both zeros.
+    cells = np.array(
+        [[_EDGE_VALUES[(t + k) % len(_EDGE_VALUES)] for k in range(3 + 2 * n)]
+         for t in range(hours)]
+    )
+    assert sum(1 for row in cells if {"-0.0", "0.0"} <= set(map(repr, row.tolist()))) > 10
+    fleet = [StoreSpec(f"s{i}", 1.0, 1.0, 1.0, 1.0) for i in range(n)]
+    values = cells[:, 0].copy()
+    result = SimResult(
+        unserved_cumulative_mwh=cells[:, -1].copy(),
+        spill_cumulative_mwh=cells[:, -2].copy(),
+        level_traces_mwh=cells[:, 1 + n:1 + 2 * n].copy(),
+        rates_mw=cells[:, 1:1 + n].copy(),
+        served_external_mwh=np.zeros(n),
+        cross_charged_mwh=0.0,
+        final_state=FleetState(tuple(cells[-1, 1 + n:1 + 2 * n].tolist())),
+    )
+    path = tmp_path / "sim.csv"
+    write_simulation_csv(path, values, fleet, result)
+    assert path.read_text(encoding="utf-8") == _reference_csv(values, fleet, result)
+
+
 def test_csv_writer_rejects_a_stopped_run(tmp_path):
     rng = np.random.default_rng(6)
     fleet = random_fleet(rng, 2)
@@ -177,14 +219,14 @@ _GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_GOLDEN_POLICIES))
-def test_simulate_outputs_match_golden_digests(tmp_path, name):
+def _simulate_golden(tmp_path, name, hours):
+    """Run the CLI ``simulate`` on the golden scenario; return its --out."""
     policy, stores = _GOLDEN_POLICIES[name]
     config = tmp_path / "scenario.json"
     config.write_text(
         json.dumps(
             {
-                "trace": {"inline_mw": _golden_trace()},
+                "trace": {"inline_mw": _golden_trace(hours)},
                 "convention": "input",
                 "stores": _GOLDEN_STORES[:stores],
                 "policy": policy,
@@ -193,17 +235,55 @@ def test_simulate_outputs_match_golden_digests(tmp_path, name):
     )
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+def _output_digests(out):
+    return tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("simulation.csv", "summary.json")
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_POLICIES))
+def test_simulate_outputs_match_golden_digests(tmp_path, name):
+    out = _simulate_golden(tmp_path, name, 400)
     summary = json.loads((out / "summary.json").read_text())
     # The scenario must exercise both shortfall and spill.
     assert summary["total_unserved_mwh"] > 0.0
     assert summary["total_spill_mwh"] > 0.0
     if name == "value":
         assert summary["cross_charged_mwh"] > 0.0
-    digests = tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("simulation.csv", "summary.json")
-    )
-    assert digests == _GOLDEN_DIGESTS[name]
+    assert _output_digests(out) == _GOLDEN_DIGESTS[name]
+
+
+# sha256 of (simulation.csv, summary.json) for the same scenario over
+# 9,000 hours, three of the CSV writer's 4,096-row blocks, recorded
+# before the writer formatted each distinct value of a block once.
+_SEAM_DIGESTS = {
+    "ggddf": (
+        "b10f37d2fa86f542a8fa8b7749cf7b90dc39aefec25b66d5cc78075f4e1d9504",
+        "0d25d77c8461cf1533c4e5bff529e7cae52c625e74d621486ad6e2adc9f7f34a",
+    ),
+    "grtef": (
+        "41ce4c8148d94bc1316fec19d9c6265cf2329d1b92b1d62da8629393dfa97695",
+        "817f757dae372a0e2dce7c93054a0a71cae2e31b2da5e9ce5b2f680204d376a8",
+    ),
+    "value": (
+        "3927e9846fbb3747a530692e3544cd58e46b977066968b8b15571befdb937423",
+        "fdb87e7cbbe97071277ad1efab5e3978df26c98cf2c5c31438a8b092e57df58b",
+    ),
+    "value-1-store": (
+        "da4ce8e6239350c770a5c505ccbbdbd536ef2474c12e8a527011cbecdb3cbc1b",
+        "7e551abc3127d2981225f3bff71277285434003a2095f7448044f677d1718dab",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_POLICIES))
+def test_simulate_outputs_across_csv_blocks_match_golden_digests(tmp_path, name):
+    assert 2 * engine._CSV_BLOCK_ROWS < 9000 <= 3 * engine._CSV_BLOCK_ROWS
+    assert _output_digests(_simulate_golden(tmp_path, name, 9000)) == _SEAM_DIGESTS[name]
 
 
 def test_levels_are_clamped_into_bounds_exactly():

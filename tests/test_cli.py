@@ -322,6 +322,20 @@ class TestSizeCommand:
         assert f"duplicate store name {names[-1]!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("level", [0.0, 5.0, None])
+    def test_companion_initial_level_is_config_error(self, tmp_path, capsys, level):
+        # The fleet search starts every companion full, so a level given
+        # for one would be dropped without a word.
+        companion = _COMPANION | {"initial_level_mwh": level}
+        sizing = FRONT_DOOR_SCENARIO["sizing"] | {"secondary_grid": [[], [_COMPANION], [companion]]}
+        config = write_config(tmp_path, FRONT_DOOR_SCENARIO | {"sizing": sizing})
+        out = tmp_path / "out"
+        assert main(["size", "--mode", "fleet", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: config error:")
+        assert "store 'medium' of secondary_grid entry 2: initial_level_mwh is not allowed" in err
+        assert not out.exists()
+
     def test_fixed_dims_without_stores_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path, {"trace": {"inline_mw": [5.0, -3.0, -4.0, 6.0, -2.0, 1.0]},
                                          "costs": {"long": _PRICES}})
