@@ -9,12 +9,22 @@ one that serves at least as much energy up to every hour;
 They and ``unserved_series`` walk a schedule through ``apply_step``.
 ``lower_bound_unserved`` is the unbeatable floor set by total output
 power alone.
+
+For a ``Policy``, ``simulate`` steps the hours in C: ``_hourloop.c``
+repeats the Python loop's float operations in the same order, so its
+results are bit-identical.  The first ``Policy`` simulation in a process
+loads the library, building it with gcc into the package's
+``__pycache__`` if no build of this source and these flags is there.
+Without a compiler or a writable cache, and for callable policies, the
+Python loop runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,7 +44,7 @@ from .fleet import (
     validate_fleet,
     validate_state,
 )
-from .policies import Policy
+from .policies import _EPS, Policy
 
 
 # Threshold below which imbalance residue is treated as rounding dust
@@ -44,6 +54,17 @@ _GREEDIFY_EPS = 1e-9
 # Rows formatted at a time by write_simulation_csv; each distinct value
 # of a block is formatted once.
 _CSV_BLOCK_ROWS = 4096
+
+# The compiled hour loop: its source, the gcc flags (never -march=native
+# or -ffast-math, which would move answers) and the cache it is built
+# into, one file per source and flags.
+_HOURLOOP_SOURCE = os.path.join(os.path.dirname(__file__), "_hourloop.c")
+_HOURLOOP_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
+_HOURLOOP_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_UNLOADED = object()
+# The loaded C function, _UNLOADED before the first Policy simulation,
+# None when it cannot be built or loaded.
+_hourloop = _UNLOADED
 
 
 class _SignViolation(FleetError):
@@ -153,7 +174,14 @@ def simulate(
     validate_state(state, fleet)
 
     n = len(fleet)
+    limit = math.inf if unserved_limit_mwh is None else float(unserved_limit_mwh)
     if isinstance(policy, Policy):
+        lambdas = policy.decay_rates(fleet)
+        loop = _load_hourloop()
+        if loop is not None:
+            result = _simulate_compiled(loop, fleet, values, policy.kind, lambdas, state, limit)
+            if result is not None:
+                return result
         step = policy.raw_step(fleet)
     else:
         hour = itertools.count(state.time_index)
@@ -182,7 +210,6 @@ def simulate(
     cross = 0.0
     cum_unserved = 0.0
     cum_spill = 0.0
-    limit = math.inf if unserved_limit_mwh is None else unserved_limit_mwh
 
     for t, re in enumerate(values.tolist()):
         rates, spill, unserved = step(levels, re)
@@ -254,6 +281,98 @@ def simulate(
         served_external_mwh=np.asarray(served),
         cross_charged_mwh=cross,
         final_state=FleetState(tuple(levels), state.time_index + stepped),
+    )
+
+
+def _load_hourloop():
+    """The compiled hour loop's C function, or None where it cannot be had.
+
+    Loads the library once per process, building it first if the cache
+    holds no build of this source and these flags.  gcc writes into a
+    fresh temporary directory, and the library is renamed into place
+    only once the build has succeeded, so processes building at the same
+    time never load a half-written file.  Without gcc, with a failed
+    build or an unusable cache directory this returns None, silently.
+    """
+    global _hourloop
+    if _hourloop is not _UNLOADED:
+        return _hourloop
+    _hourloop = None
+    # Imported on first use, so that importing the package loads no more modules.
+    import ctypes
+    import shutil
+    import subprocess
+    import tempfile
+
+    try:
+        with open(_HOURLOOP_SOURCE, "rb") as fh:
+            source = fh.read()
+        key = zlib.crc32(" ".join(_HOURLOOP_CFLAGS).encode() + b"\0" + source)
+        name = f"_hourloop.{key:08x}.so"
+        lib = os.path.join(_HOURLOOP_CACHE, name)
+        if not os.path.exists(lib):
+            gcc = shutil.which("gcc")
+            if gcc is None:
+                return None
+            os.makedirs(_HOURLOOP_CACHE, exist_ok=True)
+            build = tempfile.mkdtemp(prefix=name + ".", dir=_HOURLOOP_CACHE)
+            try:
+                out = os.path.join(build, name)
+                subprocess.run(
+                    [gcc, *_HOURLOOP_CFLAGS, "-o", out, os.fspath(_HOURLOOP_SOURCE), "-lm"],
+                    stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=120,
+                )
+                os.replace(out, lib)
+            finally:
+                shutil.rmtree(build, ignore_errors=True)
+        loop = ctypes.CDLL(lib).simulate_hours
+    except (OSError, subprocess.SubprocessError):
+        return None
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    loop.restype = i64
+    loop.argtypes = [i64, i64, i64, ptr, ptr, ptr, f64, f64, f64] + [ptr] * 9
+    _hourloop = loop
+    return loop
+
+
+def _simulate_compiled(loop, fleet, values, kind, lambdas, state, limit) -> SimResult | None:
+    """``simulate`` for a Policy, stepped by the compiled loop.
+
+    Returns None for a run the loop hands back (see ``_hourloop.c``):
+    the caller replays it on the Python loop, which raises the error.
+    """
+    n, steps = len(fleet), len(values)
+    spec = np.array(
+        [(s.capacity_mwh, s.output_power_mw, s.input_power_mw, s.efficiency) for s in fleet],
+        dtype=float,
+    )
+    decay = np.array(lambdas or (0.0,) * n, dtype=float)
+    values = np.ascontiguousarray(values)
+    levels = np.array(state.levels_mwh, dtype=float)
+    rates = np.empty((steps, n))
+    level_traces = np.empty((steps, n))
+    unserved = np.empty(steps)
+    spill = np.empty(steps)
+    served = np.zeros(n)
+    cross = np.zeros(1)
+    scratch = np.empty(8 * n)
+    order = np.empty(n, dtype=np.int64)
+    stepped = loop(
+        n, steps, Policy._KINDS.index(kind), spec.ctypes.data, decay.ctypes.data,
+        values.ctypes.data, limit, SLACK, _EPS, levels.ctypes.data, rates.ctypes.data,
+        level_traces.ctypes.data, unserved.ctypes.data, spill.ctypes.data,
+        served.ctypes.data, cross.ctypes.data, scratch.ctypes.data, order.ctypes.data,
+    )
+    if stepped < 0:
+        return None
+    return SimResult(
+        unserved_cumulative_mwh=unserved[:stepped],
+        spill_cumulative_mwh=spill[:stepped],
+        level_traces_mwh=level_traces[:stepped],
+        rates_mw=rates[:stepped],
+        served_external_mwh=served,
+        cross_charged_mwh=float(cross[0]),
+        final_state=FleetState(tuple(levels.tolist()), state.time_index + stepped),
     )
 
 

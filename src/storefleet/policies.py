@@ -24,6 +24,8 @@ store discharges as hard as it can.
 (``_step_kernel``), cross-charging included, to a fleet: it unpacks the
 per-store constants once, and simulation loops call the bound step
 millions of times.  ``Policy.decide`` runs the same kernel for one hour.
+The kernel is the specification of ``engine.simulate``'s compiled hour
+loop (``_hourloop.c``), which repeats its float operations in C.
 """
 
 from __future__ import annotations
@@ -264,10 +266,17 @@ class Policy:
         rates, spill, unserved = self.raw_step(fleet)(state.levels_mwh, re_mw)
         return StepDecision(tuple(rates), spill_mwh=spill, unserved_mwh=unserved)
 
+    def decay_rates(self, fleet: Sequence[StoreSpec]) -> tuple[float, ...]:
+        """The value policy's decay rates, one per store of ``fleet``; () for the others.
+
+        Raises ValueError when their count does not match the fleet.
+        """
+        if self.kind != "value":
+            return ()
+        lambdas = self.params.lambdas_per_hour
+        _check_lambdas(lambdas, len(fleet))
+        return lambdas
+
     def raw_step(self, fleet: Sequence[StoreSpec]):
         """Bind a (levels, re) -> (rates, spill, unserved) closure for one fleet."""
-        if self.kind == "value":
-            lambdas = self.params.lambdas_per_hour
-            _check_lambdas(lambdas, len(fleet))
-            return _step_kernel(fleet, "value", lambdas)
-        return _step_kernel(fleet, self.kind)
+        return _step_kernel(fleet, self.kind, self.decay_rates(fleet))

@@ -1,8 +1,11 @@
 import math
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
 
+from storefleet import engine
 from storefleet.engine import (
     InfeasibleInput,
     NotGreedy,
@@ -618,3 +621,182 @@ class TestCsvExport:
         assert parsed[1] == -4.0
         assert parsed[6] == result.spill_cumulative_mwh[1]
         assert parsed[7] == result.unserved_cumulative_mwh[1]
+
+
+_SIM_FIELDS = (
+    "unserved_cumulative_mwh",
+    "spill_cumulative_mwh",
+    "level_traces_mwh",
+    "rates_mw",
+    "served_external_mwh",
+)
+
+
+def _outputs(result):
+    """A SimResult as comparable values: its arrays' shapes and bytes, the rest by repr."""
+    arrays = [(getattr(result, f).shape, getattr(result, f).tobytes()) for f in _SIM_FIELDS]
+    return arrays, repr(result.final_state), repr(result.cross_charged_mwh)
+
+
+def _reference(monkeypatch, *args, **kwargs):
+    """simulate on the Python loop: the compiled loop's handle set to None."""
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_hourloop", None)
+        return simulate(*args, **kwargs)
+
+
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc to build the hour loop")
+
+
+@needs_gcc
+class TestCompiledLoop:
+    def test_matches_python_loop_bit_for_bit(self, monkeypatch):
+        assert engine._load_hourloop() is not None
+        compiled = engine._simulate_compiled
+        handed_back = []
+
+        def counted(*args):
+            result = compiled(*args)
+            handed_back.append(result is None)
+            return result
+
+        monkeypatch.setattr(engine, "_simulate_compiled", counted)
+        rng = np.random.default_rng(1401)
+        seen = set()
+        for _ in range(150):
+            n = int(rng.integers(1, 5))
+            fleet = random_fleet(rng, n, infinite_output=bool(rng.random() < 0.2),
+                                 infinite_input=bool(rng.random() < 0.2))
+            initial = FleetState(random_levels(rng, fleet), time_index=int(rng.integers(0, 50)))
+            values = random_trace_values(rng, int(rng.integers(1, 200)))
+            values[rng.integers(len(values))] = -0.0
+            for policy in (Policy.value(random_lambdas(rng, n)), Policy.ggddf(), Policy.grtef()):
+                limit = (None, math.inf, float(rng.uniform(0.0, 300.0)))[rng.integers(3)]
+                fast = simulate(fleet, values, policy, initial=initial, unserved_limit_mwh=limit)
+                slow = _reference(monkeypatch, fleet, values, policy, initial=initial,
+                                  unserved_limit_mwh=limit)
+                assert _outputs(fast) == _outputs(slow), (policy.kind, n)
+                seen.add((n, policy.kind, len(fast.unserved_cumulative_mwh) < len(values),
+                          fast.cross_charged_mwh > 0.0))
+        assert len(handed_back) == 450 and not any(handed_back)
+        assert {n for n, *_ in seen} == {1, 2, 3, 4}
+        assert any(stopped for *_, stopped, _ in seen)
+        assert any(crossed for *_, crossed in seen)
+
+    def test_wrong_decay_rate_count_raises_before_stepping(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("stepped a policy that does not fit its fleet")
+
+        monkeypatch.setattr(engine, "_hourloop", never)
+        fleet = [one_store(name="a"), one_store(name="b")]
+        for lambdas in ([0.1], [0.1, 0.2, 0.3]):
+            with pytest.raises(ValueError, match=f"{len(lambdas)} decay rates for 2 stores"):
+                simulate(fleet, [1.0, -2.0], Policy.value(lambdas))
+
+    def test_runs_it_hands_back_replay_on_the_python_loop(self, monkeypatch):
+        # An exp past overflow: math.exp raises, so the replay must too.
+        fleet = [StoreSpec("a", 10.0, 1e-300, 5.0, 0.8), one_store(name="b")]
+        initial = FleetState((-1e-7, 5.0))
+        for run in (lambda: simulate(fleet, [-1.0], Policy.value([0.1, 0.1]), initial=initial),
+                    lambda: _reference(monkeypatch, fleet, [-1.0], Policy.value([0.1, 0.1]),
+                                       initial=initial)):
+            with pytest.raises(OverflowError):
+                run()
+        # -inf * 0 makes NaN values: the ranking is the Python sort's own.
+        fleet = [StoreSpec("a", 1e10, math.inf, 5.0, 0.8), StoreSpec("b", 20.0, math.inf, 5.0, 0.9)]
+        values = [3.0, -4.0, 2.0]
+        policy = Policy.value([1e300, 0.1])
+        assert engine._simulate_compiled(
+            engine._load_hourloop(), fleet, np.array(values), "value", policy.decay_rates(fleet),
+            full_state(fleet), math.inf) is None
+        assert _outputs(simulate(fleet, values, policy)) == _outputs(
+            _reference(monkeypatch, fleet, values, policy))
+
+
+class TestHourloopBuild:
+    """Without a usable build, simulate runs the Python loop, silently."""
+
+    @staticmethod
+    def _fresh(monkeypatch, cache, source=None):
+        monkeypatch.setattr(engine, "_hourloop", engine._UNLOADED)
+        monkeypatch.setattr(engine, "_HOURLOOP_CACHE", cache)
+        if source is not None:
+            monkeypatch.setattr(engine, "_HOURLOOP_SOURCE", source)
+
+    @staticmethod
+    def _check(monkeypatch, capfd, loaded):
+        rng = np.random.default_rng(1402)
+        fleet = random_fleet(rng, 3)
+        values = random_trace_values(rng, 120)
+        initial = FleetState(random_levels(rng, fleet))
+        for policy in (Policy.value(random_lambdas(rng, 3)), Policy.ggddf(), Policy.grtef()):
+            got = simulate(fleet, values, policy, initial=initial)
+            assert (engine._hourloop is not None) == loaded
+            assert _outputs(got) == _outputs(_reference(monkeypatch, fleet, values, policy,
+                                                        initial=initial))
+        assert capfd.readouterr() == ("", "")
+
+    def test_no_compiler(self, monkeypatch, capfd, tmp_path):
+        self._fresh(monkeypatch, tmp_path / "cache")
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        self._check(monkeypatch, capfd, loaded=False)
+
+    @needs_gcc
+    def test_failed_compile(self, monkeypatch, capfd, tmp_path):
+        source = tmp_path / "_hourloop.c"
+        source.write_text("this is not C\n")
+        self._fresh(monkeypatch, tmp_path / "cache", source)
+        self._check(monkeypatch, capfd, loaded=False)
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    @needs_gcc
+    def test_unwritable_cache(self, monkeypatch, capfd, tmp_path):
+        (tmp_path / "file").write_text("")
+        self._fresh(monkeypatch, tmp_path / "file" / "__pycache__")
+        self._check(monkeypatch, capfd, loaded=False)
+
+    @needs_gcc
+    def test_changed_source_gets_a_new_cache_entry(self, monkeypatch, capfd, tmp_path):
+        source = tmp_path / "_hourloop.c"
+        with open(engine._HOURLOOP_SOURCE, "rb") as fh:
+            source.write_bytes(fh.read())
+        cache = tmp_path / "cache"
+        self._fresh(monkeypatch, cache, source)
+        self._check(monkeypatch, capfd, loaded=True)
+        first = {p.name for p in cache.iterdir()}
+        assert len(first) == 1
+        with source.open("a") as fh:
+            fh.write("/* edited */\n")
+        self._fresh(monkeypatch, cache)
+        self._check(monkeypatch, capfd, loaded=True)
+        second = {p.name for p in cache.iterdir()}
+        assert len(second) == 2 and first < second
+
+    @needs_gcc
+    def test_half_written_build_is_never_loaded(self, monkeypatch, capfd, tmp_path):
+        cache = tmp_path / "cache"
+        self._fresh(monkeypatch, cache)
+
+        def killed(args, **kwargs):
+            # A build stopped half way: part of a library at the output name.
+            out = args[args.index("-o") + 1]
+            with open(out, "wb") as fh:
+                fh.write(b"\x7fELF\x02\x01\x01" + bytes(100))
+            raise subprocess.CalledProcessError(-9, args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(subprocess, "run", killed)
+            self._check(monkeypatch, capfd, loaded=False)
+        assert list(cache.iterdir()) == []
+        # A later process builds its own, next to a crashed build's leftover.
+        leftover = cache / "_hourloop.stale" / "_hourloop.so"
+        leftover.parent.mkdir()
+        leftover.write_bytes(b"\x7fELF" + bytes(10))
+        self._fresh(monkeypatch, cache)
+        self._check(monkeypatch, capfd, loaded=True)
+        libs = [p for p in cache.iterdir() if p.is_file()]
+        assert len(libs) == 1 and libs[0].suffix == ".so" and leftover.exists()
+        # As readable as any new file (the umask's), for every user of the package.
+        probe = tmp_path / "probe"
+        probe.write_bytes(b"")
+        assert libs[0].stat().st_mode & 0o444 == probe.stat().st_mode & 0o444

@@ -4,7 +4,10 @@
 ``Policy.raw_step`` by a wrapper that passes its one argument through.
 A rename or a new call shape would leave its per-layer metrics silently
 empty, so this runs each benchmark command once under the tracer and
-asks for at least one call of every wrapped layer.
+asks for at least one call of every wrapped layer.  ``simulate`` steps a
+``Policy`` in its compiled hour loop, which calls no ``raw_step``, so the
+step hooks are asked of a second pass of the ``simulate`` commands with
+the compiled loop's handle set to None, on the Python reference loop.
 """
 
 import importlib.util
@@ -12,6 +15,7 @@ import json
 import sys
 from pathlib import Path
 
+from storefleet import engine
 from storefleet.cli import main
 
 _BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -25,7 +29,7 @@ def _load(name):
     return module
 
 
-def test_every_traced_layer_is_called(tmp_path):
+def test_every_traced_layer_is_called(tmp_path, monkeypatch):
     tracing, scenarios = _load("tracing"), _load("scenarios")
     configs = {f"simulate_{kind}": scenario
                for kind, scenario in scenarios.simulate_long_scenarios(1, 0.01).items()}
@@ -38,21 +42,26 @@ def test_every_traced_layer_is_called(tmp_path):
         config = str(tmp_path / f"{name}.json")
         assert main([*command, "--config", config, "--out", str(tmp_path / name), *flags]) == 0
 
-    tracer = tracing.Tracer().install()
-    try:
-        for kind in ("value", "ggddf", "grtef"):
-            run(f"simulate_{kind}", ["simulate"])
-        run("size", ["size", "--mode", "fleet"])
-        run("curve", ["min-store-curve"], "--etas", "0.7")
-    finally:
-        tracer.uninstall()
-    tracer.dump(tmp_path / "trace.json")
-    total = tracing.summarize([json.loads((tmp_path / "trace.json").read_text())])
+    def traced(dump, *runs):
+        tracer = tracing.Tracer().install()
+        try:
+            for args in runs:
+                run(*args)
+        finally:
+            tracer.uninstall()
+        tracer.dump(tmp_path / dump)
+        return tracing.summarize([json.loads((tmp_path / dump).read_text())])
 
+    simulate_runs = [(f"simulate_{kind}", ["simulate"]) for kind in ("value", "ggddf", "grtef")]
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_hourloop", None)
+        reference = traced("reference.json", *simulate_runs)
+    for kind in ("value", "ggddf", "grtef"):
+        assert reference.get(f"step.{kind}.calls", 0) >= 1, f"step.{kind}"
+
+    total = traced("trace.json", *simulate_runs, ("size", ["size", "--mode", "fleet"]),
+                   ("curve", ["min-store-curve"], "--etas", "0.7"))
     for name in (
-        "step.value",
-        "step.ggddf",
-        "step.grtef",
         "engine.simulate",
         "sizing.check_reliability",
         "sizing.fleet_cost",
