@@ -3,7 +3,9 @@
  * A port of policies._step_kernel (all three kinds, cross-charging
  * included) and of simulate's Python loop around it, with the same
  * float operations in the same order, so that every output is
- * bit-identical to the Python specification.  The engine builds it with
+ * bit-identical to the Python specification.  Its rate and level check
+ * and clamp port fleet's one check, the step that fleet.apply_step and
+ * every Python hour walk take.  The engine builds it with
  * -O2 -ffp-contract=off: a fused multiply-add rounds once where the
  * specification rounds twice.
  *

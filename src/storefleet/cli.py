@@ -577,6 +577,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"storefleet: config error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # --config, --out or a file under it is unusable; names its path
+        print(f"storefleet: config error: {exc}", file=sys.stderr)
+        return 1
     except (Infeasible, FleetError, TraceError) as exc:
         print(f"storefleet: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,7 @@ served externally and energy moved between stores.  ``greedify``
 rewrites any feasible rate schedule, in one forward pass, into a greedy
 one that serves at least as much energy up to every hour;
 ``verify_feasible`` and ``verify_greedy`` are the matching checkers.
-They and ``unserved_series`` walk a schedule through ``apply_step``.
+They, ``unserved_series`` and ``simulate`` step through ``apply_step``'s check.
 ``lower_bound_unserved`` is the unbeatable floor set by total output
 power alone.
 
@@ -32,13 +32,11 @@ import numpy as np
 
 from .fleet import (
     SLACK,
-    CapacityViolation,
     FleetError,
     FleetState,
-    RateViolation,
     StepDecision,
     StoreSpec,
-    apply_step,
+    _level_step,
     full_state,
     imbalance,
     validate_fleet,
@@ -101,6 +99,16 @@ def trace_values(trace) -> np.ndarray:
     if arr.ndim != 1:
         raise FleetError("residual-energy trace must be one-dimensional")
     return arr
+
+
+def _finite_values(trace) -> np.ndarray:
+    """``trace_values``, raising FleetError at the first NaN or infinite hour."""
+    values = trace_values(trace)
+    finite = np.isfinite(values)
+    if not finite.all():
+        t = int(finite.argmin())
+        raise FleetError(f"residual-energy trace hour {t} is {values[t]}, not a finite number")
+    return values
 
 
 @dataclass(frozen=True)
@@ -167,7 +175,7 @@ def simulate(
     are those of the last hour stepped.
     """
     validate_fleet(fleet)
-    values = trace_values(trace)
+    values = _finite_values(trace)
     if len(values) == 0:
         raise FleetError("residual-energy trace is empty")
     state = initial if initial is not None else full_state(fleet)
@@ -188,17 +196,10 @@ def simulate(
 
         def step(levels, re):
             decision = policy(FleetState(tuple(levels), next(hour)), re, fleet)
-            if len(decision.rates_mw) != n:
-                raise FleetError(f"decision has {len(decision.rates_mw)} rates for {n} stores")
-            return list(decision.rates_mw), decision.spill_mwh, decision.unserved_mwh
+            return decision.rates_mw, decision.spill_mwh, decision.unserved_mwh
 
-    capacity = [s.capacity_mwh for s in fleet]
+    move = _level_step(fleet)
     eta = [s.efficiency for s in fleet]
-    # The feasible box widened by SLACK, computed once per run.
-    rate_lo = [-s.output_power_mw - SLACK for s in fleet]
-    rate_hi = [s.efficiency * s.input_power_mw + SLACK for s in fleet]
-    level_lo = -SLACK
-    level_hi = [c + SLACK for c in capacity]
     stores = range(n)
     levels = list(state.levels_mwh)
     # Histories grow as flat lists, reshaped once at the end.
@@ -213,31 +214,7 @@ def simulate(
 
     for t, re in enumerate(values.tolist()):
         rates, spill, unserved = step(levels, re)
-        # fleet.apply_step's rate and level check, inline on purpose: as a
-        # per-hour function call it cost 4-13 % of value-policy throughput
-        # (2-year trace, 1-3 stores, Python 3.11.7, 2 vCPU).  A test in
-        # tests/test_engine.py holds the two copies to the same verdicts.
-        for i in stores:
-            r = rates[i]
-            if r < rate_lo[i] or r > rate_hi[i]:
-                raise RateViolation(
-                    f"hour {t}: store {i} rate {r} outside feasible range (policy bug)",
-                    time_index=t,
-                    store=i,
-                )
-            level = levels[i] + r
-            if level < level_lo or level > level_hi[i]:
-                raise CapacityViolation(
-                    f"hour {t}: store {i} level {level} outside [0, {capacity[i]}] (policy bug)",
-                    time_index=t,
-                    store=i,
-                )
-            # min(max(level, 0.0), capacity[i]), without two builtin calls.
-            if level < 0.0:
-                level = 0.0
-            elif level > capacity[i]:
-                level = capacity[i]
-            levels[i] = level
+        move(levels, rates, t)
         cum_unserved += unserved
         cum_spill += spill
         unserved_cum.append(cum_unserved)
@@ -390,28 +367,29 @@ def lower_bound_unserved(trace, total_output_power_mw: float) -> np.ndarray:
 
 
 def _schedule(fleet: Sequence[StoreSpec], initial: FleetState, trace, policy_trace: PolicyTrace):
-    """Walk a rate schedule, each row stepped by ``apply_step``.
+    """Walk a rate schedule, each row stepped by ``apply_step``'s check.
 
     Yields ``(t, re, row, levels_before)`` once hour ``t``'s rates and
     levels have passed ``apply_step``'s checks (RateViolation,
     CapacityViolation).  Hour 0 is the schedule's first row, whatever the
     initial time index.  Raises FleetError for a bad fleet or initial
-    state, and for a schedule without one row per trace hour and one
-    column per store.
+    state, a NaN or infinite trace hour, and a schedule without one row
+    per trace hour and one column per store.
     """
     validate_fleet(fleet)
     validate_state(initial, fleet)
-    values = trace_values(trace)
+    values = _finite_values(trace)
     rates = policy_trace.rates_mw
     if rates.shape[0] != len(values):
         raise FleetError(f"{rates.shape[0]} rate rows for {len(values)} trace hours")
     if rates.shape[1] != len(fleet):
         raise FleetError(f"{rates.shape[1]} rate columns for {len(fleet)} stores")
-    state = FleetState(initial.levels_mwh)
+    move = _level_step(fleet)
+    levels = list(initial.levels_mwh)
     for t, (re, row) in enumerate(zip(values.tolist(), rates.tolist())):
-        levels = state.levels_mwh
-        state = apply_step(state, StepDecision(tuple(row)), fleet)
-        yield t, re, row, levels
+        before = levels.copy()
+        move(levels, row, t)
+        yield t, re, row, before
 
 
 def verify_feasible(
@@ -423,9 +401,9 @@ def verify_feasible(
     """Check every step of a rate schedule, raising on the first violation.
 
     Checks, within slack SLACK: rate bounds and level bounds along the
-    induced trajectory (each hour stepped by ``apply_step``), and the
-    imbalance sign discipline (surplus hours may not draw more than the
-    surplus; deficit hours may not discharge beyond the demand).
+    induced trajectory (each hour stepped by ``apply_step``'s check), and
+    the imbalance sign discipline (surplus hours may not draw more than
+    the surplus; deficit hours may not discharge beyond the demand).
     """
     etas = [s.efficiency for s in fleet]
     for t, re, row, _ in _schedule(fleet, initial, trace, policy_trace):
@@ -549,8 +527,8 @@ def greedify(
     the rewritten schedule has reached (``_clip_to_levels``).  A row not
     kept is made greedy (charging raised at surplus hours, discharging
     deepened at deficit hours); then the levels are stepped by
-    ``apply_step``.  So a schedule ``verify_greedy`` accepts comes back
-    unchanged, to the bit, even where it passes a bound by less than
+    ``apply_step``'s check.  So a schedule ``verify_greedy`` accepts comes
+    back unchanged, to the bit, even where it passes a bound by less than
     SLACK.  The result is feasible, greedy, and leaves no more demand
     unserved than the input at any hour; rewriting it again returns it
     unchanged.  Raises InfeasibleInput if the input schedule is not
@@ -564,10 +542,10 @@ def greedify(
 
     rates = policy_trace.rates_mw.copy()
     etas = [s.efficiency for s in fleet]
-    state = FleetState(initial.levels_mwh)
+    move = _level_step(fleet)
+    levels = list(initial.levels_mwh)
     changed = False
     for t, (re, row) in enumerate(zip(values.tolist(), rates)):
-        levels = state.levels_mwh
         if changed or _not_greedy(t, re, row, levels, fleet, etas) is not None:
             before = row.copy()
             if changed:
@@ -579,7 +557,7 @@ def greedify(
             ]
             _shift(row, sign, sign * imbalance(re, row, etas), limits, etas)
             changed = changed or bool(np.any(row != before))
-        state = apply_step(state, StepDecision(tuple(row.tolist())), fleet)
+        move(levels, row.tolist(), t)
     return PolicyTrace(rates)
 
 

@@ -201,26 +201,42 @@ def apply_step(state: FleetState, decision: StepDecision, fleet: Sequence[StoreS
     a bound are clamped onto it so that long runs cannot drift outside
     [0, capacity] through rounding.
     """
-    if len(decision.rates_mw) != len(fleet):
-        raise FleetError(f"decision has {len(decision.rates_mw)} rates for {len(fleet)} stores")
-    new_levels = []
-    for i, (spec, level, rate) in enumerate(zip(fleet, state.levels_mwh, decision.rates_mw)):
-        if rate < -spec.output_power_mw - SLACK or rate > spec.efficiency * spec.input_power_mw + SLACK:
-            raise RateViolation(
-                f"hour {state.time_index}: store {i} rate {rate} outside [-{spec.output_power_mw}, "
-                f"{spec.efficiency * spec.input_power_mw}]",
-                time_index=state.time_index,
-                store=i,
-            )
-        new_level = level + rate
-        if new_level < -SLACK or new_level > spec.capacity_mwh + SLACK:
-            raise CapacityViolation(
-                f"hour {state.time_index}: store {i} level {new_level} outside [0, {spec.capacity_mwh}]",
-                time_index=state.time_index,
-                store=i,
-            )
-        new_levels.append(min(max(new_level, 0.0), spec.capacity_mwh))
-    return FleetState(tuple(new_levels), state.time_index + 1)
+    levels = list(state.levels_mwh)
+    _level_step(fleet)(levels, decision.rates_mw, state.time_index)
+    return FleetState(tuple(levels), state.time_index + 1)
+
+
+def _level_step(fleet: Sequence[StoreSpec]):
+    """Bind ``apply_step``'s check and clamp to one fleet, once per hour walk.
+
+    ``step(levels, rates, hour)`` raises as ``apply_step`` does, naming
+    ``hour``, or else moves the list ``levels`` in place.
+    """
+    n = len(fleet)
+    capacity = [s.capacity_mwh for s in fleet]
+    max_charge = [s.efficiency * s.input_power_mw for s in fleet]
+    rate_lo = [-s.output_power_mw - SLACK for s in fleet]
+    rate_hi = [m + SLACK for m in max_charge]
+    level_lo, level_hi = -SLACK, [c + SLACK for c in capacity]
+    stores = range(n)
+
+    def step(levels, rates, hour):
+        if len(rates) != n:
+            raise FleetError(f"decision has {len(rates)} rates for {n} stores")
+        for i in stores:
+            r = rates[i]
+            if r < rate_lo[i] or r > rate_hi[i]:
+                raise RateViolation(f"hour {hour}: store {i} rate {r} outside "
+                                    f"[-{fleet[i].output_power_mw}, {max_charge[i]}]",
+                                    time_index=hour, store=i)
+            level = levels[i] + r
+            if level < level_lo or level > level_hi[i]:
+                raise CapacityViolation(f"hour {hour}: store {i} level {level} outside "
+                                        f"[0, {capacity[i]}]", time_index=hour, store=i)
+            # min(max(level, 0.0), capacity[i]), without two builtin calls.
+            levels[i] = 0.0 if level < 0.0 else capacity[i] if level > capacity[i] else level
+
+    return step
 
 
 def merge_equivalent(stores: Sequence[StoreSpec], rel_tol: float = 1e-9) -> StoreSpec:

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import SimResult, simulate, trace_values
+from .engine import SimResult, _finite_values, simulate, trace_values
 from .fleet import FleetError, FleetState, LossConvention, StoreSpec, convention_factor
 from .policies import Policy, ValueParams
 from .traces import HOURS_PER_YEAR
@@ -194,11 +194,12 @@ def min_single_store_capacity(
     The answer is checked by a forward greedy pass before it is returned.
     Where rounding left it a few ulps short, capacity and initial level
     are raised by the shortfall that pass found and checked again;
-    FleetError is raised if that still fails.  Starting at the returned
+    FleetError is raised if that still fails, and for a NaN or infinite
+    trace hour.  Starting at the returned
     initial level is enough, so starting full is too: the greedy
     trajectory is monotone in the starting level.
     """
-    values = trace_values(trace).tolist()
+    values = _finite_values(trace).tolist()
     if not 0.0 < efficiency <= 1.0:
         raise ValueError(f"efficiency must lie in (0, 1], got {efficiency}")
     # Plain floats on purpose: the numpy cumulative-sum form of this
@@ -566,12 +567,12 @@ def optimize_fleet(
                             build(max(capacity, 1e-9), p_long, q), trace, lambdas, standard
                         )
 
-                    if not feasible_capacity(capacity_big):
-                        continue
+                    # The top is checked only after a bisection that was not
+                    # abandoned: the same corners pass, with fewer runs.
                     e_min = _bisect_min(
                         feasible_capacity, 0.0, capacity_big, options.e_tol_mwh, give_up
                     )
-                    if e_min is None:
+                    if e_min is None or not feasible_capacity(capacity_big):
                         continue
                     fleet = build(max(e_min, 1e-9), p_long, q)
                     cost = price_stores(fleet, all_prices)

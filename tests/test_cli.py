@@ -868,3 +868,26 @@ class TestUsageErrors:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 1
+
+    def test_config_path_naming_a_directory(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: config error: ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_out_path_naming_a_regular_file(self, tmp_path, capsys, under):
+        config = simple_simulate_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / under if under else blocker
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: config error: ") and str(out) in err
+
+    def test_output_file_that_cannot_be_created(self, tmp_path, capsys):
+        config = simple_simulate_config(tmp_path)
+        out = tmp_path / "out"
+        (out / "simulation.csv").mkdir(parents=True)
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: config error: ") and str(out / "simulation.csv") in err

@@ -215,9 +215,10 @@ def _verdict(run):
 
 class TestSimulateBoundCheck:
     def test_inline_check_agrees_with_apply_step(self):
-        # simulate keeps its own copy of apply_step's rate and level check
-        # for speed; both must reject the same hour and store, and give the
-        # same clamped levels when nothing is violated.
+        # simulate's Python loop steps each hour through apply_step's own
+        # rate and level check, bound once per run; both must reject the
+        # same hour and store, and give the same clamped levels when
+        # nothing is violated.
         rng = np.random.default_rng(101)
         seen = set()
         for _ in range(400):
@@ -244,6 +245,47 @@ class TestSimulateBoundCheck:
             assert got == _verdict(stepped)
             seen.add(got[0])
         assert seen == {"ok", RateViolation, CapacityViolation}
+
+
+_NON_FINITE = [
+    ([math.nan, -1.0], 0, "nan"),
+    ([1.0, -2.0, math.inf], 2, "inf"),
+    ([-1.0, -math.inf, math.nan], 1, "-inf"),
+]
+
+
+class TestNonFiniteTrace:
+    """A NaN or infinite hour is rejected by name; -0.0 is an hour like any other."""
+
+    @pytest.mark.parametrize("values, hour, text", _NON_FINITE)
+    def test_simulate_names_the_first_bad_hour(self, monkeypatch, values, hour, text):
+        fleet = [one_store(capacity=10.0, output=5.0)]
+        match = f"^residual-energy trace hour {hour} is {text}, not a finite number$"
+        for policy in (Policy.ggddf(), Policy.value([0.1]), Policy.grtef().decide):
+            with pytest.raises(FleetError, match=match):
+                simulate(fleet, values, policy, unserved_limit_mwh=1.0)
+            with pytest.raises(FleetError, match=match):
+                _reference(monkeypatch, fleet, values, policy)
+
+    @pytest.mark.parametrize("check", [verify_feasible, verify_greedy, unserved_series, greedify])
+    @pytest.mark.parametrize("values, hour, text", _NON_FINITE)
+    def test_schedule_functions_name_the_first_bad_hour(self, check, values, hour, text):
+        fleet = [one_store(capacity=10.0, output=5.0)]
+        rows = PolicyTrace([[-5.0] if k == 0 else [0.0] for k in range(len(values))])
+        with pytest.raises(FleetError, match=f"residual-energy trace hour {hour} is {text},"):
+            check(fleet, full_state(fleet), values, rows)
+
+    def test_negative_zero_is_a_finite_hour(self, monkeypatch):
+        fleet = [one_store(capacity=10.0, output=5.0)]
+        values = [-0.0, -1.0]
+        for policy in (Policy.ggddf(), Policy.ggddf().decide):
+            assert simulate(fleet, values, policy).total_unserved_mwh == 0.0
+            assert _reference(monkeypatch, fleet, values, policy).total_unserved_mwh == 0.0
+        rows = PolicyTrace([[0.0], [-1.0]])
+        verify_feasible(fleet, full_state(fleet), values, rows)
+        verify_greedy(fleet, full_state(fleet), values, rows)
+        assert unserved_series(fleet, full_state(fleet), values, rows).tolist() == [0.0, 0.0]
+        assert greedify(fleet, full_state(fleet), values, rows).rates_mw.tolist() == [[0.0], [-1.0]]
 
 
 class TestVerifiers:
@@ -274,13 +316,22 @@ class TestVerifiers:
             verify_feasible(fleet, FleetState((8.0,)), [5.0, 5.0], PolicyTrace([[0.0], [5.0]]))
         assert err.value.time_index == 1
 
+    @pytest.mark.parametrize("run", ["verify_feasible", "simulate"])
     @pytest.mark.parametrize("row, error", [([5.0], CapacityViolation), ([60.0], RateViolation)])
-    def test_violation_hour_is_the_schedules_own(self, row, error):
+    def test_violation_hour_is_the_schedules_own(self, row, error, run):
         # The initial state's time index does not shift the reported hour.
         fleet = [StoreSpec("s", 10, 50, 50, 1.0)]
         initial = FleetState((8.0,), time_index=7)
+        rows = [[0.0], row]
+
+        def replay(state, re, fleet_):
+            return StepDecision(tuple(rows[state.time_index - 7]))
+
         with pytest.raises(error, match="^hour 1: store 0 ") as err:
-            verify_feasible(fleet, initial, [5.0, 100.0], PolicyTrace([[0.0], row]))
+            if run == "simulate":
+                simulate(fleet, [5.0, 100.0], replay, initial=initial)
+            else:
+                verify_feasible(fleet, initial, [5.0, 100.0], PolicyTrace(rows))
         assert (err.value.time_index, err.value.store) == (1, 0)
 
     def test_withholding_is_not_greedy(self):

@@ -6,7 +6,7 @@ import pytest
 
 from storefleet import sizing
 from storefleet.engine import SimResult, lower_bound_unserved, simulate
-from storefleet.fleet import FleetState, LossConvention, StoreSpec
+from storefleet.fleet import FleetError, FleetState, LossConvention, StoreSpec
 from storefleet.policies import Policy
 from storefleet.sizing import (
     Infeasible,
@@ -145,6 +145,13 @@ class TestMinSingleStoreCapacity:
 
     def test_no_deficit_needs_no_store(self):
         assert min_single_store_capacity([1.0, 2.0, 0.0], 0.7) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("bad, text", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+    def test_non_finite_hour_is_named(self, bad, text):
+        # A NaN hour would otherwise count as a zero-surplus hour.
+        with pytest.raises(FleetError, match=f"^residual-energy trace hour 2 is {text}, "):
+            min_single_store_capacity([-1.0, 3.0, bad, -2.0], 0.7)
+        assert min_single_store_capacity([-1.0, 3.0, -0.0, -2.0], 1.0) == (2.0, 1.0)
 
     def test_result_is_exact(self):
         rng = np.random.default_rng(61)
@@ -710,8 +717,9 @@ class TestCostBound:
         result = optimize_fleet([-512.0, 100.0, -512.0], costs, ReliabilityStandard(0.0), grid,
                                 1.0, options)
         assert result.total_cost_usd == 512e3 and [s.name for s in result.fleet] == ["long"]
-        # Two power checks at full capacity, then the corner.
-        assert checked[2:] == [1024.0, 512.0, 768.0, 640.0, 576.0]
+        # Two power checks at full capacity, then the corner's bisection.
+        # It is abandoned, so the bracket's top, 1024 MWh, is never checked.
+        assert checked[2:] == [512.0, 768.0, 640.0, 576.0]
 
 
 class TestOneSearch:
