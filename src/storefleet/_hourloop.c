@@ -1,4 +1,5 @@
-/* The hour loop of storefleet.engine.simulate for a Policy, in C.
+/* The hour loop of storefleet.engine.simulate for a Policy, in C, and
+ * the two passes of sizing.min_single_store_capacity (at the end).
  *
  * A port of policies._step_kernel (all three kinds, cross-charging
  * included) and of simulate's Python loop around it, with the same
@@ -265,4 +266,53 @@ int64_t simulate_hours(int64_t n, int64_t steps, int64_t kind, const double *spe
     }
     *cross_out = cross;
     return t;
+}
+
+/* The two passes of storefleet.sizing.min_single_store_capacity, ports of
+ * its Python loops (_sequent_peak and _shortfall) with the same float
+ * operations in the same order.  Python's max(0.0, x) returns x only when
+ * x > 0.0, and min(x, capacity) returns capacity only when capacity < x;
+ * the conditionals below keep those picks, so a -0.0 comes out as it does
+ * in Python. */
+
+/* The backward sequent-peak pass over values[0..steps): out[0] is the
+ * largest level any hour must start with to serve every later hour,
+ * out[1] the level hour 0 must start with. */
+void sequent_peak(int64_t steps, const double *values, double efficiency, double *out)
+{
+    double need = 0.0, peak = 0.0;
+    for (int64_t t = steps - 1; t >= 0; t--) {
+        double re = values[t];
+        if (re < 0.0) {
+            need -= re;
+        } else {
+            double x = need - efficiency * re;
+            need = x > 0.0 ? x : 0.0;
+        }
+        if (need > peak)
+            peak = need;
+    }
+    out[0] = peak;
+    out[1] = need;
+}
+
+/* The forward greedy check: the largest hourly shortfall beyond 1e-9 MWh
+ * of a store of this capacity starting at initial, with unconstrained
+ * power; the level is followed on below zero past a shortfall. */
+double shortfall(int64_t steps, const double *values, double efficiency, double capacity,
+                 double initial)
+{
+    double level = initial, worst = 0.0;
+    for (int64_t t = 0; t < steps; t++) {
+        double re = values[t];
+        if (re >= 0.0) {
+            double x = level + efficiency * re;
+            level = capacity < x ? capacity : x;
+        } else {
+            if (level < -re - 1e-9 && -re - level > worst)
+                worst = -re - level;
+            level += re;
+        }
+    }
+    return worst;
 }

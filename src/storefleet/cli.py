@@ -182,6 +182,8 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     raw = _section(raw, _SCENARIO_KEYS, f"{path}: scenario")
     trace = _parse_trace(raw["trace"]) if "trace" in raw else None
     overcapacity = _overcapacity(raw.get("overcapacity"))
@@ -431,6 +433,8 @@ def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
 
     workers = min(args.threads, len(jobs))
     if workers > 1:
+        # Loaded before the pool forks, so no worker builds or loads it again.
+        engine._load_hourloop()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(sizing.min_single_store_capacity, job_traces, job_etas))
     else:

@@ -12,11 +12,11 @@ power alone.
 
 For a ``Policy``, ``simulate`` steps the hours in C: ``_hourloop.c``
 repeats the Python loop's float operations in the same order, so its
-results are bit-identical.  The first ``Policy`` simulation in a process
-loads the library, building it with gcc into the package's
-``__pycache__`` if no build of this source and these flags is there.
-Without a compiler or a writable cache, and for callable policies, the
-Python loop runs.
+results are bit-identical.  The same library holds the two passes of
+``sizing.min_single_store_capacity``.  Its first use in a process loads
+it, building it with gcc into the package's ``__pycache__`` if no build
+of this source and these flags is there.  Without a compiler or a
+writable cache, and for callable policies, the Python loops run.
 """
 
 from __future__ import annotations
@@ -53,15 +53,15 @@ _GREEDIFY_EPS = 1e-9
 # of a block is formatted once.
 _CSV_BLOCK_ROWS = 4096
 
-# The compiled hour loop: its source, the gcc flags (never -march=native
+# The compiled module: its source, the gcc flags (never -march=native
 # or -ffast-math, which would move answers) and the cache it is built
 # into, one file per source and flags.
 _HOURLOOP_SOURCE = os.path.join(os.path.dirname(__file__), "_hourloop.c")
 _HOURLOOP_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 _HOURLOOP_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _UNLOADED = object()
-# The loaded C function, _UNLOADED before the first Policy simulation,
-# None when it cannot be built or loaded.
+# The loaded library, _UNLOADED before its first use, None when it
+# cannot be built or loaded.
 _hourloop = _UNLOADED
 
 
@@ -185,9 +185,9 @@ def simulate(
     limit = math.inf if unserved_limit_mwh is None else float(unserved_limit_mwh)
     if isinstance(policy, Policy):
         lambdas = policy.decay_rates(fleet)
-        loop = _load_hourloop()
-        if loop is not None:
-            result = _simulate_compiled(loop, fleet, values, policy.kind, lambdas, state, limit)
+        lib = _load_hourloop()
+        if lib is not None:
+            result = _simulate_compiled(lib, fleet, values, policy.kind, lambdas, state, limit)
             if result is not None:
                 return result
         step = policy.raw_step(fleet)
@@ -262,9 +262,12 @@ def simulate(
 
 
 def _load_hourloop():
-    """The compiled hour loop's C function, or None where it cannot be had.
+    """The compiled module, or None where it cannot be had.
 
-    Loads the library once per process, building it first if the cache
+    The module is a ctypes library with three functions bound:
+    ``simulate_hours`` (``simulate``'s hour loop) and ``sequent_peak``
+    and ``shortfall`` (``sizing.min_single_store_capacity``'s two
+    passes).  Loads it once per process, building it first if the cache
     holds no build of this source and these flags.  gcc writes into a
     fresh temporary directory, and the library is renamed into place
     only once the build has succeeded, so processes building at the same
@@ -286,8 +289,8 @@ def _load_hourloop():
             source = fh.read()
         key = zlib.crc32(" ".join(_HOURLOOP_CFLAGS).encode() + b"\0" + source)
         name = f"_hourloop.{key:08x}.so"
-        lib = os.path.join(_HOURLOOP_CACHE, name)
-        if not os.path.exists(lib):
+        path = os.path.join(_HOURLOOP_CACHE, name)
+        if not os.path.exists(path):
             gcc = shutil.which("gcc")
             if gcc is None:
                 return None
@@ -299,20 +302,26 @@ def _load_hourloop():
                     [gcc, *_HOURLOOP_CFLAGS, "-o", out, os.fspath(_HOURLOOP_SOURCE), "-lm"],
                     stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=120,
                 )
-                os.replace(out, lib)
+                os.replace(out, path)
             finally:
                 shutil.rmtree(build, ignore_errors=True)
-        loop = ctypes.CDLL(lib).simulate_hours
+        module = ctypes.CDLL(path)
     except (OSError, subprocess.SubprocessError):
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    loop.restype = i64
-    loop.argtypes = [i64, i64, i64, ptr, ptr, ptr, f64, f64, f64] + [ptr] * 9
-    _hourloop = loop
-    return loop
+    for symbol, restype, argtypes in (
+        ("simulate_hours", i64, [i64, i64, i64, ptr, ptr, ptr, f64, f64, f64] + [ptr] * 9),
+        ("sequent_peak", None, [i64, ptr, f64, ptr]),
+        ("shortfall", f64, [i64, ptr, f64, f64, f64]),
+    ):
+        function = getattr(module, symbol)
+        function.restype = restype
+        function.argtypes = argtypes
+    _hourloop = module
+    return module
 
 
-def _simulate_compiled(loop, fleet, values, kind, lambdas, state, limit) -> SimResult | None:
+def _simulate_compiled(lib, fleet, values, kind, lambdas, state, limit) -> SimResult | None:
     """``simulate`` for a Policy, stepped by the compiled loop.
 
     Returns None for a run the loop hands back (see ``_hourloop.c``):
@@ -334,7 +343,7 @@ def _simulate_compiled(loop, fleet, values, kind, lambdas, state, limit) -> SimR
     cross = np.zeros(1)
     scratch = np.empty(8 * n)
     order = np.empty(n, dtype=np.int64)
-    stepped = loop(
+    stepped = lib.simulate_hours(
         n, steps, Policy._KINDS.index(kind), spec.ctypes.data, decay.ctypes.data,
         values.ctypes.data, limit, SLACK, _EPS, levels.ctypes.data, rates.ctypes.data,
         level_traces.ctypes.data, unserved.ctypes.data, spill.ctypes.data,

@@ -144,11 +144,15 @@ def full_state(fleet: Sequence[StoreSpec], time_index: int = 0) -> FleetState:
     return FleetState(tuple(s.capacity_mwh for s in fleet), time_index)
 
 
-def validate_state(state: FleetState, fleet: Sequence[StoreSpec]) -> None:
+def _check_level_count(state: FleetState, fleet: Sequence[StoreSpec]) -> None:
     if len(state.levels_mwh) != len(fleet):
         raise FleetError(
             f"state has {len(state.levels_mwh)} levels for {len(fleet)} stores"
         )
+
+
+def validate_state(state: FleetState, fleet: Sequence[StoreSpec]) -> None:
+    _check_level_count(state, fleet)
     for i, (level, spec) in enumerate(zip(state.levels_mwh, fleet)):
         if not (-SLACK <= level <= spec.capacity_mwh + SLACK):
             raise CapacityViolation(
@@ -197,10 +201,12 @@ def apply_step(state: FleetState, decision: StepDecision, fleet: Sequence[StoreS
     """Advance one hour: levels_mwh[i] += rates_mw[i].
 
     Raises RateViolation / CapacityViolation (with slack SLACK) if the
-    decision is outside the feasible box.  Levels landing within slack of
-    a bound are clamped onto it so that long runs cannot drift outside
-    [0, capacity] through rounding.
+    decision is outside the feasible box, and ``validate_state``'s
+    FleetError for a state without one level per store.  Levels landing
+    within slack of a bound are clamped onto it so that long runs cannot
+    drift outside [0, capacity] through rounding.
     """
+    _check_level_count(state, fleet)
     levels = list(state.levels_mwh)
     _level_step(fleet)(levels, decision.rates_mw, state.time_index)
     return FleetState(tuple(levels), state.time_index + 1)

@@ -13,7 +13,10 @@ a change to the sizing search that moves an answer shows, and from
 table's float operations (the round trip through the split convention
 included) shows.  A third
 holds the sha256 of ``greedify``'s rewrites of seeded random schedules,
-so a change to the rewrite's float operations shows.
+so a change to the rewrite's float operations shows.  A fourth holds
+the sha256 of ``min_store_curve.csv`` from ``min-store-curve`` on the
+benchmark's curve scenario, with and without the worker pool, so a
+change to the sequent-peak passes that moves an answer shows.
 """
 
 import hashlib
@@ -362,6 +365,27 @@ def test_fixed_size_outputs_match_golden_digests(tmp_path, convention):
     assert main(argv) == 0
     digest = hashlib.sha256((out / "sizing.json").read_bytes()).hexdigest()
     assert digest == _FIXED_SIZING_DIGESTS[convention]
+
+
+# sha256 of min_store_curve.csv from ``min-store-curve`` on the
+# benchmark's curve scenario over 0.5 years (seed 1's overcapacities,
+# its three efficiencies), recorded before the sequent peak ran in C.
+_CURVE_DIGEST = "5950c9cc3184f08a474a7daf91f150253c044472c9cee33f0410f39b9458b825"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_min_store_curve_output_matches_golden_digest(tmp_path, threads):
+    scenarios = _benchmark_scenarios()
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(scenarios.min_store_curve_scenario(0.5)))
+    out = tmp_path / "out"
+    argv = ["min-store-curve", "--config", str(config), "--out", str(out), "--threads", threads,
+            "--etas", ",".join(map(repr, scenarios.CURVE_ETAS)),
+            "--oc-list", ",".join(map(repr, scenarios.curve_overcapacities(1)))]
+    assert main(argv) == 0
+    assert len((out / "min_store_curve.csv").read_text().splitlines()) == 31
+    digest = hashlib.sha256((out / "min_store_curve.csv").read_bytes()).hexdigest()
+    assert digest == _CURVE_DIGEST
 
 
 # sha256 over the rewritten rates and their cumulative unserved energy,

@@ -4,14 +4,16 @@ import csv
 import io
 import json
 import math
+import shutil
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from storefleet import cli
+from storefleet import cli, engine
 from storefleet.cli import main
 from storefleet.traces import load_csv
 
@@ -861,6 +863,22 @@ class TestFlags:
         assert workers == [2]  # one pool, for the two points; one point needs none
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc to build the compiled module")
+    def test_compiled_module_is_loaded_before_the_pool_starts(self, tmp_path, monkeypatch):
+        loaded = []
+
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                loaded.append(engine._hourloop is not engine._UNLOADED)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(engine, "_hourloop", engine._UNLOADED)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        config = write_config(tmp_path, {"trace": {"inline_mw": [10.0, -4.0, -4.0, -4.0]}})
+        argv = ["min-store-curve", "--config", config, "--etas", "0.5,0.9", "--threads", "2"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert loaded == [True] and engine._hourloop is not None
+
 
 class TestUsageErrors:
     def test_unknown_flag_is_config_error(self, tmp_path, capsys):
@@ -868,6 +886,15 @@ class TestUsageErrors:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 1
+
+    @pytest.mark.parametrize("command", [["simulate"], ["size"], ["min-store-curve", "--etas", "0.5"]],
+                             ids=["simulate", "size", "min-store-curve"])
+    def test_config_that_is_not_utf8(self, tmp_path, capsys, command):
+        config = tmp_path / "scenario.json"
+        config.write_bytes(bytes.fromhex("fffe7b7d"))
+        assert main([*command, "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"storefleet: config error: {config}: not UTF-8 text: ")
 
     def test_config_path_naming_a_directory(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1

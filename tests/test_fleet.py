@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from storefleet.fleet import (
     CapacityViolation,
     EfficiencyOutOfRange,
+    FleetError,
     FleetState,
     LossConvention,
     NonPositiveDimension,
@@ -101,6 +102,16 @@ class TestApplyStep:
         with pytest.raises(CapacityViolation, match="^hour 4: store 0 level -1.0 ") as err:
             apply_step(FleetState((1.0,), time_index=4), StepDecision((-2.0,)), fleet)
         assert (err.value.time_index, err.value.store) == (4, 0)
+
+    @pytest.mark.parametrize("levels", [(5.0, 5.0), ()])
+    def test_state_without_one_level_per_store_raises(self, levels):
+        fleet = [make_spec(capacity=10, output=10, input_=10, eta=1.0)]
+        state = FleetState(levels)
+        with pytest.raises(FleetError) as expected:
+            validate_state(state, fleet)
+        with pytest.raises(FleetError, match=f"^state has {len(levels)} levels for 1 stores$") as err:
+            apply_step(state, StepDecision((2.0,)), fleet)
+        assert type(err.value) is FleetError and str(err.value) == str(expected.value)
 
 
 class TestImbalance:

@@ -1,10 +1,11 @@
 import math
+import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from storefleet import sizing
+from storefleet import engine, sizing
 from storefleet.engine import SimResult, lower_bound_unserved, simulate
 from storefleet.fleet import FleetError, FleetState, LossConvention, StoreSpec
 from storefleet.policies import Policy
@@ -190,10 +191,11 @@ class TestMinSingleStoreCapacity:
         assert _shortfall([-5.0, 3.0, -6.0], 1.0, 14.0, 8.0) == 0.0
         assert _shortfall([-5.0], 1.0, 10.0, 5.0 - 1e-10) == 0.0  # within the 1e-9 slack
 
-    def test_rounding_shortfall_is_repaired(self):
+    def test_rounding_shortfall_is_repaired(self, monkeypatch):
         # A 2-year synthetic trace (seed 9) at overcapacity 0.1474 and
         # efficiency 0.4: the sequent-peak store, 1449077.9864164828 MWh,
         # comes out about 1.2e-9 MWh (5 ulps) short in the forward pass.
+        # Repaired alike on the compiled module and on the Python loops.
         demand, generation = synthesize(SynthParams(
             years=2.0, seed=9, diurnal_amp=0.30, weekly_amp=0.05, seasonal_amp=0.12,
             ar_coeff=0.97, noise_sd=0.18, solar_share=0.35,
@@ -202,10 +204,22 @@ class TestMinSingleStoreCapacity:
         raw_peak = 1449077.9864164828
         values = trace.values_mw.tolist()
         assert _shortfall(values, 0.4, raw_peak, raw_peak) > 0.0
-        e_min, s0_min = min_single_store_capacity(trace, 0.4)
-        assert _shortfall(values, 0.4, e_min, s0_min) == 0.0
-        assert raw_peak < e_min < raw_peak + 1e-8
-        assert raw_peak < s0_min <= e_min
+        answers = []
+        # The compiled module, where gcc is there to build it, then the Python loops.
+        for compiled in (shutil.which("gcc") is not None, False):
+            with monkeypatch.context() as patch:
+                if compiled:
+                    peak, short = _compiled_passes()
+                    assert peak(values, 0.4)[0] == raw_peak
+                    assert short(values, 0.4, raw_peak, raw_peak) > 0.0
+                else:
+                    patch.setattr(engine, "_hourloop", None)
+                e_min, s0_min = min_single_store_capacity(trace, 0.4)
+            assert _shortfall(values, 0.4, e_min, s0_min) == 0.0
+            assert raw_peak < e_min < raw_peak + 1e-8
+            assert raw_peak < s0_min <= e_min
+            answers.append(_bits((e_min, s0_min)))
+        assert len(set(answers)) == 1
 
     def test_nonincreasing_in_efficiency(self):
         rng = np.random.default_rng(67)
@@ -214,6 +228,145 @@ class TestMinSingleStoreCapacity:
             min_single_store_capacity(values, eta, tol_mwh=0.01)[0] for eta in (0.4, 0.7, 0.9)
         ]
         assert sizes[0] >= sizes[1] - 0.05 >= sizes[2] - 0.10
+
+
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc to build the compiled module")
+
+
+def _bits(floats) -> tuple[str, ...]:
+    """Floats told apart by their bits: -0.0 is not 0.0."""
+    return tuple(float(x).hex() for x in floats)
+
+
+def _compiled_passes():
+    """The compiled module's two passes, called as ``_sequent_peak`` and ``_shortfall`` are."""
+    lib = engine._load_hourloop()
+    assert lib is not None
+
+    def peak(values, efficiency):
+        arr = np.ascontiguousarray(values, dtype=float)
+        out = np.empty(2)
+        lib.sequent_peak(len(arr), arr.ctypes.data, efficiency, out.ctypes.data)
+        return tuple(out.tolist())
+
+    def short(values, efficiency, capacity, initial):
+        arr = np.ascontiguousarray(values, dtype=float)
+        return lib.shortfall(len(arr), arr.ctypes.data, efficiency, capacity, initial)
+
+    return peak, short
+
+
+def _outcome(values, efficiency):
+    """min_single_store_capacity's answer by its bits, or the text of its FleetError."""
+    try:
+        return _bits(min_single_store_capacity(values, efficiency))
+    except FleetError as exc:
+        return str(exc)
+
+
+def _python_outcome(monkeypatch, values, efficiency):
+    """``_outcome`` on the Python loops: the compiled module set to None."""
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_hourloop", None)
+        return _outcome(values, efficiency)
+
+
+# Traces at the edges of the two recurrences: one hour, all surplus, no
+# surplus (every hour a deficit, or every hour zero), -0.0 hours, and a
+# non-contiguous view of an array.
+_EDGE_TRACES = (
+    [5.0], [-5.0], [-0.0], [0.0],
+    [1.0, 2.0, 0.5, 3.0],
+    [-1.0, -2.0, -0.0, -3.0],
+    [0.0, 0.0, 0.0],
+    [-0.0, -0.0],
+    [-0.0, 2.0, -0.0, -3.0, 0.0, -1.5, -0.0],
+    [4.0, -0.0, -4.0, 0.0, -0.0],
+    np.array([3.0, 99.0, -2.0, 99.0, -0.0, 99.0, -4.0, 99.0])[::2],
+)
+
+
+@needs_gcc
+class TestCompiledSequentPeak:
+    """The compiled passes against the Python loops, bit for bit."""
+
+    def test_passes_match_python_loops_bit_for_bit(self, monkeypatch):
+        peak, short = _compiled_passes()
+        rng = np.random.default_rng(1601)
+        shortfalls = 0
+        for _ in range(300):
+            hours = int(rng.integers(1, 400))
+            scale = 10.0 ** rng.uniform(0.0, 6.0)
+            values = (rng.uniform(-1.0, 1.0, hours) + rng.uniform(-0.5, 0.5)) * scale
+            values[rng.integers(hours, size=3)] = -0.0
+            values[rng.integers(hours)] = 0.0
+            eta = 1.0 if rng.random() < 0.25 else float(rng.uniform(0.05, 1.0))
+            hours_list = values.tolist()
+            reference = sizing._sequent_peak(hours_list, eta)
+            assert _bits(peak(values, eta)) == _bits(reference)
+            capacity = reference[0] * float(rng.uniform(0.0, 1.2))
+            for cap, initial in (reference, (capacity, capacity * float(rng.uniform(0.0, 1.0)))):
+                got = short(values, eta, cap, initial)
+                assert _bits([got]) == _bits([_shortfall(hours_list, eta, cap, initial)])
+                shortfalls += got > 0.0
+            # Stores past about 2.5e7 MWh, where one ulp exceeds the check's
+            # 1e-9 MWh slack, can fail the check after the repair: both
+            # paths must then raise the same FleetError.
+            assert _outcome(values, eta) == _python_outcome(monkeypatch, values, eta)
+        assert shortfalls > 100  # the forward check must find shortfalls, not only zeros
+
+    @pytest.mark.parametrize("eta", [1.0, 0.4])
+    def test_edge_traces_match_python_loops_bit_for_bit(self, monkeypatch, eta):
+        peak, short = _compiled_passes()
+        for values in _EDGE_TRACES:
+            hours = np.asarray(values, dtype=float).tolist()
+            assert _bits(peak(values, eta)) == _bits(sizing._sequent_peak(hours, eta))
+            for capacity, initial in ((0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (2.0, 1.0), (9.0, 9.0)):
+                assert _bits([short(values, eta, capacity, initial)]) == _bits(
+                    [_shortfall(hours, eta, capacity, initial)])
+            assert _outcome(values, eta) == _python_outcome(monkeypatch, values, eta), values
+        # Starting levels a few ulps either side of the check's 1e-9 slack.
+        for re in (-5.0, -1234.5678, -1e-9):
+            level = -re - 1e-9
+            for _ in range(6):
+                level = math.nextafter(level, -math.inf)
+            for _ in range(13):
+                assert _bits([short([re], eta, 1e4, level)]) == _bits([_shortfall([re], eta, 1e4, level)])
+                level = math.nextafter(level, math.inf)
+        assert min_single_store_capacity([1.0, 2.0, 0.5], eta) == (0.0, 0.0)
+        assert min_single_store_capacity([-1.0, -2.0, -0.0, -3.0], eta) == (6.0, 6.0)
+
+    def test_compiled_path_runs_no_python_loop(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("ran a Python loop with the compiled module loaded")
+
+        assert engine._load_hourloop() is not None
+        monkeypatch.setattr(sizing, "_sequent_peak", never)
+        monkeypatch.setattr(sizing, "_shortfall", never)
+        assert min_single_store_capacity([10.0, -4.0, -4.0, -4.0], 0.25) == (12.0, 9.5)
+
+
+def test_without_the_compiled_module_the_python_loops_answer(monkeypatch):
+    # The loader returning None, as it does without gcc: the same answer,
+    # from the Python loops.
+    rng = np.random.default_rng(1602)
+    traces = [random_trace_values(rng, int(rng.integers(1, 300))) for _ in range(20)]
+    etas = [float(rng.uniform(0.1, 1.0)) for _ in traces]
+    expected = [_bits(min_single_store_capacity(v, eta)) for v, eta in zip(traces, etas)]
+    calls = []
+
+    def counted(function):
+        def wrapper(*args):
+            calls.append(function.__name__)
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(sizing, "_load_hourloop", lambda: None)
+    monkeypatch.setattr(sizing, "_sequent_peak", counted(sizing._sequent_peak))
+    monkeypatch.setattr(sizing, "_shortfall", counted(sizing._shortfall))
+    got = [_bits(min_single_store_capacity(v, eta)) for v, eta in zip(traces, etas)]
+    assert got == expected
+    assert calls.count("_sequent_peak") == calls.count("_shortfall") == len(traces)
 
 
 class TestBisectMin:
