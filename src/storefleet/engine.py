@@ -13,10 +13,12 @@ power alone.
 For a ``Policy``, ``simulate`` steps the hours in C: ``_hourloop.c``
 repeats the Python loop's float operations in the same order, so its
 results are bit-identical.  The same library holds the two passes of
-``sizing.min_single_store_capacity``.  Its first use in a process loads
-it, building it with gcc into the package's ``__pycache__`` if no build
-of this source and these flags is there.  Without a compiler or a
-writable cache, and for callable policies, the Python loops run.
+``sizing.min_single_store_capacity`` and the row formatter of
+``write_simulation_csv``, which prints each cell exactly as ``repr``.
+Its first use in a process loads it, building it with gcc into the
+package's ``__pycache__`` if no build of this source and these flags is
+there.  Without a compiler or a writable cache, and for callable
+policies, the Python loops run.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from .policies import _EPS, Policy
 # rather than something greedify needs to act on.
 _GREEDIFY_EPS = 1e-9
 
-# Rows formatted at a time by write_simulation_csv; each distinct value
-# of a block is formatted once.
+# Rows formatted at a time by write_simulation_csv: one block's text is
+# alive at a time.
 _CSV_BLOCK_ROWS = 4096
 
 # The compiled module: its source, the gcc flags (never -march=native
@@ -264,14 +266,15 @@ def simulate(
 def _load_hourloop():
     """The compiled module, or None where it cannot be had.
 
-    The module is a ctypes library with three functions bound:
-    ``simulate_hours`` (``simulate``'s hour loop) and ``sequent_peak``
+    The module is a ctypes library with four functions bound:
+    ``simulate_hours`` (``simulate``'s hour loop), ``sequent_peak``
     and ``shortfall`` (``sizing.min_single_store_capacity``'s two
-    passes).  Loads it once per process, building it first if the cache
-    holds no build of this source and these flags.  gcc writes into a
-    fresh temporary directory, and the library is renamed into place
-    only once the build has succeeded, so processes building at the same
-    time never load a half-written file.  Without gcc, with a failed
+    passes) and ``format_rows`` (``write_simulation_csv``'s rows).
+    Loads it once per process, building it first if the cache holds no
+    build of this source and these flags.  gcc writes into a fresh
+    temporary directory, and the library is renamed into place only once
+    the build has succeeded, so processes building at the same time
+    never load a half-written file.  Without gcc, with a failed
     build or an unusable cache directory this returns None, silently.
     """
     global _hourloop
@@ -313,6 +316,7 @@ def _load_hourloop():
         ("simulate_hours", i64, [i64, i64, i64, ptr, ptr, ptr, f64, f64, f64] + [ptr] * 9),
         ("sequent_peak", None, [i64, ptr, f64, ptr]),
         ("shortfall", f64, [i64, ptr, f64, f64, f64]),
+        ("format_rows", i64, [i64, i64, i64, ptr, ptr]),
     ):
         function = getattr(module, symbol)
         function.restype = restype
@@ -607,23 +611,38 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
         result.spill_cumulative_mwh,
         result.unserved_cumulative_mwh,
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        # Rows go out in blocks, so only one block's cell texts are
-        # alive.  The float trace column makes every block float.
+    lib = _load_hourloop()
+    # The compiled formatter's output, reused from block to block.
+    buffer = np.empty(0, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        # Rows go out in blocks, so only one block's text is alive.  The
+        # float trace column makes every block float.
         for start in range(0, steps, _CSV_BLOCK_ROWS):
             stop = min(start + _CSV_BLOCK_ROWS, steps)
             block = np.column_stack([c[start:stop] for c in columns])
-            fh.write(
-                "".join(
-                    f"{t},{','.join(row)}\n"
-                    for t, row in zip(range(start, stop), _csv_cells(block))
+            if lib is None:
+                fh.write(
+                    "".join(
+                        f"{t},{','.join(row)}\n"
+                        for t, row in zip(range(start, stop), _csv_cells(block))
+                    ).encode("utf-8")
                 )
-            )
+            else:
+                rows, cols = block.shape
+                # format_rows writes at most 20 + 25 * cols bytes a row.
+                need = rows * (20 + 25 * cols)
+                if len(buffer) < need:
+                    buffer = np.empty(need, dtype=np.uint8)
+                size = lib.format_rows(rows, cols, start, block.ctypes.data, buffer.ctypes.data)
+                fh.write(buffer[:size])
 
 
 def _csv_cells(block: np.ndarray) -> list[list[str]]:
     """Each cell's repr, row by row, with each distinct value formatted once.
+
+    The specification of ``_hourloop.c``'s ``format_rows``, which writes
+    the same text, and the writer's path without the compiled module.
 
     Most cells repeat a value already seen in their block (zero and
     power-limit rates, full stores, flat cumulative columns).  Values

@@ -259,6 +259,20 @@ class SynthParams:
 HOURS_PER_YEAR = 8760
 
 
+def _ar1(eps: np.ndarray, a: float, sd: float, x: float):
+    """x, then x = a * x + sd * e for each later e of eps.
+
+    Steps over Python floats: the same IEEE operations as on numpy
+    float64 scalars, at a fraction of the cost.  eps is read in slices,
+    so no list of the whole series is made.
+    """
+    yield x
+    for start in range(1, len(eps), 4096):
+        for e in eps[start:start + 4096].tolist():
+            x = a * x + sd * e
+            yield x
+
+
 def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
     """Generate (demand_mw, generation_mw), each of length years * 8760.
 
@@ -279,12 +293,10 @@ def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
 
     rng = np.random.default_rng(params.seed)
     eps = rng.standard_normal(n)
-    x = np.empty(n)
     a = params.ar_coeff
     stationary_sd = params.noise_sd / math.sqrt(1.0 - a * a) if params.noise_sd > 0.0 else 0.0
-    x[0] = stationary_sd * eps[0]
-    for t in range(1, n):
-        x[t] = a * x[t - 1] + params.noise_sd * eps[t]
+    x0 = float(stationary_sd) * float(eps[0])
+    x = np.fromiter(_ar1(eps, float(a), float(params.noise_sd), x0), float, n)
     wind = np.maximum(1.0 + x, 0.0)
 
     daylight = np.maximum(np.cos(two_pi * (h - 13.0) / 24.0) - 0.3, 0.0)

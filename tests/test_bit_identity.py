@@ -3,7 +3,10 @@
 Two independent ways to produce the same numbers must agree exactly:
 the engine's bound closure (``Policy`` passed to ``simulate``) against
 the public per-step dispatch (``Policy.decide`` passed as a plain
-callable), and the block CSV writer against a per-cell one.  A golden
+callable), and the block CSV writer against a per-cell one.  The CSV
+tests run on the compiled row formatter and on the Python writer, and
+hold both to ``repr`` on random bit patterns and on the values where a
+shortest-decimal formatter goes wrong first.  A golden
 test holds the sha256 of the CLI ``simulate`` outputs for a small fixed
 scenario per policy, so any change to float operation order in the
 step, the engine loop or the CSV writer shows.  Another holds the sha256
@@ -23,6 +26,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -112,8 +116,37 @@ def _reference_csv(values, fleet, result) -> str:
     return "\n".join(lines) + "\n"
 
 
+@pytest.fixture(params=["compiled", "python"])
+def csv_writer(request, monkeypatch):
+    """Each CSV test runs on the compiled row formatter and on the Python writer."""
+    if request.param == "python":
+        monkeypatch.setattr(engine, "_load_hourloop", lambda: None)
+    elif engine._load_hourloop() is None:
+        pytest.skip("the compiled module cannot be built here")
+    return request.param
+
+
+def _write_cells(path, cells, names=("s0", "s1")):
+    """Write an hours x (3 + 2n) array of cells as a simulation.csv of n
+    stores; return the writer's inputs."""
+    n = len(names)
+    fleet = [StoreSpec(name, 1.0, 1.0, 1.0, 1.0) for name in names]
+    values = cells[:, 0].copy()
+    result = SimResult(
+        unserved_cumulative_mwh=cells[:, -1].copy(),
+        spill_cumulative_mwh=cells[:, -2].copy(),
+        level_traces_mwh=cells[:, 1 + n:1 + 2 * n].copy(),
+        rates_mw=cells[:, 1:1 + n].copy(),
+        served_external_mwh=np.zeros(n),
+        cross_charged_mwh=0.0,
+        final_state=FleetState(tuple(cells[-1, 1 + n:1 + 2 * n].tolist())),
+    )
+    write_simulation_csv(path, values, fleet, result)
+    return values, fleet, result
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, 50, 4096])
-def test_block_csv_writer_matches_per_cell_writer(tmp_path, monkeypatch, block_rows):
+def test_block_csv_writer_matches_per_cell_writer(tmp_path, monkeypatch, block_rows, csv_writer):
     monkeypatch.setattr(engine, "_CSV_BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(5)
     fleet = random_fleet(rng, 3)
@@ -133,30 +166,84 @@ _EDGE_VALUES = (
 
 
 @pytest.mark.parametrize("block_rows", [1, 5, 4096])
-def test_block_csv_writer_keeps_edge_values(tmp_path, monkeypatch, block_rows):
+def test_block_csv_writer_keeps_edge_values(tmp_path, monkeypatch, block_rows, csv_writer):
     monkeypatch.setattr(engine, "_CSV_BLOCK_ROWS", block_rows)
-    hours, n = 40, 2
     # Row t holds seven consecutive edge values from offset t, so values
     # repeat within and across rows, and many rows hold both zeros.
-    cells = np.array(
-        [[_EDGE_VALUES[(t + k) % len(_EDGE_VALUES)] for k in range(3 + 2 * n)]
-         for t in range(hours)]
-    )
+    cells = np.array([[_EDGE_VALUES[(t + k) % len(_EDGE_VALUES)] for k in range(7)]
+                      for t in range(40)])
     assert sum(1 for row in cells if {"-0.0", "0.0"} <= set(map(repr, row.tolist()))) > 10
-    fleet = [StoreSpec(f"s{i}", 1.0, 1.0, 1.0, 1.0) for i in range(n)]
-    values = cells[:, 0].copy()
-    result = SimResult(
-        unserved_cumulative_mwh=cells[:, -1].copy(),
-        spill_cumulative_mwh=cells[:, -2].copy(),
-        level_traces_mwh=cells[:, 1 + n:1 + 2 * n].copy(),
-        rates_mw=cells[:, 1:1 + n].copy(),
-        served_external_mwh=np.zeros(n),
-        cross_charged_mwh=0.0,
-        final_state=FleetState(tuple(cells[-1, 1 + n:1 + 2 * n].tolist())),
-    )
     path = tmp_path / "sim.csv"
-    write_simulation_csv(path, values, fleet, result)
-    assert path.read_text(encoding="utf-8") == _reference_csv(values, fleet, result)
+    inputs = _write_cells(path, cells)
+    assert path.read_text(encoding="utf-8") == _reference_csv(*inputs)
+
+
+def _repr_cases():
+    """200k seeded random bit patterns (NaN payloads included) and the
+    values where a shortest-repr formatter goes wrong first."""
+    rng = np.random.default_rng(17)
+    bits = rng.integers(-2**63, 2**63 - 1, 200_000, dtype=np.int64, endpoint=True)
+    values = bits.view(np.float64).tolist()
+    # Every power of two and its neighbours: at a power of two the lower
+    # neighbour is half as far away as the upper one.
+    for e in range(-1074, 1024):
+        p = math.ldexp(1.0, e)
+        values += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    smallest_normal = 2.2250738585072014e-308
+    values += [k * 5e-324 for k in range(1, 2000)]
+    values += [smallest_normal - k * 5e-324 for k in range(1, 2000)]
+    values += rng.uniform(0.0, smallest_normal, 2000).tolist()
+    values += [math.inf, math.nan, 0.0, 2.0**53 - 2, 2.0**53 + 2, 2.0**53 - 1, 2.0**53,
+               1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-4, 1e-5,
+               0.00010000000000000002, 9.999999999999999e-05]
+    values += [-x for x in values[200_000:]]
+    return np.array(values)
+
+
+def test_csv_writer_prints_each_float_as_repr(tmp_path, csv_writer):
+    values = _repr_cases()
+    cells = np.resize(values, (-(-len(values) // 7), 7))
+    path = tmp_path / "sim.csv"
+    inputs = _write_cells(path, cells)
+    assert path.read_text(encoding="utf-8") == _reference_csv(*inputs)
+
+
+def test_csv_writer_encodes_a_non_ascii_header(tmp_path, csv_writer):
+    cells = np.arange(70.0).reshape(10, 7) / 3.0
+    path = tmp_path / "sim.csv"
+    inputs = _write_cells(path, cells, names=("Pumpspeicher-Überlauf", "蓄電池"))
+    text = path.read_bytes().decode("utf-8")
+    assert text.startswith("hour,re_mw,rate_Pumpspeicher-Überlauf,rate_蓄電池,")
+    assert text == _reference_csv(*inputs)
+
+
+def test_csv_writer_fills_a_block_of_the_longest_cells(tmp_path, csv_writer):
+    # The compiled formatter's buffer holds 20 + 25 * cols bytes a row:
+    # a full block of 24-byte cells comes closest to that bound.
+    longest = -2.2250738585072014e-308
+    assert len(repr(longest)) == 24
+    cells = np.full((engine._CSV_BLOCK_ROWS + 3, 7), longest)
+    path = tmp_path / "sim.csv"
+    inputs = _write_cells(path, cells)
+    assert path.read_text(encoding="utf-8") == _reference_csv(*inputs)
+
+
+def test_hourloop_power_table_matches_its_definition():
+    # g(e) = floor(10^e * 2^-r) + 1, r = floor(log2 10^e) - 127, for
+    # e = -292..324, recomputed with Python ints.
+    source = Path(engine._HOURLOOP_SOURCE).read_text()
+    table = source[source.index("G[617][2] = {"):]
+    table = table[:table.index("};")]
+    pairs = re.findall(r"\{0x([0-9a-f]{16}), 0x([0-9a-f]{16})\}", table)
+    literal = [int(hi, 16) << 64 | int(lo, 16) for hi, lo in pairs]
+    expected = []
+    for e in range(-292, 325):
+        log2 = (10**e).bit_length() - 1 if e >= 0 else -(10**-e).bit_length()
+        assert log2 == (e * 1741647) >> 19  # the C code's floor(log2 10^e)
+        r = log2 - 127
+        scaled = (10**e >> r if r >= 0 else 10**e << -r) if e >= 0 else (1 << -r) // 10**-e
+        expected.append(scaled + 1)
+    assert literal == expected
 
 
 def test_csv_writer_rejects_a_stopped_run(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -177,6 +178,19 @@ class TestSynthesize:
 
     def test_longest_trace_accepted(self):
         assert SynthParams(years=1000.0).years == 1000.0
+
+    # sha256 of the (demand, generation) bytes, recorded before the AR(1)
+    # wind loop stepped over Python floats instead of numpy scalars.
+    @pytest.mark.parametrize(
+        "seed,solar_share,digest",
+        [
+            (7, 0.0, "cce42874dca0574ffd6df4b906ca9618e49d1a63f80791d23415f4236d84d8c4"),
+            (11, 0.35, "c261da8978392d724c819089bf849215313b6bae24c1757caf654049d57e2429"),
+        ],
+    )
+    def test_series_match_golden_digest(self, seed, solar_share, digest):
+        demand, generation = synthesize(SynthParams(years=0.5, seed=seed, solar_share=solar_share))
+        assert hashlib.sha256(demand.tobytes() + generation.tobytes()).hexdigest() == digest
 
     def test_good_fields_accepted(self):
         params = SynthParams(years=1, seed=np.int64(3), base_demand_mw=10, noise_sd=0,
