@@ -1,8 +1,9 @@
 /* The hour loop of storefleet.engine.simulate for a Policy, in C, the
- * two passes of sizing.min_single_store_capacity and the row formatter
- * of engine.write_simulation_csv (at the end), which prints each cell
- * exactly as Python's repr does with Schubfach (R. Giulietti, "The
- * Schubfach way to render doubles", 2020).
+ * two passes of sizing.min_single_store_capacity, the AR(1) noise of
+ * traces.synthesize and the row formatter of engine.write_simulation_csv
+ * (at the end), which prints each cell exactly as Python's repr does
+ * with Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+ * 2020).
  *
  * A port of policies._step_kernel (all three kinds, cross-charging
  * included) and of simulate's Python loop around it, with the same
@@ -319,6 +320,19 @@ double shortfall(int64_t steps, const double *values, double efficiency, double 
         }
     }
     return worst;
+}
+
+/* The wind noise of storefleet.traces.synthesize, a port of traces._ar1:
+ * out[0] = x0, then x = a * x + sd * eps[t] for each later hour t, two
+ * products and their sum rounded one at a time, as Python rounds them. */
+void ar1(int64_t n, const double *eps, double a, double sd, double x0, double *out)
+{
+    double x = x0;
+    out[0] = x;
+    for (int64_t t = 1; t < n; t++) {
+        x = a * x + sd * eps[t];
+        out[t] = x;
+    }
 }
 
 /* The rows of storefleet.engine.write_simulation_csv, each cell exactly as
@@ -776,9 +790,16 @@ static char *format_double(double x, char *p)
  * (first_hour >= 0 counting up), then each cell as repr prints it, comma
  * separated.  Returns the number of bytes written; out must hold
  * rows * (20 + 25 * cols), since an hour takes at most 19 digits and a
- * cell at most 24 bytes (-2.2250738585072014e-308). */
+ * cell at most 24 bytes (-2.2250738585072014e-308).
+ *
+ * A cell with the same bits as the cell above it prints the same text,
+ * so that text is copied instead of formatted again.  spans (2 * cols
+ * entries, any count of columns) keeps, per column, the offset in out and
+ * the length of the text last formatted there, which is the text of the
+ * cell above.  Bits, not ==, decide: -0.0 and 0.0 compare equal but print
+ * differently, and NaNs with different payloads are each formatted. */
 int64_t format_rows(int64_t rows, int64_t cols, int64_t first_hour, const double *block,
-                    char *out)
+                    char *out, int64_t *spans)
 {
     char *p = out;
     for (int64_t r = 0; r < rows; r++) {
@@ -791,9 +812,19 @@ int64_t format_rows(int64_t rows, int64_t cols, int64_t first_hour, const double
         } while (hour);
         while (n)
             *p++ = digits[--n];
+        const double *row = block + r * cols;
         for (int64_t j = 0; j < cols; j++) {
             *p++ = ',';
-            p = format_double(block[r * cols + j], p);
+            int64_t *span = spans + 2 * j;
+            if (r > 0 && memcmp(&row[j], &row[j - cols], sizeof(double)) == 0) {
+                memcpy(p, out + span[0], (size_t)span[1]);
+                p += span[1];
+            } else {
+                char *start = p;
+                p = format_double(row[j], p);
+                span[0] = start - out;
+                span[1] = p - start;
+            }
         }
         *p++ = '\n';
     }

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +35,21 @@ from .traces import InvalidParams, ResidualTrace, SchemaError, SynthParams, Trac
 
 
 MAX_STATS_BINS = 100_000  # `stats --bins` upper bound: keeps the histogram small
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use (PEP 562).
+
+    ``concurrent.futures``' process pool pulls in ``multiprocessing``,
+    ``logging``, ``socket`` and ``subprocess``, which only a pooled
+    ``min-store-curve`` sweep needs, so other commands never import it.
+    """
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(Exception):
@@ -435,7 +449,9 @@ def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
     if workers > 1:
         # Loaded before the pool forks, so no worker builds or loads it again.
         engine._load_hourloop()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Looked up on the module, so that a pool set on cli.ProcessPoolExecutor is used.
+        pool_class = getattr(sys.modules[__name__], "ProcessPoolExecutor")
+        with pool_class(max_workers=workers) as pool:
             results = list(pool.map(sizing.min_single_store_capacity, job_traces, job_etas))
     else:
         results = list(map(sizing.min_single_store_capacity, job_traces, job_etas))

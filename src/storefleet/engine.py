@@ -13,8 +13,9 @@ power alone.
 For a ``Policy``, ``simulate`` steps the hours in C: ``_hourloop.c``
 repeats the Python loop's float operations in the same order, so its
 results are bit-identical.  The same library holds the two passes of
-``sizing.min_single_store_capacity`` and the row formatter of
-``write_simulation_csv``, which prints each cell exactly as ``repr``.
+``sizing.min_single_store_capacity``, the AR(1) noise recursion of
+``traces.synthesize`` and the row formatter of ``write_simulation_csv``,
+which prints each cell exactly as ``repr``.
 Its first use in a process loads it, building it with gcc into the
 package's ``__pycache__`` if no build of this source and these flags is
 there.  Without a compiler or a writable cache, and for callable
@@ -266,15 +267,13 @@ def simulate(
 def _load_hourloop():
     """The compiled module, or None where it cannot be had.
 
-    The module is a ctypes library with four functions bound:
+    The module is a ctypes library with five functions bound:
     ``simulate_hours`` (``simulate``'s hour loop), ``sequent_peak``
     and ``shortfall`` (``sizing.min_single_store_capacity``'s two
-    passes) and ``format_rows`` (``write_simulation_csv``'s rows).
-    Loads it once per process, building it first if the cache holds no
-    build of this source and these flags.  gcc writes into a fresh
-    temporary directory, and the library is renamed into place only once
-    the build has succeeded, so processes building at the same time
-    never load a half-written file.  Without gcc, with a failed
+    passes), ``format_rows`` (``write_simulation_csv``'s rows) and
+    ``ar1`` (``traces.synthesize``'s wind noise).  Loads it once per
+    process, building it first (``_build_hourloop``) if the cache holds
+    no build of this source and these flags.  Without gcc, with a failed
     build or an unusable cache directory this returns None, silently.
     """
     global _hourloop
@@ -283,46 +282,64 @@ def _load_hourloop():
     _hourloop = None
     # Imported on first use, so that importing the package loads no more modules.
     import ctypes
-    import shutil
-    import subprocess
-    import tempfile
 
     try:
         with open(_HOURLOOP_SOURCE, "rb") as fh:
             source = fh.read()
         key = zlib.crc32(" ".join(_HOURLOOP_CFLAGS).encode() + b"\0" + source)
-        name = f"_hourloop.{key:08x}.so"
-        path = os.path.join(_HOURLOOP_CACHE, name)
-        if not os.path.exists(path):
-            gcc = shutil.which("gcc")
-            if gcc is None:
-                return None
-            os.makedirs(_HOURLOOP_CACHE, exist_ok=True)
-            build = tempfile.mkdtemp(prefix=name + ".", dir=_HOURLOOP_CACHE)
-            try:
-                out = os.path.join(build, name)
-                subprocess.run(
-                    [gcc, *_HOURLOOP_CFLAGS, "-o", out, os.fspath(_HOURLOOP_SOURCE), "-lm"],
-                    stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=120,
-                )
-                os.replace(out, path)
-            finally:
-                shutil.rmtree(build, ignore_errors=True)
+        path = os.path.join(_HOURLOOP_CACHE, f"_hourloop.{key:08x}.so")
+        if not os.path.exists(path) and not _build_hourloop(path):
+            return None
         module = ctypes.CDLL(path)
-    except (OSError, subprocess.SubprocessError):
+    except OSError:
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     for symbol, restype, argtypes in (
         ("simulate_hours", i64, [i64, i64, i64, ptr, ptr, ptr, f64, f64, f64] + [ptr] * 9),
         ("sequent_peak", None, [i64, ptr, f64, ptr]),
         ("shortfall", f64, [i64, ptr, f64, f64, f64]),
-        ("format_rows", i64, [i64, i64, i64, ptr, ptr]),
+        ("format_rows", i64, [i64, i64, i64, ptr, ptr, ptr]),
+        ("ar1", None, [i64, ptr, f64, f64, f64, ptr]),
     ):
         function = getattr(module, symbol)
         function.restype = restype
         function.argtypes = argtypes
     _hourloop = module
     return module
+
+
+def _build_hourloop(path: str) -> bool:
+    """Build the library at ``path`` with gcc; False where that fails.
+
+    gcc writes into a fresh temporary directory, and the library is
+    renamed into place only once the build has succeeded, so processes
+    building at the same time never load a half-written file.  The
+    modules a build needs are imported here, so that a process which
+    finds the library built never loads them.
+    """
+    import shutil
+    import subprocess
+    import tempfile
+
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        return False
+    cache, name = os.path.split(path)
+    try:
+        os.makedirs(cache, exist_ok=True)
+        build = tempfile.mkdtemp(prefix=name + ".", dir=cache)
+        try:
+            out = os.path.join(build, name)
+            subprocess.run(
+                [gcc, *_HOURLOOP_CFLAGS, "-o", out, os.fspath(_HOURLOOP_SOURCE), "-lm"],
+                stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=120,
+            )
+            os.replace(out, path)
+        finally:
+            shutil.rmtree(build, ignore_errors=True)
+    except (OSError, subprocess.SubprocessError):
+        return False
+    return True
 
 
 def _simulate_compiled(lib, fleet, values, kind, lambdas, state, limit) -> SimResult | None:
@@ -634,7 +651,10 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
                 need = rows * (20 + 25 * cols)
                 if len(buffer) < need:
                     buffer = np.empty(need, dtype=np.uint8)
-                size = lib.format_rows(rows, cols, start, block.ctypes.data, buffer.ctypes.data)
+                # Where each column's text was last formatted, for copying repeats.
+                spans = np.empty(2 * cols, dtype=np.int64)
+                size = lib.format_rows(rows, cols, start, block.ctypes.data, buffer.ctypes.data,
+                                       spans.ctypes.data)
                 fh.write(buffer[:size])
 
 

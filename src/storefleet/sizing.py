@@ -199,6 +199,11 @@ def _shortfall(values: list[float], efficiency: float, capacity: float, initial:
     return worst
 
 
+# Repairs of a sequent-peak store that the forward check finds short:
+# 10-year traces at a 35 GW base need up to 3.
+_MAX_REPAIRS = 8
+
+
 def min_single_store_capacity(
     trace, efficiency: float, tol_mwh: float = 1.0
 ) -> tuple[float, float]:
@@ -216,10 +221,12 @@ def min_single_store_capacity(
     The answer is checked by a forward greedy pass (``_shortfall``)
     before it is returned.  Where rounding left it a few ulps short,
     capacity and initial level are raised by the shortfall that pass
-    found and checked again; FleetError is raised if that still fails,
-    and for a NaN or infinite trace hour.  Starting at the returned
-    initial level is enough, so starting full is too: the greedy
-    trajectory is monotone in the starting level.
+    found and checked again; if that still falls short, they are raised
+    by at least one ulp of the capacity, up to ``_MAX_REPAIRS`` repairs
+    in all.  FleetError is raised if those still fail, and for a NaN or
+    infinite trace hour.  Starting at the returned initial level is
+    enough, so starting full is too: the greedy trajectory is monotone
+    in the starting level.
 
     Both passes run in the compiled module (``engine._load_hourloop``),
     whose ports of the two Python loops give the same bits; where it
@@ -242,13 +249,21 @@ def min_single_store_capacity(
         peak, need = out.tolist()
         shortfall = functools.partial(lib.shortfall, len(values), values.ctypes.data, efficiency)
     short = shortfall(peak, need)
-    if short > 0.0:
-        peak += short
-        need += short
-        if shortfall(peak, need) > 0.0:
+    repairs = 0
+    while short > 0.0:
+        if repairs == _MAX_REPAIRS:
             raise FleetError(
                 f"sequent-peak store ({peak} MWh, initial {need} MWh) fails the forward check"
             )
+        # The first repair adds the shortfall found.  Past about 2.5e7 MWh
+        # one ulp of the store exceeds the check's 1e-9 MWh slack, so that
+        # sum can round back to the store it started from: later repairs
+        # add at least one ulp.
+        step = short if repairs == 0 else max(short, math.ulp(peak))
+        peak += step
+        need += step
+        repairs += 1
+        short = shortfall(peak, need)
     return peak, need
 
 

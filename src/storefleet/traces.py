@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .engine import _load_hourloop
+
 
 class TraceError(Exception):
     """Base class for trace ingestion/synthesis errors."""
@@ -262,9 +264,11 @@ HOURS_PER_YEAR = 8760
 def _ar1(eps: np.ndarray, a: float, sd: float, x: float):
     """x, then x = a * x + sd * e for each later e of eps.
 
-    Steps over Python floats: the same IEEE operations as on numpy
-    float64 scalars, at a fraction of the cost.  eps is read in slices,
-    so no list of the whole series is made.
+    The specification of ``_hourloop.c``'s ``ar1``, which ``synthesize``
+    calls, and its path without the compiled module.  Steps over Python
+    floats: the same IEEE operations as on numpy float64 scalars, at a
+    fraction of the cost.  eps is read in slices, so no list of the
+    whole series is made.
     """
     yield x
     for start in range(1, len(eps), 4096):
@@ -296,7 +300,12 @@ def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
     a = params.ar_coeff
     stationary_sd = params.noise_sd / math.sqrt(1.0 - a * a) if params.noise_sd > 0.0 else 0.0
     x0 = float(stationary_sd) * float(eps[0])
-    x = np.fromiter(_ar1(eps, float(a), float(params.noise_sd), x0), float, n)
+    lib = _load_hourloop()
+    if lib is None:
+        x = np.fromiter(_ar1(eps, float(a), float(params.noise_sd), x0), float, n)
+    else:
+        x = np.empty(n)
+        lib.ar1(n, eps.ctypes.data, float(a), float(params.noise_sd), x0, x.ctypes.data)
     wind = np.maximum(1.0 + x, 0.0)
 
     daylight = np.maximum(np.cos(two_pi * (h - 13.0) / 24.0) - 0.3, 0.0)

@@ -228,6 +228,50 @@ def test_csv_writer_fills_a_block_of_the_longest_cells(tmp_path, csv_writer):
     assert path.read_text(encoding="utf-8") == _reference_csv(*inputs)
 
 
+# Bit patterns the copy of a repeated cell must tell apart: -0.0 from
+# 0.0, and NaNs of other signs and payloads (quiet and signalling), which
+# all print "nan".
+_REPEAT_BITS = np.array(
+    [0x0000000000000000, 0x8000000000000000, 0x3FF8000000000000, 0xBE90C6F7A0B5ED8D,
+     0x4480F0CF064DD592, 0x0000000000000001, 0x7FF0000000000000, 0x7FF8000000000000,
+     0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF],
+    dtype=np.uint64,
+)
+
+
+@pytest.mark.parametrize("block_rows", [3, 50])
+@pytest.mark.parametrize("stores", [2, 40])
+def test_csv_writer_copies_repeated_cells(tmp_path, monkeypatch, block_rows, stores, csv_writer):
+    # Cells with the bits of the cell above them, whose text the compiled
+    # formatter copies: runs of equal cells, some across the edge of a
+    # block, 0.0 and -0.0 alternating in one column, NaNs with different
+    # payloads, and (at 40 stores) 83 columns.
+    monkeypatch.setattr(engine, "_CSV_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(1802)
+    rows, cols = 120, 3 + 2 * stores
+    bits = np.empty((rows, cols), dtype=np.uint64)
+    for j in range(cols):
+        t = 0
+        while t < rows:
+            run = int(rng.integers(1, 9))
+            bits[t:t + run, j] = _REPEAT_BITS[rng.integers(len(_REPEAT_BITS))]
+            t += run
+    bits[:, 1] = np.where(np.arange(rows) % 2, 0x8000000000000000, 0)
+    bits[:, 2] = _REPEAT_BITS[7 + np.arange(rows) % 5]  # a NaN payload changes every row
+    cells = bits.view(np.float64)
+    repeats = bits[1:] == bits[:-1]
+    assert repeats.mean() > 0.5
+    assert repeats[block_rows - 1::block_rows].any()  # a run crosses a block edge
+    names = tuple(f"s{i}" for i in range(stores))
+    path = tmp_path / "sim.csv"
+    inputs = _write_cells(path, cells, names=names)
+    text = path.read_text(encoding="utf-8")
+    assert text == _reference_csv(*inputs)
+    body = "".join(f"{t},{','.join(row)}\n" for t, row in enumerate(engine._csv_cells(cells)))
+    assert text.split("\n", 1)[1] == body
+    assert {"0.0", "-0.0"} <= {line.split(",")[2] for line in text.splitlines()[1:]}
+
+
 def test_hourloop_power_table_matches_its_definition():
     # g(e) = floor(10^e * 2^-r) + 1, r = floor(log2 10^e) - 127, for
     # e = -292..324, recomputed with Python ints.

@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -878,6 +881,52 @@ class TestFlags:
         argv = ["min-store-curve", "--config", config, "--etas", "0.5,0.9", "--threads", "2"]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
         assert loaded == [True] and engine._hourloop is not None
+
+
+# Modules that only a pooled sweep or a gcc build needs.
+_POOL_MODULES = ("concurrent.futures", "multiprocessing", "subprocess")
+
+
+def _fresh_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running ``code``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = f"import sys\n{code}\nprint(' '.join(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          check=True)
+    return set(done.stdout.split())
+
+
+class TestImportBudget:
+    def test_importing_the_cli_loads_no_pool(self):
+        loaded = _fresh_modules("import storefleet.cli")
+        assert "storefleet.cli" in loaded
+        assert not loaded & set(_POOL_MODULES)
+
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc to build the compiled module")
+    def test_simulate_with_a_built_library_loads_no_subprocess(self, tmp_path):
+        assert engine._load_hourloop() is not None  # built, in the cache the child reads
+        config = write_config(tmp_path, {
+            "trace": {"synthetic": {"years": 0.01, "seed": 5}},
+            "stores": [{"name": "s", "capacity_mwh": 500.0, "output_power_mw": 300.0,
+                        "input_power_mw": 300.0, "efficiency": 0.8}],
+            "policy": {"kind": "ggddf"},
+        })
+        argv = ["simulate", "--config", config, "--out", str(tmp_path / "out")]
+        loaded = _fresh_modules(f"from storefleet import cli, engine\n"
+                                f"assert cli.main({argv!r}) == 0\n"
+                                f"assert engine._hourloop is not None")
+        assert (tmp_path / "out" / "simulation.csv").exists()
+        assert not loaded & set(_POOL_MODULES)
+
+    def test_pool_is_resolved_on_first_use(self):
+        import concurrent.futures
+
+        assert cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+        assert getattr(cli, "ProcessPoolExecutor") is concurrent.futures.ProcessPoolExecutor
+        with pytest.raises(AttributeError, match="has no attribute 'ProcessPool'"):
+            cli.ProcessPool
+        assert not hasattr(cli, "no_such_name")
 
 
 class TestUsageErrors:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from storefleet import engine, traces
 from storefleet.traces import (
     DegenerateInput,
     InsufficientData,
@@ -180,17 +181,57 @@ class TestSynthesize:
         assert SynthParams(years=1000.0).years == 1000.0
 
     # sha256 of the (demand, generation) bytes, recorded before the AR(1)
-    # wind loop stepped over Python floats instead of numpy scalars.
-    @pytest.mark.parametrize(
-        "seed,solar_share,digest",
-        [
-            (7, 0.0, "cce42874dca0574ffd6df4b906ca9618e49d1a63f80791d23415f4236d84d8c4"),
-            (11, 0.35, "c261da8978392d724c819089bf849215313b6bae24c1757caf654049d57e2429"),
-        ],
-    )
-    def test_series_match_golden_digest(self, seed, solar_share, digest):
+    # wind loop stepped over Python floats instead of numpy scalars, and
+    # before it ran in the compiled module.
+    _GOLDEN_DIGESTS = [
+        (7, 0.0, "cce42874dca0574ffd6df4b906ca9618e49d1a63f80791d23415f4236d84d8c4"),
+        (11, 0.35, "c261da8978392d724c819089bf849215313b6bae24c1757caf654049d57e2429"),
+    ]
+
+    @staticmethod
+    def _digest(seed, solar_share):
         demand, generation = synthesize(SynthParams(years=0.5, seed=seed, solar_share=solar_share))
-        assert hashlib.sha256(demand.tobytes() + generation.tobytes()).hexdigest() == digest
+        return hashlib.sha256(demand.tobytes() + generation.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("seed,solar_share,digest", _GOLDEN_DIGESTS)
+    def test_series_match_golden_digest(self, seed, solar_share, digest):
+        assert self._digest(seed, solar_share) == digest
+
+    @pytest.mark.parametrize("seed,solar_share,digest", _GOLDEN_DIGESTS)
+    def test_series_match_golden_digest_without_the_compiled_module(
+        self, monkeypatch, seed, solar_share, digest
+    ):
+        # The loader returning None, as it does without gcc: traces._ar1 runs.
+        monkeypatch.setattr(traces, "_load_hourloop", lambda: None)
+        assert self._digest(seed, solar_share) == digest
+
+    def test_compiled_path_runs_no_python_loop(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("ran the Python AR(1) loop with the compiled module loaded")
+
+        if engine._load_hourloop() is None:
+            pytest.skip("the compiled module cannot be built here")
+        monkeypatch.setattr(traces, "_ar1", never)
+        demand, generation = synthesize(SynthParams(years=0.01, seed=3))
+        assert len(generation) == 88
+
+
+def test_compiled_ar1_matches_python_loop_bit_for_bit():
+    lib = engine._load_hourloop()
+    if lib is None:
+        pytest.skip("the compiled module cannot be built here")
+    rng = np.random.default_rng(1801)
+    draws = [(int(rng.integers(1, 2000)), float(rng.uniform(-0.999, 0.999)),
+              float(rng.uniform(0.0, 2.0)), float(rng.normal(0.0, 10.0))) for _ in range(200)]
+    # One hour, no noise, negative and zero coefficients, a -0.0 start.
+    draws += [(1, 0.995, 0.08, 0.3), (1, -0.5, 0.0, -0.0), (500, -0.97, 0.18, 1.25),
+              (500, 0.97, 0.0, 2.5), (500, 0.0, 0.3, -0.0), (500, -0.999, 0.0, -7.0)]
+    for n, a, sd, x0 in draws:
+        eps = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        got = np.empty(n)
+        lib.ar1(n, eps.ctypes.data, a, sd, x0, got.ctypes.data)
+        expected = [x.hex() for x in traces._ar1(eps, a, sd, x0)]
+        assert [x.hex() for x in got.tolist()] == expected, (n, a, sd, x0)
 
     def test_good_fields_accepted(self):
         params = SynthParams(years=1, seed=np.int64(3), base_demand_mw=10, noise_sd=0,
