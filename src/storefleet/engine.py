@@ -631,6 +631,8 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
     lib = _load_hourloop()
     # The compiled formatter's output, reused from block to block.
     buffer = np.empty(0, dtype=np.uint8)
+    # Where each column's text was last formatted, for copying repeats.
+    spans = np.empty(2 * (len(header) - 1), dtype=np.int64)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         # Rows go out in blocks, so only one block's text is alive.  The
@@ -651,8 +653,6 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
                 need = rows * (20 + 25 * cols)
                 if len(buffer) < need:
                     buffer = np.empty(need, dtype=np.uint8)
-                # Where each column's text was last formatted, for copying repeats.
-                spans = np.empty(2 * cols, dtype=np.int64)
                 size = lib.format_rows(rows, cols, start, block.ctypes.data, buffer.ctypes.data,
                                        spans.ctypes.data)
                 fh.write(buffer[:size])

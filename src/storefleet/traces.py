@@ -283,6 +283,10 @@ def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
     Both series have mean approximately base_demand_mw, so pairing with
     ``scale_to_overcapacity`` produces a residual whose surplus fraction
     is controlled exactly.
+
+    The AR(1) wind noise runs in the compiled module, so on a fresh
+    checkout the first call may build that module with gcc, even for a
+    caller that never simulates.
     """
     n = int(round(params.years * HOURS_PER_YEAR))
     h = np.arange(n, dtype=float)

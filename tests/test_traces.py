@@ -215,6 +215,12 @@ class TestSynthesize:
         demand, generation = synthesize(SynthParams(years=0.01, seed=3))
         assert len(generation) == 88
 
+    def test_good_fields_accepted(self):
+        params = SynthParams(years=1, seed=np.int64(3), base_demand_mw=10, noise_sd=0,
+                             solar_share=1, ar_coeff=-0.5, diurnal_amp=0)
+        demand, generation = synthesize(params)
+        assert len(demand) == len(generation) == 8760
+
 
 def test_compiled_ar1_matches_python_loop_bit_for_bit():
     lib = engine._load_hourloop()
@@ -232,12 +238,6 @@ def test_compiled_ar1_matches_python_loop_bit_for_bit():
         lib.ar1(n, eps.ctypes.data, a, sd, x0, got.ctypes.data)
         expected = [x.hex() for x in traces._ar1(eps, a, sd, x0)]
         assert [x.hex() for x in got.tolist()] == expected, (n, a, sd, x0)
-
-    def test_good_fields_accepted(self):
-        params = SynthParams(years=1, seed=np.int64(3), base_demand_mw=10, noise_sd=0,
-                             solar_share=1, ar_coeff=-0.5, diurnal_amp=0)
-        demand, generation = synthesize(params)
-        assert len(demand) == len(generation) == 8760
 
 
 class TestTraceStats:
