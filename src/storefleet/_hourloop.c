@@ -786,11 +786,13 @@ static char *format_double(double x, char *p)
     return p;
 }
 
-/* Write rows lines of the row-major rows x cols block to out: the hour
- * (first_hour >= 0 counting up), then each cell as repr prints it, comma
- * separated.  Returns the number of bytes written; out must hold
- * rows * (20 + 25 * cols), since an hour takes at most 19 digits and a
- * cell at most 24 bytes (-2.2250738585072014e-308).
+/* Write the lines of hours first_hour to first_hour + rows - 1 to out:
+ * the hour, then each of the cols columns' cell as repr prints it, comma
+ * separated.  Column j's cell of hour t is the double at
+ * bases[j] + t * strides[j] (a stride counted in doubles), so the result
+ * arrays are read where they lie.  Returns the number of bytes written;
+ * out must hold rows * (20 + 25 * cols), since an hour takes at most 19
+ * digits and a cell at most 24 bytes (-2.2250738585072014e-308).
  *
  * A cell with the same bits as the cell above it prints the same text,
  * so that text is copied instead of formatted again.  spans (2 * cols
@@ -798,30 +800,31 @@ static char *format_double(double x, char *p)
  * the length of the text last formatted there, which is the text of the
  * cell above.  Bits, not ==, decide: -0.0 and 0.0 compare equal but print
  * differently, and NaNs with different payloads are each formatted. */
-int64_t format_rows(int64_t rows, int64_t cols, int64_t first_hour, const double *block,
-                    char *out, int64_t *spans)
+int64_t format_rows(int64_t rows, int64_t cols, int64_t first_hour, const double *const *bases,
+                    const int64_t *strides, char *out, int64_t *spans)
 {
     char *p = out;
     for (int64_t r = 0; r < rows; r++) {
         char digits[20];
         int n = 0;
-        uint64_t hour = (uint64_t)(first_hour + r);
+        int64_t t = first_hour + r;
+        uint64_t hour = (uint64_t)t;
         do {
             digits[n++] = (char)('0' + hour % 10);
             hour /= 10;
         } while (hour);
         while (n)
             *p++ = digits[--n];
-        const double *row = block + r * cols;
         for (int64_t j = 0; j < cols; j++) {
             *p++ = ',';
+            const double *cell = bases[j] + t * strides[j];
             int64_t *span = spans + 2 * j;
-            if (r > 0 && memcmp(&row[j], &row[j - cols], sizeof(double)) == 0) {
+            if (r > 0 && memcmp(cell, cell - strides[j], sizeof(double)) == 0) {
                 memcpy(p, out + span[0], (size_t)span[1]);
                 p += span[1];
             } else {
                 char *start = p;
-                p = format_double(row[j], p);
+                p = format_double(*cell, p);
                 span[0] = start - out;
                 span[1] = p - start;
             }

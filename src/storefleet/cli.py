@@ -5,6 +5,12 @@ name.  All outputs are plot-ready CSV or JSON written under --out;
 identical configs produce byte-identical files.  Exit codes: 0 success,
 1 configuration error, 2 runtime error (infeasible sizing, verification
 failure, degenerate data).
+
+Each command imports only the layers it runs: the module itself loads
+``fleet``, ``policies`` and ``params``, which need no numpy, and a
+command imports ``engine``, ``traces`` or ``sizing`` when it starts.
+So ``size --no-optimize`` never imports numpy, and ``simulate`` never
+imports the sizing search.
 """
 
 from __future__ import annotations
@@ -15,11 +21,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from . import engine, sizing, traces
 from .fleet import (
     FleetError,
     FleetState,
@@ -29,9 +32,22 @@ from .fleet import (
     convert_convention,
     validate_spec,
 )
+from .params import (
+    HOURS_PER_YEAR,
+    Infeasible,
+    InvalidParams,
+    ReliabilityStandard,
+    SchemaError,
+    SizingOptions,
+    StorePrices,
+    SynthParams,
+    TraceError,
+    cost_report,
+)
 from .policies import Policy
-from .sizing import Infeasible, ReliabilityStandard, SizingOptions, StorePrices
-from .traces import InvalidParams, ResidualTrace, SchemaError, SynthParams, TraceError
+
+if TYPE_CHECKING:
+    from .traces import ResidualTrace
 
 
 MAX_STATS_BINS = 100_000  # `stats --bins` upper bound: keeps the histogram small
@@ -327,6 +343,8 @@ def _read_trace_file(load, path: str):
 
 def _demand_generation(scenario: Scenario, seed: int | None):
     """Demand and generation series, which only some trace sources carry."""
+    from . import traces
+
     source = scenario.trace
     if isinstance(source, SynthParams):
         return traces.synthesize(_seeded(source, seed))
@@ -341,9 +359,11 @@ def _demand_generation(scenario: Scenario, seed: int | None):
 
 
 def build_trace(scenario: Scenario, seed: int | None = None) -> ResidualTrace:
+    from . import traces
+
     source, overcapacity = scenario.trace, scenario.overcapacity
     if overcapacity is None and isinstance(source, list):
-        return ResidualTrace.from_values(source)
+        return traces.ResidualTrace.from_values(source)
     if overcapacity is None and isinstance(source, str):
         return _read_trace_file(traces.load_csv, source)
     demand, generation = _demand_generation(scenario, seed)
@@ -363,13 +383,15 @@ def cmd_simulate(scenario: Scenario, out_dir: Path, args) -> int:
         raise ConfigError("simulate needs at least one store")
     if scenario.policy is None:
         raise ConfigError("simulate needs a policy section")
+    from . import engine
+
     trace = build_trace(scenario, args.seed)
     initial = FleetState(tuple(scenario.initial_levels))
     result = engine.simulate(scenario.stores, trace, scenario.policy, initial=initial)
     engine.write_simulation_csv(out_dir / "simulation.csv", trace, scenario.stores, result)
     summary = {
         "hours": len(trace),
-        "years": len(trace) / traces.HOURS_PER_YEAR,
+        "years": len(trace) / HOURS_PER_YEAR,
         "total_unserved_mwh": result.total_unserved_mwh,
         "total_spill_mwh": result.total_spill_mwh,
         "cross_charged_mwh": result.cross_charged_mwh,
@@ -397,7 +419,7 @@ def cmd_size(scenario: Scenario, out_dir: Path, args) -> int:
         if not scenario.stores:
             raise ConfigError("size --no-optimize needs at least one store")
         prices = _prices(scenario, [s.name for s in scenario.stores])
-        report = sizing.cost_report(scenario.stores, prices, "fixed", convention)
+        report = cost_report(scenario.stores, prices, "fixed", convention)
     else:
         if scenario.standard is None:
             raise ConfigError("size needs a reliability section")
@@ -407,6 +429,8 @@ def cmd_size(scenario: Scenario, out_dir: Path, args) -> int:
         long_name = scenario.options.long_store_name
         grid = (scenario.secondary_grid or [()]) if args.mode == "fleet" else [()]
         _prices(scenario, [long_name, *(s.name for candidate in grid for s in candidate)])
+        from . import sizing
+
         trace = build_trace(scenario, args.seed)
         try:
             result = sizing.optimize_fleet(
@@ -415,7 +439,7 @@ def cmd_size(scenario: Scenario, out_dir: Path, args) -> int:
         except ValueError as exc:  # a per-store decay grid too short for a candidate
             raise ConfigError(f"sizing: {exc}") from None
         prices = _prices(scenario, [s.name for s in result.fleet])
-        report = sizing.cost_report(result.fleet, prices, args.mode, convention)
+        report = cost_report(result.fleet, prices, args.mode, convention)
         report.update(
             annual_unserved_gwh=result.annual_unserved_gwh,
             lambdas_per_hour=list(result.lambdas_per_hour),
@@ -436,6 +460,7 @@ def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     convention = LossConvention(args.convention)
+    from . import engine, sizing, traces
 
     if oc_list:
         demand, generation = _demand_generation(scenario, args.seed)
@@ -486,6 +511,8 @@ def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
 def cmd_tune(scenario: Scenario, out_dir: Path, args) -> int:
     if not scenario.stores:
         raise ConfigError("tune needs at least one store")
+    from . import engine, sizing
+
     trace = build_trace(scenario, args.seed)
     initial = FleetState(tuple(scenario.initial_levels))
     try:
@@ -509,6 +536,8 @@ def cmd_synth(scenario: Scenario, out_dir: Path, args) -> int:
     if not isinstance(scenario.trace, SynthParams):
         raise ConfigError("synth needs a trace.synthetic section")
     scenario = replace(scenario, trace=_seeded(scenario.trace, args.seed))
+    from . import traces
+
     trace = build_trace(scenario)
     traces.write_csv(trace, out_dir / "trace.csv")
     _write_json(
@@ -517,7 +546,7 @@ def cmd_synth(scenario: Scenario, out_dir: Path, args) -> int:
             "synthetic": asdict(scenario.trace),
             "overcapacity": scenario.overcapacity,
             "hours": len(trace),
-            "mean_residual_mw": float(np.mean(trace.values_mw)),
+            "mean_residual_mw": float(trace.values_mw.mean()),
             "note": "synthetic stand-in series, not observed data",
         },
     )
@@ -529,6 +558,8 @@ def cmd_stats(scenario: Scenario, out_dir: Path, args) -> int:
         raise ConfigError(f"--bins must be an integer in [1, {MAX_STATS_BINS}], got {args.bins}")
     if args.max_lag < 0:
         raise ConfigError(f"--max-lag must be >= 0, got {args.max_lag}")
+    from . import traces
+
     trace = build_trace(scenario, args.seed)
     lags = range(0, min(args.max_lag + 1, len(trace)))
     stats = traces.trace_stats(trace, bins=args.bins, lags=lags)

@@ -298,7 +298,7 @@ def _load_hourloop():
         ("simulate_hours", i64, [i64, i64, i64, ptr, ptr, ptr, f64, f64, f64] + [ptr] * 9),
         ("sequent_peak", None, [i64, ptr, f64, ptr]),
         ("shortfall", f64, [i64, ptr, f64, f64, f64]),
-        ("format_rows", i64, [i64, i64, i64, ptr, ptr, ptr]),
+        ("format_rows", i64, [i64, i64, i64, ptr, ptr, ptr, ptr]),
         ("ar1", None, [i64, ptr, f64, f64, f64, ptr]),
     ):
         function = getattr(module, symbol)
@@ -610,17 +610,6 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
     """Plot-ready per-hour dump of a simulation run."""
     values = trace_values(trace)
     steps = len(values)
-    if len(result.unserved_cumulative_mwh) != steps:
-        raise FleetError(
-            f"result covers {len(result.unserved_cumulative_mwh)} of the trace's {steps} hours"
-        )
-    names = [s.name for s in fleet]
-    header = (
-        ["hour", "re_mw"]
-        + [f"rate_{n}" for n in names]
-        + [f"level_{n}" for n in names]
-        + ["spill_cum_mwh", "unserved_cum_mwh"]
-    )
     columns = (
         values,
         result.rates_mw,
@@ -628,19 +617,38 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
         result.spill_cumulative_mwh,
         result.unserved_cumulative_mwh,
     )
+    for column in columns[1:]:
+        if len(column) != steps:
+            raise FleetError(f"result covers {len(column)} of the trace's {steps} hours")
+    names = [s.name for s in fleet]
+    header = (
+        ["hour", "re_mw"]
+        + [f"rate_{n}" for n in names]
+        + [f"level_{n}" for n in names]
+        + ["spill_cum_mwh", "unserved_cum_mwh"]
+    )
     lib = _load_hourloop()
-    # The compiled formatter's output, reused from block to block.
-    buffer = np.empty(0, dtype=np.uint8)
-    # Where each column's text was last formatted, for copying repeats.
-    spans = np.empty(2 * (len(header) - 1), dtype=np.int64)
+    if lib is not None:
+        # The compiled formatter reads each file column where it lies:
+        # one base pointer and one stride, in doubles, per column.
+        cells = []
+        for array in columns:
+            array = np.asarray(array, dtype=float)
+            cells += map(_aligned, array.T if array.ndim == 2 else [array])
+        bases = np.array([c.ctypes.data for c in cells], dtype=np.uintp)
+        strides = np.array([c.strides[0] // c.itemsize for c in cells], dtype=np.int64)
+        # Its output, reused from block to block.
+        buffer = np.empty(0, dtype=np.uint8)
+        # Where each column's text was last formatted, for copying repeats.
+        spans = np.empty(2 * len(cells), dtype=np.int64)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         # Rows go out in blocks, so only one block's text is alive.  The
         # float trace column makes every block float.
         for start in range(0, steps, _CSV_BLOCK_ROWS):
             stop = min(start + _CSV_BLOCK_ROWS, steps)
-            block = np.column_stack([c[start:stop] for c in columns])
             if lib is None:
+                block = np.column_stack([c[start:stop] for c in columns])
                 fh.write(
                     "".join(
                         f"{t},{','.join(row)}\n"
@@ -648,14 +656,21 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
                     ).encode("utf-8")
                 )
             else:
-                rows, cols = block.shape
                 # format_rows writes at most 20 + 25 * cols bytes a row.
-                need = rows * (20 + 25 * cols)
+                need = (stop - start) * (20 + 25 * len(cells))
                 if len(buffer) < need:
                     buffer = np.empty(need, dtype=np.uint8)
-                size = lib.format_rows(rows, cols, start, block.ctypes.data, buffer.ctypes.data,
-                                       spans.ctypes.data)
+                size = lib.format_rows(stop - start, len(cells), start, bases.ctypes.data,
+                                       strides.ctypes.data, buffer.ctypes.data, spans.ctypes.data)
                 fh.write(buffer[:size])
+
+
+def _aligned(column: np.ndarray) -> np.ndarray:
+    """``column``, or an aligned copy where its doubles are not aligned or
+    lie no whole number of doubles apart."""
+    if column.flags.aligned and column.strides[0] % column.itemsize == 0:
+        return column
+    return column.copy()
 
 
 def _csv_cells(block: np.ndarray) -> list[list[str]]:

@@ -1,9 +1,11 @@
-"""Cost model, reliability checks and dimension optimisation.
+"""Reliability checks and dimension optimisation.
 
 Prices are quoted per kWh of capacity and per kW of power, applied to
 dimensions expressed in the split-efficiency convention (the convention
 storage cost tables use).  Internally all optimisation runs in
-servable-energy terms and converts at the costing boundary.
+servable-energy terms and converts at the costing boundary.  The cost
+model (``fleet_cost``, ``cost_report``) and the option and price types
+live in ``params``, which needs no numpy, and are imported here.
 
 The minimal single store (``min_single_store_capacity``) is exact; the
 power and capacity searches of the optimisers bisect to a tolerance.
@@ -28,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -36,93 +37,21 @@ import numpy as np
 
 from .engine import SimResult, _finite_values, _load_hourloop, simulate, trace_values
 from .fleet import FleetError, FleetState, LossConvention, StoreSpec, convention_factor
+from .params import (
+    _KWH_PER_MWH,
+    HOURS_PER_YEAR,
+    CostBreakdown,
+    Infeasible,
+    ReliabilityStandard,
+    SizingOptions,
+    StoreCost,
+    StorePrices,
+    _split_dims,
+    cost_report,
+    fleet_cost,
+    parse_decay_grid,
+)
 from .policies import Policy, ValueParams
-from .traces import HOURS_PER_YEAR
-
-# Dollars per $bn and kWh (kW) per MWh (MW): applied once, at the costing
-# boundary, so unit bugs cannot creep into the optimisation loops.
-_KWH_PER_MWH = 1e3
-_USD_PER_BN = 1e9
-
-
-class Infeasible(Exception):
-    """No dimension within the searched range meets the standard."""
-
-
-@dataclass(frozen=True)
-class StorePrices:
-    """Unit prices for one technology (USD per kWh / kW)."""
-
-    capacity_usd_per_kwh: float
-    output_power_usd_per_kw: float
-    input_power_usd_per_kw: float
-
-    def __post_init__(self):
-        for price in (self.capacity_usd_per_kwh, self.output_power_usd_per_kw, self.input_power_usd_per_kw):
-            if not 0.0 <= price < math.inf:
-                raise ValueError(f"prices must be finite and nonnegative, got {price}")
-
-
-@dataclass(frozen=True)
-class StoreCost:
-    """Cost breakdown for one store, USD."""
-
-    capacity_usd: float
-    output_power_usd: float
-    input_power_usd: float
-
-    @property
-    def total_usd(self) -> float:
-        return self.capacity_usd + self.output_power_usd + self.input_power_usd
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    per_store: tuple[StoreCost, ...]
-
-    @property
-    def total_usd(self) -> float:
-        return sum(c.total_usd for c in self.per_store)
-
-
-def fleet_cost(
-    dims_split: Sequence[tuple[float, float, float]],
-    prices: Sequence[StorePrices],
-) -> CostBreakdown:
-    """Price a fleet from (capacity_mwh, output_mw, input_mw) triples.
-
-    Dimensions must already be in the split-efficiency convention the
-    prices assume.
-    """
-    if len(dims_split) != len(prices):
-        raise ValueError(f"{len(dims_split)} dimension triples for {len(prices)} price rows")
-    per_store = []
-    for (capacity_mwh, output_mw, input_mw), price in zip(dims_split, prices):
-        per_store.append(
-            StoreCost(
-                capacity_usd=capacity_mwh * _KWH_PER_MWH * price.capacity_usd_per_kwh,
-                output_power_usd=output_mw * _KWH_PER_MWH * price.output_power_usd_per_kw,
-                input_power_usd=input_mw * _KWH_PER_MWH * price.input_power_usd_per_kw,
-            )
-        )
-    return CostBreakdown(tuple(per_store))
-
-
-@dataclass(frozen=True)
-class ReliabilityStandard:
-    """Maximum tolerated average unserved energy, GWh per year."""
-
-    max_unserved_gwh_per_year: float
-
-    def __post_init__(self):
-        # Infinity is allowed and means no limit.
-        if not self.max_unserved_gwh_per_year >= 0.0:
-            raise ValueError(
-                f"reliability standard must be nonnegative, got {self.max_unserved_gwh_per_year}"
-            )
-
-    def allowance_mwh(self, years: float) -> float:
-        return self.max_unserved_gwh_per_year * 1e3 * years
 
 
 def check_reliability(result: SimResult, years: float, standard: ReliabilityStandard) -> bool:
@@ -326,30 +255,6 @@ def min_required_output_power(
     return _bisect_min(feasible, 0.0, peak_demand, tol_mw)
 
 
-def _nonempty_list(value, item_ok) -> bool:
-    return isinstance(value, (list, tuple, np.ndarray)) and len(value) > 0 and all(map(item_ok, value))
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real)
-
-
-def parse_decay_grid(grid) -> tuple:
-    """Check a decay-rate grid and return it with each list sorted.
-
-    A grid is one flat list of candidate rates shared by every store, or
-    one list per store position: list i applies to store i, and lists
-    beyond the fleet's size go unused.  Rates follow ValueParams's rule
-    (finite, >= 0).  Raises ValueError for anything else, an empty grid
-    or list included.
-    """
-    if _nonempty_list(grid, _is_number):
-        return tuple(sorted(ValueParams(grid).lambdas_per_hour))
-    if _nonempty_list(grid, lambda rates: _nonempty_list(rates, _is_number)):
-        return tuple(parse_decay_grid(rates) for rates in grid)
-    raise ValueError(f"lambda_grid must be a nonempty list of decay rates or of such lists, got {grid!r}")
-
-
 def _lambda_combos(grid, n_stores: int) -> list[tuple[float, ...]]:
     """Decay-rate combos for n stores, in lexicographic order.
 
@@ -364,46 +269,6 @@ def _lambda_combos(grid, n_stores: int) -> list[tuple[float, ...]]:
     if n_stores == 1:
         return [(grid[0][0],)]
     return list(itertools.product(*grid[:n_stores]))
-
-
-@dataclass(frozen=True)
-class SizingOptions:
-    """Search-resolution knobs for the dimension optimisers.
-
-    q_grid_lo_factor, e_tol_mwh and p_tol_mw must be finite and > 0;
-    q_grid_points and p_grid_points integers >= 1.  lambda_grid is either
-    one flat tuple of candidate decay rates shared by every store, or one
-    tuple per store position (long store first, then companions in
-    candidate order); it is checked and stored by ``parse_decay_grid``.
-    Bad fields raise ValueError.
-    """
-
-    q_grid_points: int = 32
-    q_grid_lo_factor: float = 0.1  # times mean positive residual energy
-    e_tol_mwh: float = 1.0
-    p_tol_mw: float = 100.0
-    # Output-power candidates explored above the feasible minimum when
-    # companion stores are present (1 = pin at the minimum).  A single
-    # store always pins: beyond its minimum, extra output power buys
-    # nothing that capacity cannot.  With companions that logic fails:
-    # a long store pinned at minimum power may need far more capacity to
-    # keep the companion charged through droughts.
-    p_grid_points: int = 1
-    lambda_grid: tuple = (0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1)
-    long_store_name: str = "long"
-
-    def __post_init__(self):
-        for name in ("q_grid_lo_factor", "e_tol_mwh", "p_tol_mw"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-        for name in ("q_grid_points", "p_grid_points"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.long_store_name, str):
-            raise ValueError(f"long_store_name must be a string, got {self.long_store_name!r}")
-        object.__setattr__(self, "lambda_grid", parse_decay_grid(self.lambda_grid))
 
 
 @dataclass(frozen=True)
@@ -431,15 +296,6 @@ def _q_grid(values: np.ndarray, options: SizingOptions) -> list[float]:
         return [hi]
     ratio = (hi / lo) ** (1.0 / (options.q_grid_points - 1))
     return [lo * ratio**k for k in range(options.q_grid_points)]
-
-
-def _split_dims(fleet: Sequence[StoreSpec]) -> list[tuple[float, float, float]]:
-    to_split = (LossConvention.INPUT_SIDE, LossConvention.SPLIT_SQRT)
-    return [
-        (s.capacity_mwh * convention_factor(s.efficiency, *to_split), s.output_power_mw,
-         s.input_power_mw)
-        for s in fleet
-    ]
 
 
 def price_stores(fleet: Sequence[StoreSpec], prices: Sequence[StorePrices]) -> float:
@@ -633,44 +489,3 @@ def optimize_fleet(
         lambdas_per_hour=tuple(float(x) for x in lambdas),
         served_external_mwh=tuple(float(x) for x in result.served_external_mwh),
     )
-
-
-def cost_report(
-    fleet: Sequence[StoreSpec], prices: Sequence[StorePrices], mode: str,
-    convention: LossConvention,
-) -> dict:
-    """JSON-ready dimension and cost table of servable-energy stores.
-
-    Laid out as published tables are: capacities are given in
-    ``convention``, by way of the split convention the prices assume, and
-    every cost and the total come from one ``fleet_cost`` breakdown.
-    """
-    dims = _split_dims(fleet)
-    breakdown = fleet_cost(dims, prices)
-    rows = []
-    for s, (split_capacity, _, _), cost in zip(fleet, dims, breakdown.per_store):
-        capacity = split_capacity * convention_factor(
-            s.efficiency, LossConvention.SPLIT_SQRT, convention
-        )
-        rows.append({
-            "name": s.name,
-            "efficiency": s.efficiency,
-            "capacity_mwh": capacity,
-            "capacity_twh": capacity / 1e6,
-            "output_power_mw": s.output_power_mw,
-            "output_power_gw": s.output_power_mw / 1e3,
-            "input_power_mw": s.input_power_mw,
-            "input_power_gw": s.input_power_mw / 1e3,
-            "cost_capacity_bn_usd": cost.capacity_usd / _USD_PER_BN,
-            "cost_output_power_bn_usd": cost.output_power_usd / _USD_PER_BN,
-            "cost_input_power_bn_usd": cost.input_power_usd / _USD_PER_BN,
-            "cost_total_bn_usd": cost.total_usd / _USD_PER_BN,
-        })
-    total_usd = breakdown.total_usd
-    return {
-        "mode": mode,
-        "convention": convention.value,
-        "stores": rows,
-        "total_cost_bn_usd": total_usd / _USD_PER_BN,
-        "total_cost_usd": total_usd,
-    }

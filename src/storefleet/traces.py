@@ -2,52 +2,33 @@
 
 A residual-energy trace is an hourly series of generation minus demand
 in MW: positive hours have surplus available for charging, negative
-hours have demand to be met from storage.
+hours have demand to be met from storage.  The trace errors and the
+generator's knobs (``SynthParams``) are defined in ``params``, which
+needs no numpy.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .engine import _load_hourloop
-
-
-class TraceError(Exception):
-    """Base class for trace ingestion/synthesis errors."""
-
-
-class ParseError(TraceError):
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
-
-
-class SchemaError(TraceError):
-    pass
-
-
-class NonFiniteValue(TraceError):
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
-        self.line = line
-
-
-class DegenerateInput(TraceError):
-    pass
-
-
-class InvalidParams(TraceError):
-    pass
-
-
-class InsufficientData(TraceError):
-    pass
+from .params import (
+    HOURS_PER_YEAR,
+    MAX_SYNTH_YEARS,
+    DegenerateInput,
+    InsufficientData,
+    InvalidParams,
+    NonFiniteValue,
+    ParseError,
+    SchemaError,
+    SynthParams,
+    TraceError,
+)
 
 
 @dataclass(frozen=True)
@@ -202,63 +183,6 @@ def scale_to_overcapacity(
         )
     k = (1.0 + overcapacity) * mean_demand / mean_generation
     return ResidualTrace(k * generation - demand)
-
-
-MAX_SYNTH_YEARS = 1000.0
-
-
-@dataclass(frozen=True)
-class SynthParams:
-    """Knobs for the synthetic demand/generation generator.
-
-    A stand-in for multi-year reanalysis-based series: demand carries
-    diurnal, weekly and seasonal cycles on a constant base; wind is an
-    AR(1)-modulated nonnegative series (persistent over days, so calm
-    and windy spells last); solar is a clipped daytime profile peaking in
-    summer.  Deterministic for a given seed.
-
-    Every field must be a finite number and ``seed`` an integer >= 0;
-    ``years`` must cover at least one hour and at most ``MAX_SYNTH_YEARS``
-    (which bounds the arrays' length), ``solar_share`` lie in
-    [0, 1], ``ar_coeff`` satisfy |a| < 1, ``base_demand_mw`` be > 0 and
-    the noise and cycle amplitudes >= 0.  Bad fields raise InvalidParams.
-    """
-
-    years: float = 1.0
-    seed: int = 0
-    base_demand_mw: float = 1000.0
-    diurnal_amp: float = 0.15
-    seasonal_amp: float = 0.25
-    weekly_amp: float = 0.06
-    ar_coeff: float = 0.995
-    noise_sd: float = 0.08
-    solar_share: float = 0.2
-
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, bool) or not (
-                isinstance(value, numbers.Real) and -math.inf < value < math.inf
-            ):
-                raise InvalidParams(f"{field.name} must be a finite number, got {value!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise InvalidParams(f"seed must be an integer >= 0, got {self.seed!r}")
-        # round(years * 8760) >= 1, without rounding a value too large for an int.
-        if not self.years * HOURS_PER_YEAR > 0.5:
-            raise InvalidParams("years must cover at least one hour")
-        if self.years > MAX_SYNTH_YEARS:
-            raise InvalidParams(f"years must be at most {MAX_SYNTH_YEARS:g}, got {self.years!r}")
-        if not 0.0 <= self.solar_share <= 1.0:
-            raise InvalidParams(f"solar_share must lie in [0, 1], got {self.solar_share}")
-        if not abs(self.ar_coeff) < 1.0:
-            raise InvalidParams(f"ar_coeff must satisfy |a| < 1, got {self.ar_coeff}")
-        if self.noise_sd < 0.0 or self.base_demand_mw <= 0.0:
-            raise InvalidParams("noise_sd must be >= 0 and base_demand_mw > 0")
-        if min(self.diurnal_amp, self.seasonal_amp, self.weekly_amp) < 0.0:
-            raise InvalidParams("cycle amplitudes must be nonnegative")
-
-
-HOURS_PER_YEAR = 8760
 
 
 def _ar1(eps: np.ndarray, a: float, sd: float, x: float):

@@ -272,6 +272,44 @@ def test_csv_writer_copies_repeated_cells(tmp_path, monkeypatch, block_rows, sto
     assert {"0.0", "-0.0"} <= {line.split(",")[2] for line in text.splitlines()[1:]}
 
 
+def _unaligned(values: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``values`` whose doubles start one byte off alignment."""
+    raw = np.zeros(values.nbytes + 1, dtype=np.uint8)
+    view = raw[1:].view(np.float64)
+    view[:] = values
+    return view
+
+
+@pytest.mark.parametrize("block_rows", [4, 4096])
+def test_csv_writer_reads_columns_of_any_layout(tmp_path, monkeypatch, block_rows, csv_writer):
+    # The compiled formatter reads the result arrays where they lie: a
+    # column-major and a reversed 2-D array, an integer column, doubles
+    # off alignment and doubles 12 bytes apart print as the copies do.
+    monkeypatch.setattr(engine, "_CSV_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(1901)
+    hours = 30
+    cells = rng.normal(size=(2 * hours, 7))
+    cells[::3] = -0.0
+    values = _unaligned(cells[:hours, 0])
+    assert not values.flags.aligned
+    packed = np.zeros(hours, dtype=[("x", np.float64), ("pad", np.int32)])
+    packed["x"] = cells[::2, 5]
+    assert packed["x"].strides == (12,)
+    result = SimResult(
+        unserved_cumulative_mwh=np.arange(hours),
+        spill_cumulative_mwh=packed["x"],
+        level_traces_mwh=cells[hours:, 3:5][::-1],
+        rates_mw=np.asfortranarray(cells[:hours, 1:3]),
+        served_external_mwh=np.zeros(2),
+        cross_charged_mwh=0.0,
+        final_state=FleetState((0.0, 0.0)),
+    )
+    fleet = [StoreSpec(name, 1.0, 1.0, 1.0, 1.0) for name in ("s0", "s1")]
+    path = tmp_path / "sim.csv"
+    write_simulation_csv(path, values, fleet, result)
+    assert path.read_text(encoding="utf-8") == _reference_csv(values, fleet, result)
+
+
 def test_hourloop_power_table_matches_its_definition():
     # g(e) = floor(10^e * 2^-r) + 1, r = floor(log2 10^e) - 127, for
     # e = -292..324, recomputed with Python ints.

@@ -919,6 +919,42 @@ class TestImportBudget:
         assert (tmp_path / "out" / "simulation.csv").exists()
         assert not loaded & set(_POOL_MODULES)
 
+    def test_pricing_a_fixed_fleet_loads_no_numpy(self, tmp_path):
+        config = write_config(tmp_path, {
+            "trace": {"synthetic": {"years": 0.01, "seed": 5}},
+            "stores": [{"name": "s", "capacity_mwh": 500.0, "output_power_mw": 300.0,
+                        "input_power_mw": 300.0, "efficiency": 0.8}],
+            "costs": {"s": {"capacity_usd_per_kwh": 20.0, "output_power_usd_per_kw": 500.0,
+                            "input_power_usd_per_kw": 400.0}},
+        })
+        argv = ["size", "--no-optimize", "--config", config, "--out", str(tmp_path / "out")]
+        loaded = _fresh_modules(f"from storefleet import cli\nassert cli.main({argv!r}) == 0")
+        assert json.loads((tmp_path / "out" / "sizing.json").read_text())["mode"] == "fixed"
+        assert "storefleet.params" in loaded
+        assert "numpy" not in loaded
+
+    def test_simulate_loads_no_sizing_search(self, tmp_path):
+        argv = ["simulate", "--config", simple_simulate_config(tmp_path),
+                "--out", str(tmp_path / "out")]
+        loaded = _fresh_modules(f"from storefleet import cli\nassert cli.main({argv!r}) == 0")
+        assert (tmp_path / "out" / "simulation.csv").exists()
+        assert "storefleet.engine" in loaded
+        assert "storefleet.sizing" not in loaded
+
+    def test_importing_the_package_loads_no_array_layer(self):
+        loaded = _fresh_modules("import storefleet")
+        assert "storefleet" in loaded
+        assert not loaded & {"numpy", "storefleet.engine", "storefleet.sizing", "storefleet.traces"}
+
+    def test_scenario_values_load_no_numpy(self):
+        loaded = _fresh_modules(
+            "from storefleet.params import SizingOptions, StorePrices\n"
+            "SizingOptions(lambda_grid=[[0.1, 0.0], [0.2]])\n"
+            "StorePrices(20.0, 500.0, 400.0)"
+        )
+        assert "storefleet.params" in loaded
+        assert "numpy" not in loaded
+
     def test_pool_is_resolved_on_first_use(self):
         import concurrent.futures
 

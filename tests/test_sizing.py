@@ -479,6 +479,18 @@ class TestDecayGrid:
         with pytest.raises(ValueError, match="1 per-store decay grids for 2 stores"):
             tune_lambdas(fleet, values, grid[:1])
 
+    def test_arrays_parse_as_the_equal_lists(self):
+        flat = [0.1, 0.0, 3e-4]
+        per_store = [[0.3, 0.003], [1e-4], [0.0, 2.0, 1.0]]
+        assert parse_decay_grid(np.array(flat)) == parse_decay_grid(flat) == (0.0, 3e-4, 0.1)
+        assert parse_decay_grid([np.array(rates) for rates in per_store]) == (
+            parse_decay_grid(per_store)
+        )
+        assert parse_decay_grid(np.array([[0.2, 0.1], [0.0, 0.3]])) == ((0.1, 0.2), (0.0, 0.3))
+        for bad in (np.array([]), np.array([0.1, -1.0]), [np.array([0.1]), np.array([])]):
+            with pytest.raises(ValueError):
+                parse_decay_grid(bad)
+
 
 class TestEarlyStop:
     def test_meets_standard_matches_full_run(self):
