@@ -56,9 +56,11 @@ MAX_STATS_BINS = 100_000  # `stats --bins` upper bound: keeps the histogram smal
 def __getattr__(name: str):
     """``ProcessPoolExecutor``, imported on first use (PEP 562).
 
-    ``concurrent.futures``' process pool pulls in ``multiprocessing``,
-    ``logging``, ``socket`` and ``subprocess``, which only a pooled
-    ``min-store-curve`` sweep needs, so other commands never import it.
+    No command uses it: ``min-store-curve`` sweeps in this process.  The
+    name stays resolvable only because the benchmark harness's tracer
+    replaces ``cli.ProcessPoolExecutor`` with its own pool class, and
+    looks the name up first; it goes when that patch does.  Importing
+    the CLI therefore still loads no ``concurrent.futures``.
     """
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
@@ -460,31 +462,20 @@ def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     convention = LossConvention(args.convention)
-    from . import engine, sizing, traces
+    from . import sizing, traces
 
     if oc_list:
         demand, generation = _demand_generation(scenario, args.seed)
         curves = [(oc, traces.scale_to_overcapacity(demand, generation, oc)) for oc in oc_list]
     else:
         curves = [(None, build_trace(scenario, args.seed))]
-    jobs = [(oc, trace, eta) for oc, trace in curves for eta in etas]
-    _, job_traces, job_etas = zip(*jobs)
-
-    workers = min(args.threads, len(jobs))
-    if workers > 1:
-        # Loaded before the pool forks, so no worker builds or loads it again.
-        engine._load_hourloop()
-        # Looked up on the module, so that a pool set on cli.ProcessPoolExecutor is used.
-        pool_class = getattr(sys.modules[__name__], "ProcessPoolExecutor")
-        with pool_class(max_workers=workers) as pool:
-            results = list(pool.map(sizing.min_single_store_capacity, job_traces, job_etas))
-    else:
-        results = list(map(sizing.min_single_store_capacity, job_traces, job_etas))
 
     rows = []
-    for (oc, _, eta), (e_min, s0_min) in zip(jobs, results):
-        factor = convention_factor(eta, LossConvention.INPUT_SIDE, convention)
-        rows.append((oc, eta, e_min * factor, s0_min * factor))
+    for oc, trace in curves:
+        for eta in etas:
+            e_min, s0_min = sizing.min_single_store_capacity(trace, eta)
+            factor = convention_factor(eta, LossConvention.INPUT_SIDE, convention)
+            rows.append((oc, eta, e_min * factor, s0_min * factor))
 
     # The minimal store must not grow with overcapacity or efficiency.
     slack = 2.0 * scenario.options.e_tol_mwh
@@ -595,7 +586,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("min-store-curve", help="minimal store size vs overcapacity")
     common(p_curve)
     convention_flag(p_curve)
-    p_curve.add_argument("--threads", type=int, default=1, help="parallel workers for the sweep")
+    p_curve.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility only (N >= 1); the sweep runs in this process",
+    )
     p_curve.add_argument("--etas", required=True, help="comma-separated efficiencies")
     p_curve.add_argument("--oc-list", default="", help="comma-separated overcapacity fractions")
     common(sub.add_parser("tune", help="grid-search decay rates"))

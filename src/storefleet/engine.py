@@ -620,6 +620,10 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
     for column in columns[1:]:
         if len(column) != steps:
             raise FleetError(f"result covers {len(column)} of the trace's {steps} hours")
+    for column, kind in ((result.rates_mw, "rate"), (result.level_traces_mwh, "level")):
+        width = np.shape(column)[1] if np.ndim(column) == 2 else 0
+        if width != len(fleet):
+            raise FleetError(f"result has {width} {kind} columns for {len(fleet)} stores")
     names = [s.name for s in fleet]
     header = (
         ["hour", "re_mw"]

@@ -28,6 +28,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,21 @@ def test_csv_writer_rejects_a_stopped_run(tmp_path):
     assert len(result.unserved_cumulative_mwh) < len(values)
     with pytest.raises(FleetError, match="covers"):
         write_simulation_csv(tmp_path / "sim.csv", values, fleet, result)
+
+
+@pytest.mark.parametrize("field, kind", [("rates_mw", "rate"), ("level_traces_mwh", "level")])
+def test_csv_writer_rejects_a_column_per_store_mismatch(tmp_path, csv_writer, field, kind):
+    rng = np.random.default_rng(7)
+    fleet = random_fleet(rng, 2)
+    values = random_trace_values(rng, 20)
+    result = simulate(fleet, values, Policy.grtef())
+    path = tmp_path / "sim.csv"
+    with pytest.raises(FleetError, match="columns for 1 stores"):
+        write_simulation_csv(path, values, fleet[:1], result)
+    wide = np.column_stack([getattr(result, field), getattr(result, field)[:, 0]])
+    with pytest.raises(FleetError, match=f"3 {kind} columns for 2 stores"):
+        write_simulation_csv(path, values, fleet, replace(result, **{field: wide}))
+    assert not path.exists()
 
 
 def _golden_trace(hours=400):

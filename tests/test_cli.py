@@ -9,7 +9,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -837,53 +836,18 @@ class TestFlags:
         assert main([*argv, "--config", config, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("storefleet: config error:")
 
-    def test_pool_has_at_most_one_worker_per_point(self, tmp_path, monkeypatch):
-        workers = []
-
-        class RecordingPool:
-            """Records max_workers and runs the points in this process."""
-
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    def test_threads_does_not_change_the_curve(self, tmp_path):
         config = write_config(tmp_path, {"trace": {"inline_mw": [10.0, -4.0, -4.0, -4.0]}})
         outputs = []
-        for threads, etas in (("1", "0.5,0.9"), ("5000", "0.5,0.9"), ("4", "0.5")):
+        for threads in ("1", "5000"):
             out = tmp_path / threads
-            argv = ["min-store-curve", "--config", config, "--etas", etas, "--threads", threads]
+            argv = ["min-store-curve", "--config", config, "--etas", "0.5,0.9", "--threads", threads]
             assert main([*argv, "--out", str(out)]) == 0
             outputs.append((out / "min_store_curve.csv").read_bytes())
-        assert workers == [2]  # one pool, for the two points; one point needs none
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc to build the compiled module")
-    def test_compiled_module_is_loaded_before_the_pool_starts(self, tmp_path, monkeypatch):
-        loaded = []
 
-        class Pool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                loaded.append(engine._hourloop is not engine._UNLOADED)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(engine, "_hourloop", engine._UNLOADED)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
-        config = write_config(tmp_path, {"trace": {"inline_mw": [10.0, -4.0, -4.0, -4.0]}})
-        argv = ["min-store-curve", "--config", config, "--etas", "0.5,0.9", "--threads", "2"]
-        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
-        assert loaded == [True] and engine._hourloop is not None
-
-
-# Modules that only a pooled sweep or a gcc build needs.
+# Modules that only a process pool or a gcc build needs.
 _POOL_MODULES = ("concurrent.futures", "multiprocessing", "subprocess")
 
 
@@ -918,6 +882,15 @@ class TestImportBudget:
                                 f"assert engine._hourloop is not None")
         assert (tmp_path / "out" / "simulation.csv").exists()
         assert not loaded & set(_POOL_MODULES)
+
+    def test_min_store_curve_sweeps_without_a_pool(self, tmp_path):
+        config = write_config(tmp_path, {"trace": {"inline_mw": [10.0, -4.0, -4.0, -4.0]}})
+        argv = ["min-store-curve", "--config", config, "--etas", "0.5,0.9",
+                "--threads", "2", "--out", str(tmp_path / "out")]
+        loaded = _fresh_modules(f"from storefleet import cli\nassert cli.main({argv!r}) == 0")
+        rows = (tmp_path / "out" / "min_store_curve.csv").read_text().splitlines()
+        assert len(rows) == 3  # the header and both points
+        assert not loaded & {"concurrent.futures", "multiprocessing"}
 
     def test_pricing_a_fixed_fleet_loads_no_numpy(self, tmp_path):
         config = write_config(tmp_path, {
