@@ -16,6 +16,7 @@ imports the sizing search.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -632,5 +633,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def entry() -> int:
+    """``main`` on ``sys.argv``, as the ``storefleet`` process runs it.
+
+    The cyclic garbage collector stays off for the run, and every object
+    is frozen before the process exits, so neither collections during
+    the run nor the interpreter's exit collections walk the objects that
+    numpy and storefleet made.  Nothing is lost: traces, simulations and
+    the sizing search leave no reference cycles (``tests/test_cli.py``
+    checks both simulate paths).  The argument parser and each indented
+    ``json.dump`` leave a few hundred objects in cycles, once per
+    process, which go when it exits.  ``main`` itself never touches the
+    collector, so a caller running it in its own process keeps its own.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

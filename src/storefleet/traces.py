@@ -215,12 +215,21 @@ def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
     n = int(round(params.years * HOURS_PER_YEAR))
     h = np.arange(n, dtype=float)
     two_pi = 2.0 * math.pi
+    # Hours are whole floats, so shifting one is exact: the daylight cosine
+    # (phase 13) at hour h is the diurnal one (phase 18) at h + 5, and the
+    # summer cosine at h is the seasonal one at h - half a year.  Each pair
+    # is two slices of one array, bit for bit the cosine of its own phase.
+    half_year = HOURS_PER_YEAR // 2
+    diurnal = np.cos(two_pi * (np.arange(n + 5, dtype=float) - 18.0) / 24.0)
+    seasonal = np.cos(
+        two_pi * (np.arange(-half_year, n, dtype=float) - 400.0) / HOURS_PER_YEAR
+    )
 
     demand = params.base_demand_mw * (
         1.0
-        + params.diurnal_amp * np.cos(two_pi * (h - 18.0) / 24.0)
+        + params.diurnal_amp * diurnal[:n]
         + params.weekly_amp * np.cos(two_pi * h / 168.0)
-        + params.seasonal_amp * np.cos(two_pi * (h - 400.0) / HOURS_PER_YEAR)
+        + params.seasonal_amp * seasonal[half_year:]
     )
 
     rng = np.random.default_rng(params.seed)
@@ -236,8 +245,8 @@ def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
         lib.ar1(n, eps.ctypes.data, float(a), float(params.noise_sd), x0, x.ctypes.data)
     wind = np.maximum(1.0 + x, 0.0)
 
-    daylight = np.maximum(np.cos(two_pi * (h - 13.0) / 24.0) - 0.3, 0.0)
-    summer = 1.0 + 0.5 * np.cos(two_pi * (h - 400.0 - HOURS_PER_YEAR / 2.0) / HOURS_PER_YEAR)
+    daylight = np.maximum(diurnal[5:] - 0.3, 0.0)
+    summer = 1.0 + 0.5 * seasonal[:n]
     solar = daylight * summer
 
     wind_mean = float(np.mean(wind))

@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import copy
 import csv
+import gc
 import io
 import json
 import math
@@ -17,6 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from storefleet import cli, engine
 from storefleet.cli import main
+from storefleet.fleet import StoreSpec
+from storefleet.params import ReliabilityStandard, SizingOptions, StorePrices, SynthParams
+from storefleet.policies import Policy
 from storefleet.traces import load_csv
 
 
@@ -851,13 +856,17 @@ class TestFlags:
 _POOL_MODULES = ("concurrent.futures", "multiprocessing", "subprocess")
 
 
+def _child_env() -> dict[str, str]:
+    """The environment, with this checkout's package first on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_modules(code: str) -> set[str]:
     """The modules a fresh interpreter has loaded after running ``code``."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = f"import sys\n{code}\nprint(' '.join(sys.modules))"
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                          check=True)
+    done = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True,
+                          text=True, check=True)
     return set(done.stdout.split())
 
 
@@ -936,6 +945,85 @@ class TestImportBudget:
         with pytest.raises(AttributeError, match="has no attribute 'ProcessPool'"):
             cli.ProcessPool
         assert not hasattr(cli, "no_such_name")
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+    def test_sizing_and_simulate_leave_no_cyclic_garbage(self, tmp_path, monkeypatch, compiled):
+        # cli.entry keeps the collector off for the run: only sound if the
+        # work leaves no reference cycles for it to find.
+        from storefleet import sizing, traces
+
+        if not compiled:
+            monkeypatch.setattr(engine, "_hourloop", None)
+        elif engine._load_hourloop() is None:
+            pytest.skip("the compiled module cannot be built here")
+        costs = {"long": StorePrices(0.8, 429.0, 858.0), "medium": StorePrices(9.0, 200.0, 200.0)}
+        grid = [(), (StoreSpec("medium", 10e3, 700.0, 700.0, 0.7),)]
+        options = SizingOptions(q_grid_points=2, e_tol_mwh=1000.0, p_tol_mw=5.0, p_grid_points=2,
+                                lambda_grid=((1e-3,), (0.01, 0.03)))
+        synth = SynthParams(years=0.5, seed=9, diurnal_amp=0.3, weekly_amp=0.05, seasonal_amp=0.12,
+                            ar_coeff=0.97, noise_sd=0.18, solar_share=0.35)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            trace = traces.scale_to_overcapacity(*traces.synthesize(synth), 0.3)
+            found = sizing.optimize_fleet(trace, costs, ReliabilityStandard(0.35), grid, 0.4, options)
+            result = engine.simulate(found.fleet, trace, Policy.value(found.lambdas_per_hour))
+            engine.write_simulation_csv(tmp_path / "simulation.csv", trace, found.fleet, result)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(found.fleet) == 2  # the companion won, so simulate ran two stores
+
+    def test_entry_runs_main_with_the_collector_off_and_freezes_after(self, tmp_path):
+        argv = ["simulate", "--config", simple_simulate_config(tmp_path),
+                "--out", str(tmp_path / "out")]
+        _fresh_modules(
+            "import gc\n"
+            "from storefleet import cli\n"
+            "run, seen = cli.main, []\n"
+            "cli.main = lambda: 1 / 0\n"
+            "try:\n"
+            "    cli.entry()\n"
+            "except ZeroDivisionError:\n"
+            "    assert gc.get_freeze_count() > 0\n"
+            "gc.unfreeze()\n"
+            "cli.main = lambda: seen.append(gc.isenabled()) or run()\n"
+            f"sys.argv[1:] = {argv!r}\n"
+            "assert cli.entry() == 0\n"
+            "assert seen == [False] and gc.get_freeze_count() > 0\n"
+        )
+        assert (tmp_path / "out" / "simulation.csv").exists()
+
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path):
+        state = gc.isenabled(), gc.get_freeze_count()
+        argv = ["simulate", "--config", simple_simulate_config(tmp_path)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+    def test_script_and_module_run_the_same_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+        script = tomllib.loads(pyproject.read_text())["project"]["scripts"]["storefleet"]
+        module, name = script.split(":")
+        assert module == "storefleet.cli" and getattr(cli, name) is cli.entry
+        tree = ast.parse(Path(cli.__file__).read_text())
+        [block] = [node for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(node) for node in block.body] == [f"sys.exit({name}())"]
+
+    def test_bad_config_exits_1_without_a_traceback(self, tmp_path):
+        config = write_config(tmp_path, {"trace": {"inline_mw": [1.0]}, "stores": "x"})
+        done = subprocess.run(
+            [sys.executable, "-m", "storefleet.cli", "simulate", "--config", config,
+             "--out", str(tmp_path / "out")],
+            env=_child_env(), capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert done.stderr == "storefleet: config error: stores must be a list, got 'x'\n"
 
 
 class TestUsageErrors:

@@ -221,6 +221,27 @@ class TestSynthesize:
         demand, generation = synthesize(params)
         assert len(demand) == len(generation) == 8760
 
+    @pytest.mark.parametrize("years", [14 / 8760, 0.01, 0.1, 0.5, 1.0, 10.0])
+    def test_cosines_match_their_direct_formulas(self, years):
+        # synthesize takes daylight and summer as slices of the diurnal and
+        # seasonal cosines; these are the five cosines each at its own phase.
+        params = SynthParams(years=years, seed=5, solar_share=1.0)
+        h = np.arange(int(round(years * 8760)), dtype=float)
+        two_pi = 2.0 * math.pi
+        demand = params.base_demand_mw * (
+            1.0
+            + params.diurnal_amp * np.cos(two_pi * (h - 18.0) / 24.0)
+            + params.weekly_amp * np.cos(two_pi * h / 168.0)
+            + params.seasonal_amp * np.cos(two_pi * (h - 400.0) / 8760)
+        )
+        daylight = np.maximum(np.cos(two_pi * (h - 13.0) / 24.0) - 0.3, 0.0)
+        summer = 1.0 + 0.5 * np.cos(two_pi * (h - 400.0 - 8760 / 2.0) / 8760)
+        solar = daylight * summer
+        generation = params.base_demand_mw * (1.0 * solar / float(np.mean(solar)))
+        got_demand, got_generation = synthesize(params)
+        assert got_demand.tobytes() == demand.tobytes()
+        assert got_generation.tobytes() == generation.tobytes()
+
 
 def test_compiled_ar1_matches_python_loop_bit_for_bit():
     lib = engine._load_hourloop()
