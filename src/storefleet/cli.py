@@ -103,10 +103,13 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    # float(True) is 1.0, but a JSON boolean is no number.
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
 def _require_number(mapping: dict, key: str, context: str) -> float:
@@ -246,16 +249,13 @@ def load_scenario(path) -> Scenario:
             lambdas = p.get("lambdas_per_hour", [0.0] * len(stores))
             try:
                 policy = Policy.value(_numbers(lambdas, "policy: lambdas_per_hour"))
+                policy.decay_rates(stores)
             except ValueError as exc:
                 raise ConfigError(f"policy: {exc}") from None
         elif kind in ("ggddf", "grtef"):
             policy = Policy(kind)
         else:
             raise ConfigError(f"unknown policy kind {kind!r}")
-        if policy.kind == "value" and len(policy.params.lambdas_per_hour) != len(stores):
-            raise ConfigError(
-                f"{len(policy.params.lambdas_per_hour)} decay rates for {len(stores)} stores"
-            )
 
     costs = {}
     for name, entry in _expect(raw.get("costs", {}), dict, "costs").items():

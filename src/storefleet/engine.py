@@ -24,6 +24,7 @@ policies, the Python loops run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -298,7 +299,7 @@ def _load_hourloop():
         ("simulate_hours", i64, [i64, i64, i64, ptr, ptr, ptr, f64, f64, f64] + [ptr] * 9),
         ("sequent_peak", None, [i64, ptr, f64, ptr]),
         ("shortfall", f64, [i64, ptr, f64, f64, f64]),
-        ("format_rows", i64, [i64, i64, i64, ptr, ptr, ptr, ptr]),
+        ("format_rows", i64, [i64, i64, i64, ptr, ptr, ptr, ptr, ptr]),
         ("ar1", None, [i64, ptr, f64, f64, f64, ptr]),
     ):
         function = getattr(module, symbol)
@@ -645,6 +646,7 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
         buffer = np.empty(0, dtype=np.uint8)
         # Where each column's text was last formatted, for copying repeats.
         spans = np.empty(2 * len(cells), dtype=np.int64)
+        powers = _power_table()
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         # Rows go out in blocks, so only one block's text is alive.  The
@@ -665,8 +667,31 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
                 if len(buffer) < need:
                     buffer = np.empty(need, dtype=np.uint8)
                 size = lib.format_rows(stop - start, len(cells), start, bases.ctypes.data,
-                                       strides.ctypes.data, buffer.ctypes.data, spans.ctypes.data)
+                                       strides.ctypes.data, buffer.ctypes.data, spans.ctypes.data,
+                                       powers.ctypes.data)
                 fh.write(buffer[:size])
+
+
+@functools.cache
+def _power_table() -> np.ndarray:
+    """Schubfach's powers of ten for ``format_rows``, computed from their definition.
+
+    Row e + 292 holds g(e) = floor(10^e * 2^-r) + 1 with
+    r = floor(log2 10^e) - 127, for e = -292..324, as {high, low} 64-bit
+    halves; every g(e) lies in [2^127, 2^128).
+    """
+    rows = []
+    for e in range(-292, 325):
+        if e >= 0:
+            # 2^(b - 1) <= 10^e < 2^b for b = bit_length, so r = b - 128.
+            r = (10**e).bit_length() - 128
+            g = (10**e >> r if r >= 0 else 10**e << -r) + 1
+        else:
+            # 10^-e is no power of two, so floor(log2 10^e) = -bit_length(10^-e).
+            r = -(10**-e).bit_length() - 127
+            g = (1 << -r) // 10**-e + 1
+        rows.append((g >> 64, g & (2**64 - 1)))
+    return np.array(rows, dtype=np.uint64)
 
 
 def _aligned(column: np.ndarray) -> np.ndarray:

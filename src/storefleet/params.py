@@ -119,7 +119,8 @@ def _nonempty_list(value, item_ok) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real)
+    # bool is an int, but a JSON true is no number.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def parse_decay_grid(grid) -> tuple:
@@ -167,11 +168,11 @@ class SizingOptions:
     def __post_init__(self):
         for name in ("q_grid_lo_factor", "e_tol_mwh", "p_tol_mw"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+            if not (_is_number(value) and 0.0 < value < math.inf):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         for name in ("q_grid_points", "p_grid_points"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not isinstance(self.long_store_name, str):
             raise ValueError(f"long_store_name must be a string, got {self.long_store_name!r}")
@@ -290,9 +291,7 @@ class SynthParams:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if isinstance(value, bool) or not (
-                isinstance(value, numbers.Real) and -math.inf < value < math.inf
-            ):
+            if not (_is_number(value) and -math.inf < value < math.inf):
                 raise InvalidParams(f"{field.name} must be a finite number, got {value!r}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise InvalidParams(f"seed must be an integer >= 0, got {self.seed!r}")

@@ -26,9 +26,9 @@ import hashlib
 import importlib.util
 import json
 import math
-import re
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -311,22 +311,43 @@ def test_csv_writer_reads_columns_of_any_layout(tmp_path, monkeypatch, block_row
     assert path.read_text(encoding="utf-8") == _reference_csv(values, fleet, result)
 
 
+def _digits(base: int, n: int) -> int:
+    return n.bit_length() if base == 2 else len(str(n))
+
+
+def _floor_log(base: int, x: Fraction) -> int:
+    """floor(log_base x) of a positive rational, exactly."""
+    # Within one of the answer: the difference of the terms' digit counts.
+    k = _digits(base, x.numerator) - _digits(base, x.denominator)
+    while Fraction(base) ** k > x:
+        k -= 1
+    while Fraction(base) ** (k + 1) <= x:
+        k += 1
+    return k
+
+
 def test_hourloop_power_table_matches_its_definition():
-    # g(e) = floor(10^e * 2^-r) + 1, r = floor(log2 10^e) - 127, for
-    # e = -292..324, recomputed with Python ints.
-    source = Path(engine._HOURLOOP_SOURCE).read_text()
-    table = source[source.index("G[617][2] = {"):]
-    table = table[:table.index("};")]
-    pairs = re.findall(r"\{0x([0-9a-f]{16}), 0x([0-9a-f]{16})\}", table)
-    literal = [int(hi, 16) << 64 | int(lo, 16) for hi, lo in pairs]
-    expected = []
+    # The formatter's shifted products stand in for exact logarithms: its
+    # floor(log2 10^e) for every row of the power table, and its
+    # floor(log10 2^q), or floor(log10(3/4 * 2^q)) at a power of two whose
+    # lower neighbour is closer, for every binary exponent q of a double.
+    log2 = {}
     for e in range(-292, 325):
-        log2 = (10**e).bit_length() - 1 if e >= 0 else -(10**-e).bit_length()
-        assert log2 == (e * 1741647) >> 19  # the C code's floor(log2 10^e)
-        r = log2 - 127
-        scaled = (10**e >> r if r >= 0 else 10**e << -r) if e >= 0 else (1 << -r) // 10**-e
-        expected.append(scaled + 1)
-    assert literal == expected
+        log2[e] = _floor_log(2, Fraction(10) ** e)
+        assert (e * 1741647) >> 19 == log2[e], e
+    for q in range(-1074, 972):
+        assert (q * 1262611) >> 22 == _floor_log(10, Fraction(2) ** q), q
+        if q > -1074:  # lower_closer needs a biased exponent above 1
+            lower_closer = Fraction(3, 4) * Fraction(2) ** q
+            assert (q * 1262611 - 524031) >> 22 == _floor_log(10, lower_closer), q
+    # Each g(e) is floor(10^e * 2^-r) + 1, r = floor(log2 10^e) - 127, and
+    # fills exactly 128 bits.
+    table = engine._power_table()
+    assert table.shape == (617, 2) and table.dtype == np.uint64
+    for (high, low), e in zip(table.tolist(), range(-292, 325)):
+        g = high << 64 | low
+        assert 2**127 <= g < 2**128, e
+        assert g - 1 <= Fraction(10) ** e / Fraction(2) ** (log2[e] - 127) < g, e
 
 
 def test_csv_writer_rejects_a_stopped_run(tmp_path):

@@ -2,10 +2,12 @@ import ast
 import contextlib
 import copy
 import csv
+import functools
 import gc
 import io
 import json
 import math
+import operator
 import os
 import shutil
 import subprocess
@@ -110,6 +112,14 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("storefleet: config error:")
         assert "capacity_mwh" in err and "'big'" in err
+
+    def test_decay_rate_count_is_config_error(self, tmp_path, capsys):
+        policy = {"kind": "value", "lambdas_per_hour": [0.0, 0.1]}
+        config = simple_simulate_config(tmp_path, policy=policy)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "storefleet: config error: policy: 2 decay rates for 1 stores"
+        )
 
     @pytest.mark.parametrize("level", [50.0, -1.0, float("nan")])
     @pytest.mark.parametrize("command", ["simulate", "tune"])
@@ -702,10 +712,11 @@ SYNTHETIC_PATHS = list(_node_paths(SYNTHETIC_FRONT_DOOR_SCENARIO["trace"]["synth
                                    ("trace", "synthetic")))
 
 
-def _exit_codes(scenario, path, value, commands):
+def _exit_codes(scenario, path, value, commands, failure="storefleet: "):
     """Exit code of each command on ``scenario`` with ``value`` at ``path``.
 
-    Every failure must come with a message, never a traceback.
+    Every failure must come with a message that starts with ``failure``,
+    never a traceback.
     """
     scenario = copy.deepcopy(scenario)
     parent = scenario
@@ -720,7 +731,7 @@ def _exit_codes(scenario, path, value, commands):
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = main([*command, "--config", str(config), "--out", str(Path(tmp) / "out")])
-            assert code == 0 or err.getvalue().startswith("storefleet: ")
+            assert code == 0 or err.getvalue().startswith(failure)
             codes.append(code)
     return codes
 
@@ -744,6 +755,23 @@ class TestSyntheticFrontDoor:
                 )
             for code in _exit_codes(SYNTHETIC_FRONT_DOOR_SCENARIO, path, value, SYNTHETIC_COMMANDS):
                 assert code == 1 if malformed else code in (0, 1), (path, value)
+
+
+# Every numeric field of the front-door scenarios, with the commands that run on it.
+NUMERIC_FIELDS = [
+    pytest.param(FRONT_DOOR_SCENARIO, path, FRONT_DOOR_COMMANDS, id="/".join(map(str, path)))
+    for path in _node_paths(FRONT_DOOR_SCENARIO)
+    if type(functools.reduce(operator.getitem, path, FRONT_DOOR_SCENARIO)) in (int, float)
+] + [pytest.param(SYNTHETIC_FRONT_DOOR_SCENARIO, ("overcapacity",), SYNTHETIC_COMMANDS,
+                  id="overcapacity")]
+
+
+@pytest.mark.parametrize("scenario,path,commands", NUMERIC_FIELDS)
+def test_boolean_at_a_numeric_field_is_config_error(scenario, path, commands):
+    # float(True) is 1.0, but a JSON boolean is no number.
+    for value in (True, False):
+        codes = _exit_codes(scenario, path, value, commands, failure="storefleet: config error:")
+        assert codes == [1] * len(commands), (path, value)
 
 
 class TestTraceSectionErrors:
