@@ -20,7 +20,7 @@ import gc
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -31,12 +31,12 @@ from .fleet import (
     StoreSpec,
     convention_factor,
     convert_convention,
+    is_number,
     validate_spec,
 )
 from .params import (
     HOURS_PER_YEAR,
     Infeasible,
-    InvalidParams,
     ReliabilityStandard,
     SchemaError,
     SizingOptions,
@@ -103,21 +103,20 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _number(value, what: str) -> float:
-    # float(True) is 1.0, but a JSON boolean is no number.
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{what} must be a number, got {value!r}")
+    if not is_number(value):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _require_number(mapping: dict, key: str, context: str) -> float:
     return _number(_require(mapping, key, context), f"{context}: {key}")
 
 
-def _numbers(value, what: str) -> list[float]:
-    return [_number(x, f"{what} entry") for x in _expect(value, list, what)]
+def _argv_number(entry: str, what: str) -> float:
+    try:
+        return float(entry)
+    except ValueError:
+        raise ConfigError(f"{what} entry must be a number, got {entry!r}") from None
 
 
 def _section(value, keys, what: str) -> dict:
@@ -149,16 +148,25 @@ def _overcapacity(value) -> float | None:
     return overcapacity
 
 
-def _synth_params(fields: dict, what: str) -> SynthParams:
+def _value(kind: type, section, what: str, extra=()):
+    """The value type ``kind`` built from the object ``section``.
+
+    ``section`` holds ``kind``'s fields, and may hold the ``extra`` keys,
+    which the caller reads itself.  Any other key, a missing field that
+    has no default, and a field that ``kind`` rejects are config errors.
+    """
+    section = _section(section, {*(field.name for field in fields(kind)), *extra}, what)
+    values = {field.name: _require(section, field.name, what) for field in fields(kind)
+              if field.name in section or field.default is MISSING}
     try:
-        return SynthParams(**fields)
-    except (TypeError, InvalidParams) as exc:  # an unknown field, or a bad value
+        return kind(**values)
+    except (ValueError, TraceError) as exc:
         raise ConfigError(f"{what}: {exc}") from None
 
 
 def _seeded(params: SynthParams, seed: int | None) -> SynthParams:
     """``params`` with the --seed override, checked as the scenario's own seed is."""
-    return params if seed is None else _synth_params({**asdict(params), "seed": seed}, "--seed")
+    return params if seed is None else _value(SynthParams, {**asdict(params), "seed": seed}, "--seed")
 
 
 _TRACE_SOURCES = ("inline_mw", "csv_path", "synthetic")
@@ -167,11 +175,7 @@ _SCENARIO_KEYS = {
     "trace", "overcapacity", "convention", "stores", "policy", "costs", "reliability", "sizing",
 }
 _POLICY_KEYS = {"kind", "lambdas_per_hour"}
-_RELIABILITY_KEYS = {"max_unserved_gwh_per_year"}
 _STORE_KEYS = {f.name for f in fields(StoreSpec)} | {"initial_level_mwh"}
-_PRICE_KEYS = {f.name for f in fields(StorePrices)}
-_OPTION_KEYS = tuple(f.name for f in fields(SizingOptions))
-_SIZING_KEYS = {*_OPTION_KEYS, "efficiency", "secondary_grid"}
 
 
 def _parse_trace(section) -> list[float] | str | SynthParams:
@@ -181,18 +185,21 @@ def _parse_trace(section) -> list[float] | str | SynthParams:
         raise ConfigError(f"trace needs exactly one of {' / '.join(_TRACE_SOURCES)}, got {keys}")
     value = section[keys[0]]
     if keys[0] == "inline_mw":
-        return _numbers(value, "trace: inline_mw")
+        values = [_number(x, "trace: inline_mw entry") for x in _expect(value, list, "trace: inline_mw")]
+        if not values or not all(map(math.isfinite, values)):
+            raise ConfigError("trace: inline_mw must be a nonempty list of finite numbers")
+        return values
     if keys[0] == "csv_path":
         if not isinstance(value, str):
             raise ConfigError(f"trace: csv_path must be a string, got {value!r}")
         return value
-    return _synth_params(_expect(value, dict, "trace: synthetic"), "trace: synthetic")
+    return _value(SynthParams, value, "trace: synthetic")
 
 
 def _parse_store(entry: dict, convention: LossConvention) -> tuple[StoreSpec, float]:
     entry = _section(entry, _STORE_KEYS, "store")
     spec = StoreSpec(
-        name=str(_require(entry, "name", "store")),
+        name=_require(entry, "name", "store"),
         capacity_mwh=_require_number(entry, "capacity_mwh", "store"),
         output_power_mw=_require_number(entry, "output_power_mw", "store"),
         input_power_mw=_require_number(entry, "input_power_mw", "store"),
@@ -245,47 +252,25 @@ def load_scenario(path) -> Scenario:
     if "policy" in raw:
         p = _section(raw["policy"], _POLICY_KEYS, "policy")
         kind = _require(p, "kind", "policy")
-        if kind == "value":
-            lambdas = p.get("lambdas_per_hour", [0.0] * len(stores))
-            try:
-                policy = Policy.value(_numbers(lambdas, "policy: lambdas_per_hour"))
-                policy.decay_rates(stores)
-            except ValueError as exc:
-                raise ConfigError(f"policy: {exc}") from None
-        elif kind in ("ggddf", "grtef"):
-            policy = Policy(kind)
-        else:
-            raise ConfigError(f"unknown policy kind {kind!r}")
-
-    costs = {}
-    for name, entry in _expect(raw.get("costs", {}), dict, "costs").items():
-        entry = _section(entry, _PRICE_KEYS, f"costs[{name}]")
         try:
-            costs[name] = StorePrices(
-                capacity_usd_per_kwh=_require_number(entry, "capacity_usd_per_kwh", f"costs[{name}]"),
-                output_power_usd_per_kw=_require_number(entry, "output_power_usd_per_kw", f"costs[{name}]"),
-                input_power_usd_per_kw=_require_number(entry, "input_power_usd_per_kw", f"costs[{name}]"),
-            )
+            if kind == "value":
+                policy = Policy.value(p.get("lambdas_per_hour", [0.0] * len(stores)))
+            else:
+                policy = Policy(kind)
+            policy.decay_rates(stores)
         except ValueError as exc:
-            raise ConfigError(f"costs[{name}]: {exc}") from None
+            raise ConfigError(f"policy: {exc}") from None
 
+    costs = {
+        name: _value(StorePrices, entry, f"costs[{name}]")
+        for name, entry in _expect(raw.get("costs", {}), dict, "costs").items()
+    }
     standard = None
     if "reliability" in raw:
-        reliability = _section(raw["reliability"], _RELIABILITY_KEYS, "reliability")
-        try:
-            standard = ReliabilityStandard(
-                _require_number(reliability, "max_unserved_gwh_per_year", "reliability")
-            )
-        except ValueError as exc:
-            raise ConfigError(f"reliability: {exc}") from None
+        standard = _value(ReliabilityStandard, raw["reliability"], "reliability")
 
-    sizing_section = _section(raw.get("sizing", {}), _SIZING_KEYS, "sizing")
-    try:
-        options = SizingOptions(
-            **{key: sizing_section[key] for key in _OPTION_KEYS if key in sizing_section}
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sizing: {exc}") from None
+    sizing_section = raw.get("sizing", {})
+    options = _value(SizingOptions, sizing_section, "sizing", extra=("efficiency", "secondary_grid"))
 
     sizing_efficiency = sizing_section.get("efficiency")
     if sizing_efficiency is not None:
@@ -453,13 +438,13 @@ def cmd_size(scenario: Scenario, out_dir: Path, args) -> int:
 
 
 def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
-    etas = [_number(x, "--etas entry") for x in args.etas.split(",") if x.strip()]
+    etas = [_argv_number(x, "--etas") for x in args.etas.split(",") if x.strip()]
     if not etas:
         raise ConfigError("--etas must list at least one efficiency")
     for eta in etas:
         if not 0.0 < eta <= 1.0:
             raise ConfigError(f"--etas: efficiency must lie in (0, 1], got {eta}")
-    oc_list = [_overcapacity(x) for x in args.oc_list.split(",") if x.strip()]
+    oc_list = [_overcapacity(_argv_number(x, "--oc-list")) for x in args.oc_list.split(",") if x.strip()]
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     convention = LossConvention(args.convention)

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -26,6 +27,11 @@ from typing import Sequence
 # Chosen so that rounding accumulated over multi-decade hourly runs never
 # trips a spurious violation, while real constraint breaches still do.
 SLACK = 1e-6
+
+
+def is_number(value) -> bool:
+    """True for a real number other than a bool: the one rule for every numeric field."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class FleetError(Exception):
@@ -108,19 +114,23 @@ class StoreSpec:
 def validate_spec(spec: StoreSpec) -> None:
     """Raise unless all StoreSpec invariants hold.
 
-    Capacity must be finite and strictly positive; power ratings strictly
-    positive (infinity allowed); efficiency in (0, 1].
+    The name must be a string (FleetError); capacity a finite number > 0
+    and the power ratings numbers > 0, infinity allowed (NonPositiveDimension);
+    efficiency a number in (0, 1] (EfficiencyOutOfRange).
     """
-    if not (spec.capacity_mwh > 0.0) or math.isinf(spec.capacity_mwh) or math.isnan(spec.capacity_mwh):
+    if not isinstance(spec.name, str):
+        raise FleetError(f"store name must be a string, got {spec.name!r}")
+    capacity = spec.capacity_mwh
+    if not (is_number(capacity) and 0.0 < capacity < math.inf):
         raise NonPositiveDimension(
-            f"store {spec.name!r}: capacity_mwh must be finite and > 0, got {spec.capacity_mwh}"
+            f"store {spec.name!r}: capacity_mwh must be a finite number > 0, got {capacity!r}"
         )
     for field, value in (("output_power_mw", spec.output_power_mw), ("input_power_mw", spec.input_power_mw)):
-        if not (value > 0.0) or math.isnan(value):
-            raise NonPositiveDimension(f"store {spec.name!r}: {field} must be > 0, got {value}")
-    if not (0.0 < spec.efficiency <= 1.0):
+        if not (is_number(value) and value > 0.0):
+            raise NonPositiveDimension(f"store {spec.name!r}: {field} must be a number > 0, got {value!r}")
+    if not (is_number(spec.efficiency) and 0.0 < spec.efficiency <= 1.0):
         raise EfficiencyOutOfRange(
-            f"store {spec.name!r}: efficiency must lie in (0, 1], got {spec.efficiency}"
+            f"store {spec.name!r}: efficiency must lie in (0, 1], got {spec.efficiency!r}"
         )
 
 

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Sequence
 
-from .fleet import LossConvention, StoreSpec, convention_factor
+from .fleet import LossConvention, StoreSpec, convention_factor, is_number
 from .policies import ValueParams
 
 # Dollars per $bn and kWh (kW) per MWh (MW): applied once, at the costing
@@ -36,16 +36,20 @@ class Infeasible(Exception):
 
 @dataclass(frozen=True)
 class StorePrices:
-    """Unit prices for one technology (USD per kWh / kW)."""
+    """Unit prices for one technology (USD per kWh / kW).
+
+    Each must be a finite number >= 0; anything else raises ValueError.
+    """
 
     capacity_usd_per_kwh: float
     output_power_usd_per_kw: float
     input_power_usd_per_kw: float
 
     def __post_init__(self):
-        for price in (self.capacity_usd_per_kwh, self.output_power_usd_per_kw, self.input_power_usd_per_kw):
-            if not 0.0 <= price < math.inf:
-                raise ValueError(f"prices must be finite and nonnegative, got {price}")
+        for field in fields(self):
+            price = getattr(self, field.name)
+            if not (is_number(price) and 0.0 <= price < math.inf):
+                raise ValueError(f"prices must be finite and nonnegative, got {field.name}={price!r}")
 
 
 @dataclass(frozen=True)
@@ -95,16 +99,17 @@ def fleet_cost(
 
 @dataclass(frozen=True)
 class ReliabilityStandard:
-    """Maximum tolerated average unserved energy, GWh per year."""
+    """Maximum tolerated average unserved energy, GWh per year.
+
+    A number >= 0, where infinity means no limit; anything else raises ValueError.
+    """
 
     max_unserved_gwh_per_year: float
 
     def __post_init__(self):
-        # Infinity is allowed and means no limit.
-        if not self.max_unserved_gwh_per_year >= 0.0:
-            raise ValueError(
-                f"reliability standard must be nonnegative, got {self.max_unserved_gwh_per_year}"
-            )
+        limit = self.max_unserved_gwh_per_year
+        if not (is_number(limit) and limit >= 0.0):
+            raise ValueError(f"reliability standard must be a nonnegative number, got {limit!r}")
 
     def allowance_mwh(self, years: float) -> float:
         return self.max_unserved_gwh_per_year * 1e3 * years
@@ -118,11 +123,6 @@ def _nonempty_list(value, item_ok) -> bool:
     return isinstance(value, kinds) and len(value) > 0 and all(map(item_ok, value))
 
 
-def _is_number(value) -> bool:
-    # bool is an int, but a JSON true is no number.
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def parse_decay_grid(grid) -> tuple:
     """Check a decay-rate grid and return it with each list sorted.
 
@@ -132,9 +132,9 @@ def parse_decay_grid(grid) -> tuple:
     (finite, >= 0).  Raises ValueError for anything else, an empty grid
     or list included.
     """
-    if _nonempty_list(grid, _is_number):
+    if _nonempty_list(grid, is_number):
         return tuple(sorted(ValueParams(grid).lambdas_per_hour))
-    if _nonempty_list(grid, lambda rates: _nonempty_list(rates, _is_number)):
+    if _nonempty_list(grid, lambda rates: _nonempty_list(rates, is_number)):
         return tuple(parse_decay_grid(rates) for rates in grid)
     raise ValueError(f"lambda_grid must be a nonempty list of decay rates or of such lists, got {grid!r}")
 
@@ -168,11 +168,11 @@ class SizingOptions:
     def __post_init__(self):
         for name in ("q_grid_lo_factor", "e_tol_mwh", "p_tol_mw"):
             value = getattr(self, name)
-            if not (_is_number(value) and 0.0 < value < math.inf):
+            if not (is_number(value) and 0.0 < value < math.inf):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         for name in ("q_grid_points", "p_grid_points"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+            if not (is_number(value) and isinstance(value, numbers.Integral) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not isinstance(self.long_store_name, str):
             raise ValueError(f"long_store_name must be a string, got {self.long_store_name!r}")
@@ -291,7 +291,7 @@ class SynthParams:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if not (_is_number(value) and -math.inf < value < math.inf):
+            if not (is_number(value) and -math.inf < value < math.inf):
                 raise InvalidParams(f"{field.name} must be a finite number, got {value!r}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise InvalidParams(f"seed must be an integer >= 0, got {self.seed!r}")

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fleet import FleetState, StepDecision, StoreSpec
+from .fleet import FleetState, StepDecision, StoreSpec, is_number
 
 # Guard against zero-progress float transfers in the cross-charging loop.
 _EPS = 1e-12
@@ -42,15 +42,19 @@ _EPS = 1e-12
 
 @dataclass(frozen=True)
 class ValueParams:
-    """Per-store decay rates (per hour) for the value derivatives."""
+    """Per-store decay rates (per hour): finite numbers >= 0, kept as floats; else ValueError."""
 
     lambdas_per_hour: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas_per_hour", tuple(float(x) for x in self.lambdas_per_hour))
+        try:
+            lambdas = tuple(self.lambdas_per_hour)
+        except TypeError:  # no sequence at all
+            lambdas = None
         # An infinite rate would make v = exp(-inf * 0) NaN for an empty store.
-        if not all(0.0 <= lam < math.inf for lam in self.lambdas_per_hour):
-            raise ValueError(f"decay rates must be finite and >= 0, got {self.lambdas_per_hour}")
+        if lambdas is None or not all(is_number(lam) and 0.0 <= lam < math.inf for lam in lambdas):
+            raise ValueError(f"decay rates must be finite numbers >= 0, got {self.lambdas_per_hour!r}")
+        object.__setattr__(self, "lambdas_per_hour", tuple(map(float, lambdas)))
 
 
 def _step_kernel(fleet: Sequence[StoreSpec], kind: str, lambdas=()):
@@ -251,7 +255,7 @@ class Policy:
 
     @classmethod
     def value(cls, lambdas_per_hour: Sequence[float]) -> "Policy":
-        return cls("value", ValueParams(tuple(lambdas_per_hour)))
+        return cls("value", ValueParams(lambdas_per_hour))
 
     @classmethod
     def ggddf(cls) -> "Policy":

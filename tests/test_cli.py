@@ -768,10 +768,40 @@ NUMERIC_FIELDS = [
 
 @pytest.mark.parametrize("scenario,path,commands", NUMERIC_FIELDS)
 def test_boolean_at_a_numeric_field_is_config_error(scenario, path, commands):
-    # float(True) is 1.0, but a JSON boolean is no number.
-    for value in (True, False):
+    # float(True) is 1.0 and float("1") parses, but neither a JSON boolean
+    # nor a JSON string is a number.
+    for value in (True, False, "1"):
         codes = _exit_codes(scenario, path, value, commands, failure="storefleet: config error:")
         assert codes == [1] * len(commands), (path, value)
+
+
+@pytest.mark.parametrize("path", [path for path in _node_paths(FRONT_DOOR_SCENARIO)
+                                  if path[-1] == "name"], ids=lambda path: "/".join(map(str, path)))
+def test_non_string_store_name_is_config_error(path):
+    codes = _exit_codes(FRONT_DOOR_SCENARIO, path, 7, FRONT_DOOR_COMMANDS,
+                        failure="storefleet: config error:")
+    assert codes == [1] * len(FRONT_DOOR_COMMANDS)
+
+
+def test_integer_prices_and_standard_write_the_bytes_of_floats(tmp_path):
+    # The loader hands JSON integers to StorePrices and ReliabilityStandard
+    # unconverted; the sizing report must not tell them from floats.
+    prices = {"long": (1, 429, 858), "medium": (9, 200, 200)}
+    fields = ("capacity_usd_per_kwh", "output_power_usd_per_kw", "input_power_usd_per_kw")
+    commands = (["size", "--no-optimize"], ["size", "--mode", "fleet"])
+    reports = {}
+    for kind in (int, float):
+        scenario = copy.deepcopy(FRONT_DOOR_SCENARIO)
+        scenario["costs"] = {name: {f: kind(x) for f, x in zip(fields, row)}
+                             for name, row in prices.items()}
+        scenario["reliability"] = {"max_unserved_gwh_per_year": kind(1)}
+        config = write_config(tmp_path, scenario, f"{kind.__name__}.json")
+        for command in commands:
+            out = tmp_path / kind.__name__ / command[-1]
+            assert main([*command, "--config", config, "--out", str(out)]) == 0
+            reports[kind, command[-1]] = (out / "sizing.json").read_bytes()
+    for command in commands:
+        assert reports[int, command[-1]] == reports[float, command[-1]]
 
 
 class TestTraceSectionErrors:
@@ -798,6 +828,13 @@ class TestTraceSectionErrors:
         config = simple_simulate_config(tmp_path, trace=trace)
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("storefleet: config error:")
+
+    @pytest.mark.parametrize("values", [[5.0, math.inf], [5.0, math.nan], []],
+                             ids=["Infinity", "NaN", "empty"])
+    def test_non_finite_or_empty_inline_trace_is_config_error(self, tmp_path, capsys, values):
+        config = simple_simulate_config(tmp_path, trace={"inline_mw": values})
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("storefleet: config error: trace: inline_mw")
 
     @pytest.mark.parametrize(
         "overrides",

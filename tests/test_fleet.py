@@ -19,10 +19,13 @@ from storefleet.fleet import (
     convert_convention,
     full_state,
     imbalance,
+    is_number,
     merge_equivalent,
     validate_spec,
     validate_state,
 )
+from storefleet.params import ReliabilityStandard, StorePrices
+from storefleet.policies import Policy, ValueParams
 
 
 def make_spec(name="s", capacity=10.0, output=2.0, input_=1.0, eta=0.7):
@@ -58,6 +61,34 @@ class TestValidateSpec:
         validate_spec(make_spec(output=math.inf, input_=math.inf))
         with pytest.raises(NonPositiveDimension):
             validate_spec(make_spec(capacity=math.inf))
+
+
+# Every numeric field of the library's value types, with the error its type
+# documents for a value that is not a number.
+_NUMBER_FIELDS = [
+    *(pytest.param(lambda x, k=k: validate_spec(make_spec(**{k: x})), FleetError, id=k)
+      for k in ("capacity", "output", "input_", "eta")),
+    pytest.param(lambda x: ValueParams((0.1, x)), ValueError, id="ValueParams"),
+    pytest.param(lambda x: Policy.value([x]), ValueError, id="Policy.value"),
+    *(pytest.param(lambda x, k=k: StorePrices(*(x if i == k else 1.0 for i in range(3))),
+                   ValueError, id=f"StorePrices-{k}") for k in range(3)),
+    pytest.param(ReliabilityStandard, ValueError, id="ReliabilityStandard"),
+]
+
+
+class TestNumberRule:
+    # float(True) is 1.0 and float("1") parses, but neither is a number.
+    @pytest.mark.parametrize("build,error", _NUMBER_FIELDS)
+    @pytest.mark.parametrize("value", [True, "1"])
+    def test_bool_or_string_raises_the_documented_error(self, build, error, value):
+        assert not is_number(value)
+        with pytest.raises(error):
+            build(value)
+
+    @pytest.mark.parametrize("name", [7, None, True])
+    def test_store_name_must_be_a_string(self, name):
+        with pytest.raises(FleetError, match="name must be a string"):
+            validate_spec(make_spec(name=name))
 
 
 class TestApplyStep:
