@@ -217,16 +217,30 @@ def _parse_store(entry: dict, convention: LossConvention) -> tuple[StoreSpec, fl
     return spec, level
 
 
+def _json_int(literal: str) -> int:
+    """A JSON integer literal, which must have a float value: every number is read as one."""
+    try:
+        value = int(literal)
+        float(value)
+    except (ValueError, OverflowError):  # past int()'s digit limit, or past float range
+        raise ConfigError(f"integer of {len(literal.lstrip('-'))} digits is out of range") from None
+    return value
+
+
 def load_scenario(path) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=_json_int)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply to read") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     raw = _section(raw, _SCENARIO_KEYS, f"{path}: scenario")
     trace = _parse_trace(raw["trace"]) if "trace" in raw else None
     overcapacity = _overcapacity(raw.get("overcapacity"))

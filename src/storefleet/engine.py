@@ -10,16 +10,20 @@ They, ``unserved_series`` and ``simulate`` step through ``apply_step``'s check.
 ``lower_bound_unserved`` is the unbeatable floor set by total output
 power alone.
 
-For a ``Policy``, ``simulate`` steps the hours in C: ``_hourloop.c``
+``simulate`` allocates a run's arrays once and builds its one
+``SimResult`` from the rows stepped; one of two hour loops fills them.
+For a ``Policy`` that is ``_step_compiled``, in C: ``_hourloop.c``
 repeats the Python loop's float operations in the same order, so its
-results are bit-identical.  The same library holds the two passes of
+results are bit-identical.  ``_step_python`` is the specification, the
+path for callable policies and the replay of a run the C loop hands
+back.  The same library holds the two passes of
 ``sizing.min_single_store_capacity``, the AR(1) noise recursion of
 ``traces.synthesize`` and the row formatter of ``write_simulation_csv``,
-which prints each cell exactly as ``repr``.
-Its first use in a process loads it, building it with gcc into the
-package's ``__pycache__`` if no build of this source and these flags is
-there.  Without a compiler or a writable cache, and for callable
-policies, the Python loops run.
+which prints each cell exactly as ``repr``, the Python writer's
+definition.  Its first use in a process loads it, building it with gcc
+into the package's ``__pycache__`` if no build of this source and these
+flags is there.  Without a compiler or a writable cache the Python loops
+run.
 """
 
 from __future__ import annotations
@@ -115,6 +119,14 @@ def _finite_values(trace) -> np.ndarray:
     return values
 
 
+def _run_values(trace) -> np.ndarray:
+    """``_finite_values``, raising FleetError for an empty trace: the hours of a run."""
+    values = _finite_values(trace)
+    if len(values) == 0:
+        raise FleetError("residual-energy trace is empty")
+    return values
+
+
 @dataclass(frozen=True)
 class PolicyTrace:
     """A full rate schedule: one row per hour, one column per store."""
@@ -179,21 +191,68 @@ def simulate(
     are those of the last hour stepped.
     """
     validate_fleet(fleet)
-    values = _finite_values(trace)
-    if len(values) == 0:
-        raise FleetError("residual-energy trace is empty")
+    values = _run_values(trace)
     state = initial if initial is not None else full_state(fleet)
     validate_state(state, fleet)
 
-    n = len(fleet)
+    n, steps = len(fleet), len(values)
     limit = math.inf if unserved_limit_mwh is None else float(unserved_limit_mwh)
+    # The run's arrays, which either hour loop fills: levels enter as the
+    # initial levels and leave as the final ones, served and cross are totals.
+    levels = np.array(state.levels_mwh, dtype=float)
+    rates, level_traces = np.empty((steps, n)), np.empty((steps, n))
+    unserved, spill = np.empty(steps), np.empty(steps)
+    served, cross = np.zeros(n), np.zeros(1)
+    arrays = (levels, rates, level_traces, unserved, spill, served, cross)
+    stepped = -1
     if isinstance(policy, Policy):
         lambdas = policy.decay_rates(fleet)
         lib = _load_hourloop()
         if lib is not None:
-            result = _simulate_compiled(lib, fleet, values, policy.kind, lambdas, state, limit)
-            if result is not None:
-                return result
+            stepped = _step_compiled(lib, fleet, values, policy.kind, lambdas, limit, arrays)
+    if stepped < 0:
+        stepped = _step_python(fleet, values, policy, state, limit, arrays)
+    return SimResult(
+        unserved_cumulative_mwh=unserved[:stepped],
+        spill_cumulative_mwh=spill[:stepped],
+        level_traces_mwh=level_traces[:stepped],
+        rates_mw=rates[:stepped],
+        served_external_mwh=served,
+        cross_charged_mwh=float(cross[0]),
+        final_state=FleetState(tuple(levels.tolist()), state.time_index + stepped),
+    )
+
+
+def _step_compiled(lib, fleet, values, kind, lambdas, limit, arrays) -> int:
+    """``simulate``'s hour loop for a Policy, in C (``simulate_hours``).
+
+    Returns the hours stepped, or -1 for a run the loop hands back (see
+    ``_hourloop.c``), which ``_step_python`` replays.  By then the loop
+    may have written rows and moved the levels and totals.
+    """
+    n = len(fleet)
+    spec = np.array([(s.capacity_mwh, s.output_power_mw, s.input_power_mw, s.efficiency)
+                     for s in fleet], dtype=float)
+    decay = np.array(lambdas or (0.0,) * n, dtype=float)
+    values = np.ascontiguousarray(values)
+    scratch = np.empty(8 * n)
+    order = np.empty(n, dtype=np.int64)
+    return lib.simulate_hours(
+        n, len(values), Policy._KINDS.index(kind), spec.ctypes.data, decay.ctypes.data,
+        values.ctypes.data, limit, SLACK, _EPS, *[a.ctypes.data for a in arrays],
+        scratch.ctypes.data, order.ctypes.data,
+    )
+
+
+def _step_python(fleet, values, policy, state, limit, arrays) -> int:
+    """``simulate``'s hour loop in Python: the specification of ``simulate_hours``.
+
+    Steps from ``state``'s levels, writes every row and total it reports
+    into the run's arrays, whatever they held, and returns the hours
+    stepped.  A Policy's step kernel is bound only here, so a run the C
+    loop steps never binds it.
+    """
+    if isinstance(policy, Policy):
         step = policy.raw_step(fleet)
     else:
         hour = itertools.count(state.time_index)
@@ -202,15 +261,14 @@ def simulate(
             decision = policy(FleetState(tuple(levels), next(hour)), re, fleet)
             return decision.rates_mw, decision.spill_mwh, decision.unserved_mwh
 
+    n = len(fleet)
     move = _level_step(fleet)
     eta = [s.efficiency for s in fleet]
     stores = range(n)
     levels = list(state.levels_mwh)
-    # Histories grow as flat lists, reshaped once at the end.
-    rate_flat: list[float] = []
-    level_flat: list[float] = []
-    unserved_cum: list[float] = []
-    spill_cum: list[float] = []
+    # Histories grow as lists, copied into the arrays once at the end:
+    # writing array rows every hour is slower.
+    rate_flat, level_flat, unserved_cum, spill_cum = [], [], [], []
     served = [0.0] * n
     cross = 0.0
     cum_unserved = 0.0
@@ -254,15 +312,11 @@ def simulate(
             break
 
     stepped = len(unserved_cum)
-    return SimResult(
-        unserved_cumulative_mwh=np.array(unserved_cum),
-        spill_cumulative_mwh=np.array(spill_cum),
-        level_traces_mwh=np.array(level_flat).reshape(stepped, n),
-        rates_mw=np.array(rate_flat).reshape(stepped, n),
-        served_external_mwh=np.asarray(served),
-        cross_charged_mwh=cross,
-        final_state=FleetState(tuple(levels), state.time_index + stepped),
-    )
+    histories = (levels, np.reshape(rate_flat, (stepped, n)), np.reshape(level_flat, (stepped, n)),
+                 unserved_cum, spill_cum, served, [cross])
+    for array, history in zip(arrays, histories):
+        array[:len(history)] = history
+    return stepped
 
 
 def _load_hourloop():
@@ -343,47 +397,6 @@ def _build_hourloop(path: str) -> bool:
     return True
 
 
-def _simulate_compiled(lib, fleet, values, kind, lambdas, state, limit) -> SimResult | None:
-    """``simulate`` for a Policy, stepped by the compiled loop.
-
-    Returns None for a run the loop hands back (see ``_hourloop.c``):
-    the caller replays it on the Python loop, which raises the error.
-    """
-    n, steps = len(fleet), len(values)
-    spec = np.array(
-        [(s.capacity_mwh, s.output_power_mw, s.input_power_mw, s.efficiency) for s in fleet],
-        dtype=float,
-    )
-    decay = np.array(lambdas or (0.0,) * n, dtype=float)
-    values = np.ascontiguousarray(values)
-    levels = np.array(state.levels_mwh, dtype=float)
-    rates = np.empty((steps, n))
-    level_traces = np.empty((steps, n))
-    unserved = np.empty(steps)
-    spill = np.empty(steps)
-    served = np.zeros(n)
-    cross = np.zeros(1)
-    scratch = np.empty(8 * n)
-    order = np.empty(n, dtype=np.int64)
-    stepped = lib.simulate_hours(
-        n, steps, Policy._KINDS.index(kind), spec.ctypes.data, decay.ctypes.data,
-        values.ctypes.data, limit, SLACK, _EPS, levels.ctypes.data, rates.ctypes.data,
-        level_traces.ctypes.data, unserved.ctypes.data, spill.ctypes.data,
-        served.ctypes.data, cross.ctypes.data, scratch.ctypes.data, order.ctypes.data,
-    )
-    if stepped < 0:
-        return None
-    return SimResult(
-        unserved_cumulative_mwh=unserved[:stepped],
-        spill_cumulative_mwh=spill[:stepped],
-        level_traces_mwh=level_traces[:stepped],
-        rates_mw=rates[:stepped],
-        served_external_mwh=served,
-        cross_charged_mwh=float(cross[0]),
-        final_state=FleetState(tuple(levels.tolist()), state.time_index + stepped),
-    )
-
-
 def lower_bound_unserved(trace, total_output_power_mw: float) -> np.ndarray:
     """Cumulative unserved energy no feasible policy can beat.
 
@@ -393,7 +406,7 @@ def lower_bound_unserved(trace, total_output_power_mw: float) -> np.ndarray:
     """
     if total_output_power_mw < 0.0:
         raise FleetError("total output power must be nonnegative")
-    values = trace_values(trace)
+    values = _finite_values(trace)
     return np.cumsum(np.maximum(0.0, -values - total_output_power_mw))
 
 
@@ -654,11 +667,12 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
         for start in range(0, steps, _CSV_BLOCK_ROWS):
             stop = min(start + _CSV_BLOCK_ROWS, steps)
             if lib is None:
-                block = np.column_stack([c[start:stop] for c in columns])
+                # Each cell's repr: the specification of format_rows.
+                block = np.column_stack([c[start:stop] for c in columns]).tolist()
                 fh.write(
                     "".join(
-                        f"{t},{','.join(row)}\n"
-                        for t, row in zip(range(start, stop), _csv_cells(block))
+                        f"{t},{','.join(map(repr, row))}\n"
+                        for t, row in zip(range(start, stop), block)
                     ).encode("utf-8")
                 )
             else:
@@ -701,21 +715,3 @@ def _aligned(column: np.ndarray) -> np.ndarray:
         return column
     return column.copy()
 
-
-def _csv_cells(block: np.ndarray) -> list[list[str]]:
-    """Each cell's repr, row by row, with each distinct value formatted once.
-
-    The specification of ``_hourloop.c``'s ``format_rows``, which writes
-    the same text, and the writer's path without the compiled module.
-
-    Most cells repeat a value already seen in their block (zero and
-    power-limit rates, full stores, flat cumulative columns).  Values
-    are told apart by their bits, not by ==, because -0.0 and 0.0
-    compare equal but print differently; equal bits print equally, so
-    every cell is the repr of its own float.  The intermediate arrays
-    die on return, before the next block is built.
-    """
-    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    # The inverse's shape differs between numpy 2 releases.
-    return texts[inverse.reshape(block.shape)].tolist()

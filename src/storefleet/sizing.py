@@ -35,8 +35,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import SimResult, _finite_values, _load_hourloop, simulate, trace_values
-from .fleet import FleetError, FleetState, LossConvention, StoreSpec, convention_factor
+from .engine import SimResult, _load_hourloop, _run_values, simulate, trace_values
+from .fleet import FleetError, FleetState, LossConvention, StoreSpec, convention_factor, is_number
 from .params import (
     _KWH_PER_MWH,
     HOURS_PER_YEAR,
@@ -85,6 +85,14 @@ def _bisect_min(
             if lo >= give_up:
                 return None
     return hi
+
+
+def _efficiency(efficiency) -> float:
+    """``efficiency`` as a float; ValueError unless it is a number in (0, 1]."""
+    if not (is_number(efficiency) and 0.0 < efficiency <= 1.0):
+        raise ValueError(f"efficiency must lie in (0, 1], got {efficiency!r}")
+    # A numpy float32 would make the Python loops round in single precision.
+    return float(efficiency)
 
 
 def _sequent_peak(values: list[float], efficiency: float) -> tuple[float, float]:
@@ -152,20 +160,18 @@ def min_single_store_capacity(
     capacity and initial level are raised by the shortfall that pass
     found and checked again; if that still falls short, they are raised
     by at least one ulp of the capacity, up to ``_MAX_REPAIRS`` repairs
-    in all.  FleetError is raised if those still fail, and for a NaN or
-    infinite trace hour.  Starting at the returned initial level is
-    enough, so starting full is too: the greedy trajectory is monotone
-    in the starting level.
+    in all.  FleetError is raised if those still fail, and for an empty
+    trace or a NaN or infinite trace hour; ValueError for an efficiency
+    that is not a number in (0, 1].  Starting at the returned initial
+    level is enough, so starting full is too: the greedy trajectory is
+    monotone in the starting level.
 
     Both passes run in the compiled module (``engine._load_hourloop``),
     whose ports of the two Python loops give the same bits; where it
     cannot be built or loaded, the Python loops run.
     """
-    values = _finite_values(trace)
-    if not 0.0 < efficiency <= 1.0:
-        raise ValueError(f"efficiency must lie in (0, 1], got {efficiency}")
-    # A numpy float32 would make the Python loops round in single precision.
-    efficiency = float(efficiency)
+    values = _run_values(trace)
+    efficiency = _efficiency(efficiency)
     lib = _load_hourloop()
     if lib is None:
         hours = values.tolist()
@@ -230,11 +236,12 @@ def min_required_output_power(
     only binding resource.  The search checks the peak demand, then
     zero, then bisects between them to ``tol_mw``.  Raises Infeasible if
     even output power equal to the peak demand cannot meet the standard,
-    and ValueError for an empty fleet.
+    ValueError for an empty fleet, and FleetError for an empty trace or a
+    NaN or infinite trace hour.
     """
     if not fleet:
         raise ValueError("fleet must contain at least one store")
-    values = trace_values(trace)
+    values = _run_values(trace)
     if lambdas is None:
         lambdas = [0.0] * len(fleet)
     peak_demand = float(np.max(np.maximum(0.0, -values), initial=0.0))
@@ -388,11 +395,11 @@ def optimize_fleet(
     zero capacity price never abandons.  Corners that can win keep the
     brackets and midpoints of an unbounded search, so the bound changes
     no answer.  Raises ValueError, before anything else, for an
-    ``efficiency_long`` outside (0, 1], and Infeasible if nothing on the
-    grid meets the standard.
+    ``efficiency_long`` that is not a number in (0, 1], FleetError for an
+    empty trace or a NaN or infinite trace hour, and Infeasible if nothing
+    on the grid meets the standard.
     """
-    if not 0.0 < efficiency_long <= 1.0:
-        raise ValueError(f"efficiency must lie in (0, 1], got {efficiency_long}")
+    efficiency_long = _efficiency(efficiency_long)
     options = options or SizingOptions()
     if len(secondary_grid) == 0:
         raise ValueError("secondary grid must be nonempty (use [()] for no companion store)")
@@ -410,7 +417,7 @@ def optimize_fleet(
             (secondary, all_prices, _lambda_combos(options.lambda_grid, 1 + len(secondary)))
         )
 
-    values = trace_values(trace)
+    values = _run_values(trace)
     years = _years(values)
     demand = np.maximum(0.0, -values)
     total_demand = float(np.sum(demand))

@@ -1107,6 +1107,35 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"storefleet: config error: {config}: not UTF-8 text: ")
 
+    def test_config_that_is_not_json(self, tmp_path, capsys):
+        config = write_config(tmp_path, {})
+        Path(config).write_text('{"stores": [}')
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"storefleet: config error: {config}: invalid JSON: ")
+
+    @pytest.mark.parametrize("command", [["simulate"], ["size", "--no-optimize"]],
+                             ids=["simulate", "size"])
+    @pytest.mark.parametrize(
+        "where,literal,message",
+        [
+            (("stores", 0, "capacity_mwh"), "1" + "0" * 400, "integer of 401 digits is out of range"),
+            (("costs", "long", "input_power_usd_per_kw"), "-" + "9" * 400,
+             "integer of 400 digits is out of range"),
+            (("trace", "inline_mw", 1), "7" * 5001, "integer of 5001 digits is out of range"),
+            (("trace", "inline_mw", 1), "[" * 100_000 + "]" * 100_000,
+             "invalid JSON: nested too deeply to read"),
+        ],
+        ids=["past-float-range", "negative-price", "past-int-digit-limit", "nested-100000-deep"],
+    )
+    def test_json_the_decoder_cannot_hold_is_config_error(self, tmp_path, capsys, command, where,
+                                                          literal, message):
+        payload = copy.deepcopy(_SIZE_SCENARIO | {"policy": {"kind": "ggddf"}})
+        functools.reduce(operator.getitem, where[:-1], payload)[where[-1]] = "@"
+        config = write_config(tmp_path, payload)
+        Path(config).write_text(Path(config).read_text().replace('"@"', literal))
+        assert main([*command, "--config", config, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"storefleet: config error: {config}: {message}\n"
+
     def test_config_path_naming_a_directory(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err

@@ -163,6 +163,12 @@ class TestLowerBound:
     def test_only_first_hour_binds(self):
         assert list(lower_bound_unserved([-15.0, -3.0], 10.0)) == [5.0, 5.0]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_hour_is_named(self, bad):
+        # max(0, -nan - P) is NaN, which would poison every later hour.
+        with pytest.raises(FleetError, match=f"trace hour 1 is {bad}"):
+            lower_bound_unserved([-15.0, bad, -3.0], 10.0)
+
     def test_bounds_every_simulation(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
@@ -696,6 +702,16 @@ def _reference(monkeypatch, *args, **kwargs):
         return simulate(*args, **kwargs)
 
 
+def _step_compiled(fleet, values, policy, initial):
+    """The compiled loop alone on fresh run arrays: its return value, then the arrays."""
+    n, steps = len(fleet), len(values)
+    arrays = (np.array(initial.levels_mwh), np.empty((steps, n)), np.empty((steps, n)),
+              np.empty(steps), np.empty(steps), np.zeros(n), np.zeros(1))
+    stepped = engine._step_compiled(engine._load_hourloop(), fleet, np.array(values), policy.kind,
+                                    policy.decay_rates(fleet), math.inf, arrays)
+    return (stepped, *arrays)
+
+
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc to build the hour loop")
 
 
@@ -703,15 +719,15 @@ needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc to bu
 class TestCompiledLoop:
     def test_matches_python_loop_bit_for_bit(self, monkeypatch):
         assert engine._load_hourloop() is not None
-        compiled = engine._simulate_compiled
+        compiled = engine._step_compiled
         handed_back = []
 
         def counted(*args):
-            result = compiled(*args)
-            handed_back.append(result is None)
-            return result
+            stepped = compiled(*args)
+            handed_back.append(stepped < 0)
+            return stepped
 
-        monkeypatch.setattr(engine, "_simulate_compiled", counted)
+        monkeypatch.setattr(engine, "_step_compiled", counted)
         rng = np.random.default_rng(1401)
         seen = set()
         for _ in range(150):
@@ -757,11 +773,24 @@ class TestCompiledLoop:
         fleet = [StoreSpec("a", 1e10, math.inf, 5.0, 0.8), StoreSpec("b", 20.0, math.inf, 5.0, 0.9)]
         values = [3.0, -4.0, 2.0]
         policy = Policy.value([1e300, 0.1])
-        assert engine._simulate_compiled(
-            engine._load_hourloop(), fleet, np.array(values), "value", policy.decay_rates(fleet),
-            full_state(fleet), math.inf) is None
+        assert _step_compiled(fleet, values, policy, full_state(fleet))[0] == -1
         assert _outputs(simulate(fleet, values, policy)) == _outputs(
             _reference(monkeypatch, fleet, values, policy))
+
+    def test_replay_overwrites_what_the_loop_wrote_before_handing_back(self, monkeypatch):
+        # The C loop steps three hours, serving 5 MWh from store b and
+        # moving both levels, before a NaN value hands the run back.
+        fleet = [StoreSpec("a", 1e10, math.inf, 1e9, 0.8), StoreSpec("b", 20.0, 5.0, 5.0, 0.9)]
+        values = [-3.0, -2.0, 5e8, -1.0, 2.0]
+        policy = Policy.value([1e300, 0.1])
+        initial = FleetState((1e8, 10.0))
+        stepped, levels, *_, served, _ = _step_compiled(fleet, values, policy, initial)
+        assert stepped == -1
+        assert served.tolist() == [0.0, 5.0] and levels.tolist() != [1e8, 10.0]
+        got = simulate(fleet, values, policy, initial=initial)
+        assert _outputs(got) == _outputs(_reference(monkeypatch, fleet, values, policy,
+                                                    initial=initial))
+        assert got.served_external_mwh.tolist() == [1.0, 5.0]
 
 
 class TestHourloopBuild:

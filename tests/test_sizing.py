@@ -144,6 +144,17 @@ class TestMinSingleStoreCapacity:
         oracle = brute_min_capacity([10.0, -4.0, -4.0, -4.0], 0.25, 0.5, 0.5)
         assert oracle == (12.0, 9.5)
 
+    def test_empty_trace_rejected(self):
+        # Not the (0.0, 0.0) store of a trace without demand.
+        with pytest.raises(FleetError, match="residual-energy trace is empty"):
+            min_single_store_capacity([], 0.5)
+
+    @pytest.mark.parametrize("efficiency", [True, "0.5"], ids=["bool", "str"])
+    def test_efficiency_that_is_no_number_rejected(self, efficiency):
+        # True is not the efficiency 1.0, and a string is no number at all.
+        with pytest.raises(ValueError, match="efficiency must lie in"):
+            min_single_store_capacity([5.0, -3.0], efficiency)
+
     def test_no_deficit_needs_no_store(self):
         assert min_single_store_capacity([1.0, 2.0, 0.0], 0.7) == (0.0, 0.0)
 
@@ -559,6 +570,11 @@ class TestMinRequiredOutputPower:
         with pytest.raises(ValueError, match="at least one store"):
             min_required_output_power([-1.0], [], ReliabilityStandard(0.0))
 
+    def test_empty_trace_rejected(self):
+        # Not the zero power of a trace without demand: simulate rejects it too.
+        with pytest.raises(FleetError, match="residual-energy trace is empty"):
+            min_required_output_power([], [_big_store()], ReliabilityStandard(0.0))
+
     def test_energy_shortage_is_infeasible(self):
         starved = StoreSpec("small", 50.0, 1e3, 1e3, 1.0)
         with pytest.raises(Infeasible):
@@ -574,6 +590,11 @@ def _cycle_trace(cycles=3):
 
 
 class TestOptimizeSingleStore:
+    def test_empty_trace_rejected(self):
+        # Not the 0 $ store of a trace whose demand fits the allowance.
+        with pytest.raises(FleetError, match="residual-energy trace is empty"):
+            optimize_single_store([], HYDROGEN, ReliabilityStandard(0.0), 0.5)
+
     def test_no_deficit_gives_zero_dims(self):
         result = optimize_single_store(
             [5.0, 3.0], HYDROGEN, ReliabilityStandard(0.0), 0.4
@@ -724,7 +745,33 @@ class TestOptimizeFleet:
         with pytest.raises(KeyError):
             optimize_fleet(_cycle_trace(), {}, ReliabilityStandard(0.0), [()], 0.5)
 
-    @pytest.mark.parametrize("efficiency", [0.0, -0.4, 1.5, math.nan, math.inf])
+    def test_entry_without_a_feasible_output_power_is_skipped(self, monkeypatch):
+        # Only the entry with a companion finds no output power: the
+        # answer is the single store's, as if that entry were not there.
+        search = sizing.min_required_output_power
+
+        def no_power_with_companion(trace, fleet, *args):
+            if len(fleet) > 1:
+                raise Infeasible("no output power meets the standard")
+            return search(trace, fleet, *args)
+
+        costs = {"long": HYDROGEN, "medium": ACAES}
+        medium = StoreSpec("medium", 20.0, 5.0, 5.0, 0.9)
+        standard = ReliabilityStandard(0.0)
+        single = optimize_fleet(_cycle_trace(), costs, standard, [()], 0.6)
+        monkeypatch.setattr(sizing, "min_required_output_power", no_power_with_companion)
+        assert optimize_fleet(_cycle_trace(), costs, standard, [(medium,), ()], 0.6) == single
+
+    def test_no_entry_meeting_the_standard_is_infeasible(self, monkeypatch):
+        def no_power(*args):
+            raise Infeasible("no output power meets the standard")
+
+        monkeypatch.setattr(sizing, "min_required_output_power", no_power)
+        with pytest.raises(Infeasible, match="no configuration on the secondary grid"):
+            optimize_fleet(_cycle_trace(), {"long": HYDROGEN}, ReliabilityStandard(0.0), [()], 0.6)
+
+    # True is no efficiency of 1.0, and a string is no number.
+    @pytest.mark.parametrize("efficiency", [0.0, -0.4, 1.5, math.nan, math.inf, True, "0.5"])
     def test_efficiency_outside_unit_interval_rejected_first(self, efficiency):
         standard = ReliabilityStandard(0.0)
         with pytest.raises(ValueError, match="efficiency must lie in"):

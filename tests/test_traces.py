@@ -114,6 +114,10 @@ class TestScaleToOvercapacity:
         with pytest.raises(DegenerateInput):
             scale_to_overcapacity([1.0, 1.0], [-1.0, -1.0], 0.3)
 
+    def test_series_of_different_lengths_rejected(self):
+        with pytest.raises(DegenerateInput, match="must have equal length"):
+            scale_to_overcapacity([1.0, 2.0, 3.0], [1.0, 2.0], 0.3)
+
 
 class TestSynthesize:
     def test_same_seed_bit_identical(self):
