@@ -1,9 +1,9 @@
 /* The hour loop of storefleet.engine.simulate for a Policy, in C, the
- * two passes of sizing.min_single_store_capacity, the AR(1) noise of
- * traces.synthesize and the row formatter of engine.write_simulation_csv
- * (at the end), which prints each cell exactly as Python's repr does
- * with Schubfach (R. Giulietti, "The Schubfach way to render doubles",
- * 2020).
+ * two passes of sizing.min_single_store_capacity, the normal draws and
+ * AR(1) noise of traces.synthesize and the row formatter of
+ * engine.write_simulation_csv (at the end), which prints each cell
+ * exactly as Python's repr does with Schubfach (R. Giulietti, "The
+ * Schubfach way to render doubles", 2020).
  *
  * A port of policies._step_kernel (all three kinds, cross-charging
  * included) and of simulate's Python loop around it, with the same
@@ -334,6 +334,107 @@ void ar1(int64_t n, const double *eps, double a, double sd, double x0, double *o
         out[t] = x;
     }
 }
+
+/* The normal draws of storefleet.traces.synthesize: out[0..n) is
+ * numpy.random.default_rng(seed).standard_normal(n), bit for bit, where
+ * words[0..nwords) are the seed's 32-bit words, least significant first
+ * ([0] for seed 0).  The seed is mixed as numpy's SeedSequence mixes it
+ * and steps PCG64 (M. E. O'Neill, "PCG: A family of simple fast
+ * space-efficient statistically good algorithms for random number
+ * generation", 2014), ported here; the draws are made by numpy's own
+ * ziggurat sampler (Marsaglia & Tsang, "The ziggurat method for
+ * generating random variables", 2000), random_standard_normal_fill from
+ * the libnpyrandom.a archive numpy ships for C users.  The engine links
+ * that archive and defines STOREFLEET_NPYRANDOM where it finds it;
+ * without it this returns -1 and the caller draws through numpy.random. */
+#ifdef STOREFLEET_NPYRANDOM
+/* numpy/random/bitgen.h's bit generator: the sampler calls next_uint64
+ * and next_double only. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+
+typedef unsigned __int128 u128;
+
+typedef struct {
+    u128 state, inc;
+} pcg64_t;
+
+/* One PCG64 step and its XSL-RR output. */
+static uint64_t pcg64_next64(void *st)
+{
+    pcg64_t *rng = st;
+    rng->state = rng->state * ((u128)UINT64_C(0x2360ed051fc65da4) << 64 | UINT64_C(0x4385df649fccf645))
+                 + rng->inc;
+    uint64_t x = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
+    unsigned rot = (unsigned)(rng->state >> 122);
+    return x >> rot | x << (-rot & 63);
+}
+
+static double pcg64_next_double(void *st)
+{
+    return (pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* SeedSequence's hashmix and mix on 32-bit words. */
+static uint32_t hashmix(uint32_t value, uint32_t *hash)
+{
+    value ^= *hash;
+    *hash *= UINT32_C(0x931e8875);
+    value *= *hash;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = UINT32_C(0xca01f9dd) * x - UINT32_C(0x4973f715) * y;
+    return r ^ r >> 16;
+}
+
+int64_t normal_draws(int64_t nwords, const uint32_t *words, int64_t n, double *out)
+{
+    /* SeedSequence(seed): a pool of 4 words mixed from the seed's words. */
+    uint32_t pool[4], hash = UINT32_C(0x43b0d7e5);
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i < nwords ? words[i] : 0, &hash);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
+    for (int64_t src = 4; src < nwords; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = mix(pool[dst], hashmix(words[src], &hash));
+    /* generate_state(4, uint64): 8 words from the pool, paired low first. */
+    uint64_t seed[4] = {0};
+    hash = UINT32_C(0x8b51f9dd);
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i % 4] ^ hash;
+        hash *= UINT32_C(0x58f38ded);
+        value *= hash;
+        seed[i / 2] |= (uint64_t)(value ^ value >> 16) << (i % 2 * 32);
+    }
+    /* PCG64(seed): pcg_setseq_128_srandom_r with state seed[0:2] and
+     * sequence seed[2:4], each 128-bit value high word first. */
+    pcg64_t rng = {0, ((u128)seed[2] << 64 | seed[3]) << 1 | 1};
+    pcg64_next64(&rng);
+    rng.state += (u128)seed[0] << 64 | seed[1];
+    pcg64_next64(&rng);
+    bitgen_t bitgen = {&rng, pcg64_next64, NULL, pcg64_next_double, pcg64_next64};
+    random_standard_normal_fill(&bitgen, (intptr_t)n, out);
+    return 0;
+}
+#else
+int64_t normal_draws(int64_t nwords, const uint32_t *words, int64_t n, double *out)
+{
+    return -1;
+}
+#endif
 
 /* The rows of storefleet.engine.write_simulation_csv, each cell exactly as
  * Python's repr(float) prints it.  repr prints the shortest decimal that

@@ -466,7 +466,8 @@ def cmd_min_store_curve(scenario: Scenario, out_dir: Path, args) -> int:
 
     if oc_list:
         demand, generation = _demand_generation(scenario, args.seed)
-        curves = [(oc, traces.scale_to_overcapacity(demand, generation, oc)) for oc in oc_list]
+        # Each overcapacity's trace is scaled as its sweep starts, not all of them up front.
+        curves = ((oc, traces.scale_to_overcapacity(demand, generation, oc)) for oc in oc_list)
     else:
         curves = [(None, build_trace(scenario, args.seed))]
 

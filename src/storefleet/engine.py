@@ -17,13 +17,16 @@ repeats the Python loop's float operations in the same order, so its
 results are bit-identical.  ``_step_python`` is the specification, the
 path for callable policies and the replay of a run the C loop hands
 back.  The same library holds the two passes of
-``sizing.min_single_store_capacity``, the AR(1) noise recursion of
-``traces.synthesize`` and the row formatter of ``write_simulation_csv``,
-which prints each cell exactly as ``repr``, the Python writer's
-definition.  Its first use in a process loads it, building it with gcc
-into the package's ``__pycache__`` if no build of this source and these
-flags is there.  Without a compiler or a writable cache the Python loops
-run.
+``sizing.min_single_store_capacity``, the normal draws and the AR(1)
+noise recursion of ``traces.synthesize`` and the row formatter of
+``write_simulation_csv``, which prints each cell exactly as ``repr``,
+the Python writer's definition.  The normal draws are numpy's own
+sampler, linked from the ``libnpyrandom.a`` archive numpy ships for C
+users, so a process that synthesizes imports no ``numpy.random``.  Its
+first use in a process loads the library, building it with gcc into the
+package's ``__pycache__`` if no build of this source, these flags and
+this archive is there.  Without a compiler or a writable cache the
+Python loops run, and ``numpy.random`` draws.
 """
 
 from __future__ import annotations
@@ -67,6 +70,10 @@ _CSV_BLOCK_ROWS = 4096
 _HOURLOOP_SOURCE = os.path.join(os.path.dirname(__file__), "_hourloop.c")
 _HOURLOOP_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 _HOURLOOP_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# numpy's C sampler archive, which the build links for normal_draws where
+# numpy ships it.  Found beside numpy's own package, so that finding it
+# imports no numpy.random.
+_NPYRANDOM_ARCHIVE = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
 _UNLOADED = object()
 # The loaded library, _UNLOADED before its first use, None when it
 # cannot be built or loaded.
@@ -322,14 +329,19 @@ def _step_python(fleet, values, policy, state, limit, arrays) -> int:
 def _load_hourloop():
     """The compiled module, or None where it cannot be had.
 
-    The module is a ctypes library with five functions bound:
+    The module is a ctypes library with six functions bound:
     ``simulate_hours`` (``simulate``'s hour loop), ``sequent_peak``
     and ``shortfall`` (``sizing.min_single_store_capacity``'s two
-    passes), ``format_rows`` (``write_simulation_csv``'s rows) and
-    ``ar1`` (``traces.synthesize``'s wind noise).  Loads it once per
-    process, building it first (``_build_hourloop``) if the cache holds
-    no build of this source and these flags.  Without gcc, with a failed
-    build or an unusable cache directory this returns None, silently.
+    passes), ``format_rows`` (``write_simulation_csv``'s rows), and
+    ``normal_draws`` and ``ar1`` (``traces.synthesize``'s normal draws
+    and wind noise).  Where numpy ships its sampler archive
+    (``_NPYRANDOM_ARCHIVE``) the build links it; without it
+    ``normal_draws`` returns -1.  Loads the module once per process,
+    building it first (``_build_hourloop``) if the cache holds no build
+    of this source, these flags and this archive: the cache key covers
+    the archive's bytes, so a numpy upgrade gets a new build.  Without
+    gcc, with a failed build or an unusable cache directory this returns
+    None, silently.
     """
     global _hourloop
     if _hourloop is not _UNLOADED:
@@ -341,9 +353,16 @@ def _load_hourloop():
     try:
         with open(_HOURLOOP_SOURCE, "rb") as fh:
             source = fh.read()
-        key = zlib.crc32(" ".join(_HOURLOOP_CFLAGS).encode() + b"\0" + source)
+        try:
+            with open(_NPYRANDOM_ARCHIVE, "rb") as fh:
+                archive = fh.read()
+            linked = ("-DSTOREFLEET_NPYRANDOM", os.fspath(_NPYRANDOM_ARCHIVE))
+        except FileNotFoundError:
+            archive, linked = b"", ()
+        flags = " ".join((*_HOURLOOP_CFLAGS, *linked)).encode()
+        key = zlib.crc32(flags + b"\0" + source + b"\0" + archive)
         path = os.path.join(_HOURLOOP_CACHE, f"_hourloop.{key:08x}.so")
-        if not os.path.exists(path) and not _build_hourloop(path):
+        if not os.path.exists(path) and not _build_hourloop(path, linked):
             return None
         module = ctypes.CDLL(path)
     except OSError:
@@ -354,6 +373,7 @@ def _load_hourloop():
         ("sequent_peak", None, [i64, ptr, f64, ptr]),
         ("shortfall", f64, [i64, ptr, f64, f64, f64]),
         ("format_rows", i64, [i64, i64, i64, ptr, ptr, ptr, ptr, ptr]),
+        ("normal_draws", i64, [i64, ptr, i64, ptr]),
         ("ar1", None, [i64, ptr, f64, f64, f64, ptr]),
     ):
         function = getattr(module, symbol)
@@ -363,8 +383,11 @@ def _load_hourloop():
     return module
 
 
-def _build_hourloop(path: str) -> bool:
+def _build_hourloop(path: str, linked: tuple[str, ...]) -> bool:
     """Build the library at ``path`` with gcc; False where that fails.
+
+    ``linked`` is what the build adds after the source: numpy's sampler
+    archive and the define that compiles ``normal_draws`` against it.
 
     gcc writes into a fresh temporary directory, and the library is
     renamed into place only once the build has succeeded, so processes
@@ -386,7 +409,7 @@ def _build_hourloop(path: str) -> bool:
         try:
             out = os.path.join(build, name)
             subprocess.run(
-                [gcc, *_HOURLOOP_CFLAGS, "-o", out, os.fspath(_HOURLOOP_SOURCE), "-lm"],
+                [gcc, *_HOURLOOP_CFLAGS, "-o", out, os.fspath(_HOURLOOP_SOURCE), *linked, "-lm"],
                 stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=120,
             )
             os.replace(out, path)

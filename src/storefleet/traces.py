@@ -201,6 +201,24 @@ def _ar1(eps: np.ndarray, a: float, sd: float, x: float):
             yield x
 
 
+def _normal_draws(lib, seed: int, n: int) -> np.ndarray:
+    """``numpy.random.default_rng(seed).standard_normal(n)``, bit for bit.
+
+    That call is the specification.  The compiled module (``lib``) makes
+    the same draws with numpy's own sampler where its build linked it,
+    from the seed's 32-bit words, least significant first; otherwise,
+    and without the module, numpy.random draws them.
+    """
+    if lib is not None:
+        seed = int(seed)
+        words = np.array([seed >> shift & 0xFFFFFFFF
+                          for shift in range(0, max(seed.bit_length(), 1), 32)], dtype=np.uint32)
+        out = np.empty(n)
+        if lib.normal_draws(len(words), words.ctypes.data, n, out.ctypes.data) == 0:
+            return out
+    return np.random.default_rng(seed).standard_normal(n)
+
+
 def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
     """Generate (demand_mw, generation_mw), each of length years * 8760.
 
@@ -208,9 +226,13 @@ def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
     ``scale_to_overcapacity`` produces a residual whose surplus fraction
     is controlled exactly.
 
-    The AR(1) wind noise runs in the compiled module, so on a fresh
+    The normal draws of the wind noise are
+    ``numpy.random.default_rng(seed).standard_normal(n)``, bit for bit.
+    They and the AR(1) recursion over them run in the compiled module,
+    so with it loaded no numpy.random is imported, and on a fresh
     checkout the first call may build that module with gcc, even for a
-    caller that never simulates.
+    caller that never simulates.  Without the module, or where its build
+    found no numpy sampler archive to link, numpy.random draws them.
     """
     n = int(round(params.years * HOURS_PER_YEAR))
     h = np.arange(n, dtype=float)
@@ -232,12 +254,11 @@ def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
         + params.seasonal_amp * seasonal[half_year:]
     )
 
-    rng = np.random.default_rng(params.seed)
-    eps = rng.standard_normal(n)
+    lib = _load_hourloop()
+    eps = _normal_draws(lib, params.seed, n)
     a = params.ar_coeff
     stationary_sd = params.noise_sd / math.sqrt(1.0 - a * a) if params.noise_sd > 0.0 else 0.0
     x0 = float(stationary_sd) * float(eps[0])
-    lib = _load_hourloop()
     if lib is None:
         x = np.fromiter(_ar1(eps, float(a), float(params.noise_sd), x0), float, n)
     else:

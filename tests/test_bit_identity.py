@@ -18,8 +18,9 @@ included) shows.  A third
 holds the sha256 of ``greedify``'s rewrites of seeded random schedules,
 so a change to the rewrite's float operations shows.  A fourth holds
 the sha256 of ``min_store_curve.csv`` from ``min-store-curve`` on the
-benchmark's curve scenario, with and without the worker pool, so a
-change to the sequent-peak passes that moves an answer shows.
+benchmark's curve scenario, with ``--threads`` 1 and 2, so a change to
+the sequent-peak passes or the synthetic trace that moves an answer
+shows.
 """
 
 import hashlib

@@ -957,6 +957,22 @@ class TestImportBudget:
         assert (tmp_path / "out" / "simulation.csv").exists()
         assert not loaded & set(_POOL_MODULES)
 
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc to build the compiled module")
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["size", "--mode", "fleet"],
+        ["min-store-curve", "--etas", "0.5,0.9", "--oc-list", "0.1,0.3"],
+    ])
+    def test_synthesizing_with_a_built_library_loads_no_numpy_random(self, tmp_path, command):
+        if not os.path.exists(engine._NPYRANDOM_ARCHIVE):
+            pytest.skip("numpy ships no sampler archive here")
+        assert engine._load_hourloop() is not None  # built, in the cache the child reads
+        config = write_config(tmp_path, FRONT_DOOR_SCENARIO | {
+            "trace": {"synthetic": {"years": 0.01, "seed": 5}}})
+        argv = [*command, "--config", config, "--out", str(tmp_path / "out")]
+        loaded = _fresh_modules(f"from storefleet import cli\nassert cli.main({argv!r}) == 0")
+        assert "storefleet.traces" in loaded
+        assert not loaded & {"numpy.random", "secrets"}
+
     def test_min_store_curve_sweeps_without_a_pool(self, tmp_path):
         config = write_config(tmp_path, {"trace": {"inline_mw": [10.0, -4.0, -4.0, -4.0]}})
         argv = ["min-store-curve", "--config", config, "--etas", "0.5,0.9",

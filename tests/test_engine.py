@@ -852,6 +852,21 @@ class TestHourloopBuild:
         second = {p.name for p in cache.iterdir()}
         assert len(second) == 2 and first < second
 
+    def test_numpys_sampler_archive_is_in_the_cache_key(self, monkeypatch, tmp_path):
+        archive = tmp_path / "libnpyrandom.a"
+        monkeypatch.setattr(engine, "_NPYRANDOM_ARCHIVE", str(archive))
+        builds = []
+        monkeypatch.setattr(engine, "_build_hourloop", lambda *args: builds.append(args) or False)
+        for content in (b"numpy 1", b"numpy 2", None):
+            if content is None:
+                archive.unlink()
+            else:
+                archive.write_bytes(content)
+            self._fresh(monkeypatch, tmp_path / "cache")
+            assert engine._load_hourloop() is None
+        assert len({path for path, _ in builds}) == 3
+        assert [linked for _, linked in builds] == [("-DSTOREFLEET_NPYRANDOM", str(archive))] * 2 + [()]
+
     @needs_gcc
     def test_half_written_build_is_never_loaded(self, monkeypatch, capfd, tmp_path):
         cache = tmp_path / "cache"

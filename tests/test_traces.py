@@ -1,10 +1,13 @@
 import hashlib
 import math
+import shutil
 
 import numpy as np
 import pytest
 
 from storefleet import engine, traces
+from storefleet.fleet import StoreSpec
+from storefleet.policies import Policy
 from storefleet.traces import (
     DegenerateInput,
     InsufficientData,
@@ -185,8 +188,8 @@ class TestSynthesize:
         assert SynthParams(years=1000.0).years == 1000.0
 
     # sha256 of the (demand, generation) bytes, recorded before the AR(1)
-    # wind loop stepped over Python floats instead of numpy scalars, and
-    # before it ran in the compiled module.
+    # wind loop stepped over Python floats instead of numpy scalars, before
+    # it ran in the compiled module, and before its normal draws did.
     _GOLDEN_DIGESTS = [
         (7, 0.0, "cce42874dca0574ffd6df4b906ca9618e49d1a63f80791d23415f4236d84d8c4"),
         (11, 0.35, "c261da8978392d724c819089bf849215313b6bae24c1757caf654049d57e2429"),
@@ -211,13 +214,36 @@ class TestSynthesize:
 
     def test_compiled_path_runs_no_python_loop(self, monkeypatch):
         def never(*args):
-            raise AssertionError("ran the Python AR(1) loop with the compiled module loaded")
+            raise AssertionError("ran a Python path with the compiled module loaded")
 
-        if engine._load_hourloop() is None:
+        lib = engine._load_hourloop()
+        if lib is None:
             pytest.skip("the compiled module cannot be built here")
         monkeypatch.setattr(traces, "_ar1", never)
+        if _draws_in_c(lib):
+            monkeypatch.setattr(np.random, "default_rng", never)
         demand, generation = synthesize(SynthParams(years=0.01, seed=3))
         assert len(generation) == 88
+
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc to build the compiled module")
+    def test_without_numpys_sampler_archive_numpy_random_draws(self, monkeypatch, tmp_path):
+        # An install whose numpy ships no libnpyrandom.a: the library is
+        # still built, with a normal_draws that declines every call.
+        monkeypatch.setattr(engine, "_hourloop", engine._UNLOADED)
+        monkeypatch.setattr(engine, "_HOURLOOP_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setattr(engine, "_NPYRANDOM_ARCHIVE", str(tmp_path / "libnpyrandom.a"))
+        lib = engine._load_hourloop()
+        assert lib is not None and not _draws_in_c(lib)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_step_python", None)  # simulate_hours steps the run
+            result = engine.simulate([StoreSpec("s", 5.0, 2.0, 2.0, 0.8)], [3.0, -4.0], Policy.ggddf())
+            assert result.total_unserved_mwh == 2.0
+        seeds = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed))
+        for seed, solar_share, digest in self._GOLDEN_DIGESTS:
+            assert self._digest(seed, solar_share) == digest
+        assert seeds == [7, 11]
 
     def test_good_fields_accepted(self):
         params = SynthParams(years=1, seed=np.int64(3), base_demand_mw=10, noise_sd=0,
@@ -245,6 +271,27 @@ class TestSynthesize:
         got_demand, got_generation = synthesize(params)
         assert got_demand.tobytes() == demand.tobytes()
         assert got_generation.tobytes() == generation.tobytes()
+
+
+def _draws_in_c(lib) -> bool:
+    """Whether the library's build linked numpy's sampler archive."""
+    return lib.normal_draws(1, np.zeros(1, dtype=np.uint32).ctypes.data, 0, None) == 0
+
+
+def test_compiled_normal_draws_match_default_rng_byte_for_byte(monkeypatch):
+    lib = engine._load_hourloop()
+    if lib is None or not _draws_in_c(lib):
+        pytest.skip("the compiled module cannot be built with numpy's sampler here")
+    default_rng = np.random.default_rng
+
+    def never(seed):
+        raise AssertionError("drew through numpy.random with the sampler linked")
+
+    monkeypatch.setattr(np.random, "default_rng", never)
+    for seed in [*range(200), 2**32 - 1, 2**32, 2**64 + 5, 10**300, np.int64(3)]:
+        for n in (1, 7, 1000, 87_600):
+            expected = default_rng(seed).standard_normal(n)
+            assert traces._normal_draws(lib, seed, n).tobytes() == expected.tobytes(), (seed, n)
 
 
 def test_compiled_ar1_matches_python_loop_bit_for_bit():
