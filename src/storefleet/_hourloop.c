@@ -3,7 +3,11 @@
  * AR(1) noise of traces.synthesize and the row formatter of
  * engine.write_simulation_csv (at the end), which prints each cell
  * exactly as Python's repr does with Schubfach (R. Giulietti, "The
- * Schubfach way to render doubles", 2020).
+ * Schubfach way to render doubles", 2020).  The formatter splits each
+ * block of rows into two halves, formatted at once on the calling thread
+ * and one more, each into its own share of the output and with its own
+ * record of the cells above; the upper half's text is moved down after
+ * the join.  No function here keeps writable static state.
  *
  * A port of policies._step_kernel (all three kinds, cross-charging
  * included) and of simulate's Python loop around it, with the same
@@ -26,6 +30,7 @@
  *   - cross-charging past 2 * n transfers (the termination assert).
  */
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -432,6 +437,10 @@ int64_t normal_draws(int64_t nwords, const uint32_t *words, int64_t n, double *o
 #else
 int64_t normal_draws(int64_t nwords, const uint32_t *words, int64_t n, double *out)
 {
+    (void)nwords;
+    (void)words;
+    (void)n;
+    (void)out;
     return -1;
 }
 #endif
@@ -505,7 +514,46 @@ static uint64_t shortest(const uint64_t (*g)[2], int be, uint64_t f, int *exp10)
     return s + (vb > mid || (vb == mid && (s & 1)));
 }
 
-/* Write x as repr(x) prints it; return the end of the text. */
+/* Two decimal digits per entry, "00" to "99". */
+static const char digit_pairs[201] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* Write the decimal digits of d to end just before end; return where they
+ * start.  Two digits come from each division by 100; above 10^8 the low
+ * eight digits are split off with one division and run in 32 bits. */
+static char *digits_before(uint64_t d, char *end)
+{
+    char *p = end;
+    while (d >= 100000000) {
+        uint32_t low = (uint32_t)(d % 100000000);
+        d /= 100000000;
+        for (int i = 0; i < 4; i++) {
+            p -= 2;
+            memcpy(p, digit_pairs + 2 * (low % 100), 2);
+            low /= 100;
+        }
+    }
+    uint32_t high = (uint32_t)d;
+    while (high >= 100) {
+        p -= 2;
+        memcpy(p, digit_pairs + 2 * (high % 100), 2);
+        high /= 100;
+    }
+    if (high >= 10) {
+        p -= 2;
+        memcpy(p, digit_pairs + 2 * high, 2);
+    } else {
+        *--p = (char)('0' + high);
+    }
+    return p;
+}
+
+/* Write x as repr(x) prints it; return the end of the text.  Byte loops
+ * lay the digits out, so nothing is written past the text's end. */
 static char *format_double(const uint64_t (*g)[2], double x, char *p)
 {
     uint64_t bits;
@@ -527,17 +575,15 @@ static char *format_double(const uint64_t (*g)[2], double x, char *p)
         return p + 3;
     }
     int e;
-    uint64_t d = shortest(g, be, f, &e);
-    while (d % 10 == 0) {
-        d /= 10;
+    char digits[20];
+    char *last = digits + sizeof digits;
+    char *first = digits_before(shortest(g, be, f, &e), last);
+    /* Trailing zeros move into the exponent; the first digit is nonzero. */
+    while (last[-1] == '0') {
+        last--;
         e++;
     }
-    char digits[20]; /* least significant first */
-    int n = 0;
-    do {
-        digits[n++] = (char)('0' + d % 10);
-        d /= 10;
-    } while (d);
+    int n = (int)(last - first);
     int point = e + n; /* digits before the decimal point */
     if (-4 < point && point <= 16) {
         if (point <= 0) {
@@ -545,67 +591,57 @@ static char *format_double(const uint64_t (*g)[2], double x, char *p)
             *p++ = '.';
             for (int i = point; i < 0; i++)
                 *p++ = '0';
-            while (n)
-                *p++ = digits[--n];
-        } else {
+        } else if (point < n) {
             for (int i = 0; i < point; i++)
-                *p++ = n ? digits[--n] : '0';
+                *p++ = *first++;
             *p++ = '.';
-            if (!n)
+        } else {
+            while (first < last)
+                *p++ = *first++;
+            for (int i = n; i < point; i++)
                 *p++ = '0';
-            while (n)
-                *p++ = digits[--n];
+            *p++ = '.';
+            *p++ = '0';
         }
+        while (first < last)
+            *p++ = *first++;
         return p;
     }
-    *p++ = digits[--n];
-    if (n) {
+    *p++ = *first++;
+    if (first < last) {
         *p++ = '.';
-        while (n)
-            *p++ = digits[--n];
+        while (first < last)
+            *p++ = *first++;
     }
     int exponent = point - 1;
     *p++ = 'e';
     *p++ = exponent < 0 ? '-' : '+';
     if (exponent < 0)
         exponent = -exponent;
-    if (exponent >= 100)
+    if (exponent >= 100) {
         *p++ = (char)('0' + exponent / 100);
-    *p++ = (char)('0' + exponent / 10 % 10);
-    *p++ = (char)('0' + exponent % 10);
-    return p;
+        exponent %= 100;
+    }
+    memcpy(p, digit_pairs + 2 * exponent, 2);
+    return p + 2;
 }
 
-/* Write the lines of hours first_hour to first_hour + rows - 1 to out:
- * the hour, then each of the cols columns' cell as repr prints it, comma
- * separated.  Column j's cell of hour t is the double at
- * bases[j] + t * strides[j] (a stride counted in doubles), so the result
- * arrays are read where they lie.  Returns the number of bytes written;
- * out must hold rows * (20 + 25 * cols), since an hour takes at most 19
- * digits and a cell at most 24 bytes (-2.2250738585072014e-308).
- *
- * A cell with the same bits as the cell above it prints the same text,
- * so that text is copied instead of formatted again.  spans (2 * cols
- * entries, any count of columns) keeps, per column, the offset in out and
- * the length of the text last formatted there, which is the text of the
- * cell above.  Bits, not ==, decide: -0.0 and 0.0 compare equal but print
- * differently, and NaNs with different payloads are each formatted.
- * g is the table of powers of ten described above. */
-int64_t format_rows(int64_t rows, int64_t cols, int64_t first_hour, const double *const *bases,
-                    const int64_t *strides, char *out, int64_t *spans, const uint64_t (*g)[2])
+/* Write the lines of hours first_hour to first_hour + rows - 1 to out and
+ * return the number of bytes written: format_rows on one thread.  The
+ * first row is always formatted; a later cell with the same bits as the
+ * cell above copies that cell's text, found through spans. */
+static int64_t format_block(int64_t rows, int64_t cols, int64_t first_hour,
+                            const double *const *bases, const int64_t *strides, char *out,
+                            int64_t *spans, const uint64_t (*g)[2])
 {
     char *p = out;
     for (int64_t r = 0; r < rows; r++) {
-        char digits[20];
-        int n = 0;
         int64_t t = first_hour + r;
-        uint64_t hour = (uint64_t)t;
-        do {
-            digits[n++] = (char)('0' + hour % 10);
-            hour /= 10;
-        } while (hour);
-        while (n)
-            *p++ = digits[--n];
+        char digits[20];
+        char *first = digits_before((uint64_t)t, digits + sizeof digits);
+        size_t n = (size_t)(digits + sizeof digits - first);
+        memcpy(p, first, n);
+        p += n;
         for (int64_t j = 0; j < cols; j++) {
             *p++ = ',';
             const double *cell = bases[j] + t * strides[j];
@@ -623,4 +659,66 @@ int64_t format_rows(int64_t rows, int64_t cols, int64_t first_hour, const double
         *p++ = '\n';
     }
     return p - out;
+}
+
+/* format_block's arguments and result, for the thread that runs it. */
+typedef struct {
+    int64_t rows, cols, first_hour;
+    const double *const *bases;
+    const int64_t *strides;
+    char *out;
+    int64_t *spans;
+    const uint64_t (*g)[2];
+    int64_t size;
+} block_t;
+
+static void *format_block_thread(void *arg)
+{
+    block_t *b = arg;
+    b->size = format_block(b->rows, b->cols, b->first_hour, b->bases, b->strides, b->out,
+                           b->spans, b->g);
+    return NULL;
+}
+
+/* Write the lines of hours first_hour to first_hour + rows - 1 to out:
+ * the hour, then each of the cols columns' cell as repr prints it, comma
+ * separated.  Column j's cell of hour t is the double at
+ * bases[j] + t * strides[j] (a stride counted in doubles), so the result
+ * arrays are read where they lie.  Returns the number of bytes written;
+ * out must hold rows * (20 + 25 * cols), since an hour takes at most 19
+ * digits and a cell at most 24 bytes (-2.2250738585072014e-308).
+ *
+ * The rows are formatted in two halves at once: rows [0, top) on the
+ * calling thread at out, rows [top, rows) on one more thread at
+ * out + top * (20 + 25 * cols), top = rows / 2, so each half stays inside
+ * its share of out.  After the join the upper half's text is moved down
+ * to follow the lower half's.  Where no thread can be started the upper
+ * half is formatted after the lower one, at the same place.
+ *
+ * A cell with the same bits as the cell above it prints the same text,
+ * so that text is copied instead of formatted again; the first row of
+ * each half is formatted, so the halves share nothing.  Bits, not ==,
+ * decide: -0.0 and 0.0 compare equal but print differently, and NaNs
+ * with different payloads are each formatted.  spans keeps, per column,
+ * the offset in the half's text and the length of the text last
+ * formatted there, which is the text of the cell above: 2 * cols entries
+ * per half (any count of columns), the upper half's 16 entries (128
+ * bytes) past the lower half's, so that the two threads never write to
+ * one cache line; 4 * cols + 16 in all.  g is the table of powers of ten
+ * described above. */
+int64_t format_rows(int64_t rows, int64_t cols, int64_t first_hour, const double *const *bases,
+                    const int64_t *strides, char *out, int64_t *spans, const uint64_t (*g)[2])
+{
+    int64_t top = rows / 2;
+    block_t upper = {rows - top, cols, first_hour + top, bases, strides,
+                     out + top * (20 + 25 * cols), spans + 2 * cols + 16, g, 0};
+    pthread_t thread;
+    int threaded = top > 0 && pthread_create(&thread, NULL, format_block_thread, &upper) == 0;
+    int64_t size = format_block(top, cols, first_hour, bases, strides, out, spans, g);
+    if (threaded)
+        pthread_join(thread, NULL);
+    else
+        format_block_thread(&upper);
+    memmove(out + size, upper.out, (size_t)upper.size);
+    return size + upper.size;
 }

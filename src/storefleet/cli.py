@@ -19,6 +19,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
@@ -52,6 +53,15 @@ if TYPE_CHECKING:
 
 
 MAX_STATS_BINS = 100_000  # `stats --bins` upper bound: keeps the histogram small
+
+# numpy's OpenBLAS starts a worker thread per further CPU when numpy is
+# imported, and an idle worker spins for 2^28 cycles (about 0.13 s)
+# before it sleeps.  No command gains from a spinning worker, and the
+# spin takes the CPU that format_rows' second thread runs on.  So unless
+# the environment says otherwise, idle workers sleep after 2^4 cycles.
+# This sets how long an idle worker waits, not how many there are, so
+# no BLAS result changes.  Set here, before any command imports numpy.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 
 def __getattr__(name: str):

@@ -20,12 +20,15 @@ back.  The same library holds the two passes of
 ``sizing.min_single_store_capacity``, the normal draws and the AR(1)
 noise recursion of ``traces.synthesize`` and the row formatter of
 ``write_simulation_csv``, which prints each cell exactly as ``repr``,
-the Python writer's definition.  The normal draws are numpy's own
-sampler, linked from the ``libnpyrandom.a`` archive numpy ships for C
-users, so a process that synthesizes imports no ``numpy.random``.  Its
-first use in a process loads the library, building it with gcc into the
-package's ``__pycache__`` if no build of this source, these flags and
-this archive is there.  Without a compiler or a writable cache the
+the Python writer's definition.  It formats the two halves of each
+block of rows at once, the upper one on a second thread that ends
+before the call returns; ctypes releases the GIL for the call.  The
+normal draws are numpy's own sampler, linked from the
+``libnpyrandom.a`` archive numpy ships for C users, so a process that
+synthesizes imports no ``numpy.random``.  Its first use in a process
+loads the library, building it with gcc into the package's
+``__pycache__`` if no build of this source, these flags and this
+archive is there.  Without a compiler or a writable cache the
 Python loops run, and ``numpy.random`` draws.
 """
 
@@ -69,7 +72,7 @@ _CSV_BLOCK_ROWS = 4096
 # into, one file per source and flags.
 _HOURLOOP_SOURCE = os.path.join(os.path.dirname(__file__), "_hourloop.c")
 _HOURLOOP_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
-_HOURLOOP_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_HOURLOOP_CFLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-fPIC", "-shared")
 # numpy's C sampler archive, which the build links for normal_draws where
 # numpy ships it.  Found beside numpy's own package, so that finding it
 # imports no numpy.random.
@@ -680,8 +683,9 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
         strides = np.array([c.strides[0] // c.itemsize for c in cells], dtype=np.int64)
         # Its output, reused from block to block.
         buffer = np.empty(0, dtype=np.uint8)
-        # Where each column's text was last formatted, for copying repeats.
-        spans = np.empty(2 * len(cells), dtype=np.int64)
+        # Where each column's text was last formatted, for copying
+        # repeats: one set for each half of a block, 16 entries apart.
+        spans = np.empty(4 * len(cells) + 16, dtype=np.int64)
         powers = _power_table()
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
@@ -718,15 +722,20 @@ def _power_table() -> np.ndarray:
     halves; every g(e) lies in [2^127, 2^128).
     """
     rows = []
+    # 10^|e|, kept from row to row: floor-divided by 10 up to e = 0,
+    # then multiplied by 10.
+    power = 10**292
     for e in range(-292, 325):
         if e >= 0:
             # 2^(b - 1) <= 10^e < 2^b for b = bit_length, so r = b - 128.
-            r = (10**e).bit_length() - 128
-            g = (10**e >> r if r >= 0 else 10**e << -r) + 1
+            r = power.bit_length() - 128
+            g = (power >> r if r >= 0 else power << -r) + 1
+            power *= 10
         else:
             # 10^-e is no power of two, so floor(log2 10^e) = -bit_length(10^-e).
-            r = -(10**-e).bit_length() - 127
-            g = (1 << -r) // 10**-e + 1
+            r = -power.bit_length() - 127
+            g = (1 << -r) // power + 1
+            power //= 10
         rows.append((g >> 64, g & (2**64 - 1)))
     return np.array(rows, dtype=np.uint64)
 

@@ -28,6 +28,8 @@ import importlib.util
 import json
 import math
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -131,6 +133,14 @@ def csv_writer(request, monkeypatch):
 def _write_cells(path, cells, names=("s0", "s1")):
     """Write an hours x (3 + 2n) array of cells as a simulation.csv of n
     stores; return the writer's inputs."""
+    inputs = _cell_inputs(cells, names)
+    write_simulation_csv(path, *inputs)
+    return inputs
+
+
+def _cell_inputs(cells, names=("s0", "s1")):
+    """The writer's inputs (values, fleet, result) that print an hours x
+    (3 + 2n) array of cells as a simulation.csv of n stores."""
     n = len(names)
     fleet = [StoreSpec(name, 1.0, 1.0, 1.0, 1.0) for name in names]
     values = cells[:, 0].copy()
@@ -143,11 +153,10 @@ def _write_cells(path, cells, names=("s0", "s1")):
         cross_charged_mwh=0.0,
         final_state=FleetState(tuple(cells[-1, 1 + n:1 + 2 * n].tolist())),
     )
-    write_simulation_csv(path, values, fleet, result)
     return values, fleet, result
 
 
-@pytest.mark.parametrize("block_rows", [1, 7, 50, 4096])
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 7, 50, 4096])
 def test_block_csv_writer_matches_per_cell_writer(tmp_path, monkeypatch, block_rows, csv_writer):
     monkeypatch.setattr(engine, "_CSV_BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(5)
@@ -167,7 +176,7 @@ _EDGE_VALUES = (
 )
 
 
-@pytest.mark.parametrize("block_rows", [1, 5, 4096])
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 5, 4096])
 def test_block_csv_writer_keeps_edge_values(tmp_path, monkeypatch, block_rows, csv_writer):
     monkeypatch.setattr(engine, "_CSV_BLOCK_ROWS", block_rows)
     # Row t holds seven consecutive edge values from offset t, so values
@@ -228,6 +237,33 @@ def test_csv_writer_fills_a_block_of_the_longest_cells(tmp_path, csv_writer):
     path = tmp_path / "sim.csv"
     inputs = _write_cells(path, cells)
     assert path.read_text(encoding="utf-8") == _reference_csv(*inputs)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4096])
+def test_format_rows_writes_nothing_past_its_bound(rows):
+    # format_rows on a buffer of exactly rows * (20 + 25 * cols) bytes,
+    # followed by sentinel bytes.  Every cell is the longest repr and
+    # every hour has 19 digits, so the text fills the buffer, each half
+    # of the rows its own share.  A stride of 0 reads one double for
+    # every hour, so no base has to point back by first_hour rows.
+    lib = engine._load_hourloop()
+    if lib is None:
+        pytest.skip("the compiled module cannot be built here")
+    longest, first_hour, cols = -2.2250738585072014e-308, 10**18, 7
+    cell = np.array([longest])
+    bases = np.full(cols, cell.ctypes.data, dtype=np.uintp)
+    strides = np.zeros(cols, dtype=np.int64)
+    bound = rows * (20 + 25 * cols)
+    buffer = np.full(bound + 64, 0xA5, dtype=np.uint8)
+    spans = np.empty(4 * cols + 16, dtype=np.int64)
+    size = lib.format_rows(rows, cols, first_hour, bases.ctypes.data, strides.ctypes.data,
+                           buffer.ctypes.data, spans.ctypes.data, engine._power_table().ctypes.data)
+    assert (buffer[bound:] == 0xA5).all()
+    # The per-cell writer's rows, each hour moved on by first_hour.
+    lines = _reference_csv(*_cell_inputs(np.full((rows, cols), longest))).splitlines()[1:]
+    expected = "".join(f"{first_hour + t}{line[len(str(t)):]}\n" for t, line in enumerate(lines))
+    assert size == bound
+    assert buffer[:size].tobytes().decode("ascii") == expected
 
 
 # Bit patterns the copy of a repeated cell must tell apart: -0.0 from
@@ -308,6 +344,36 @@ def test_csv_writer_reads_columns_of_any_layout(tmp_path, monkeypatch, block_row
     path = tmp_path / "sim.csv"
     write_simulation_csv(path, values, fleet, result)
     assert path.read_text(encoding="utf-8") == _reference_csv(values, fleet, result)
+
+
+def test_csv_writers_on_two_threads_write_what_serial_writers_do(tmp_path, csv_writer):
+    # Two threads write simulation.csv for different runs at the same
+    # time (the compiled formatter runs with the GIL released), four files
+    # each.  Every file must hold the bytes a serial write gives, which
+    # fails if format_rows kept scratch shared between calls.
+    rng = np.random.default_rng(2707)
+    runs = []
+    for n in (2, 3):
+        fleet = random_fleet(rng, n)
+        values = random_trace_values(rng, 2 * engine._CSV_BLOCK_ROWS + 5)
+        runs.append((values, fleet, simulate(fleet, values, Policy.value(random_lambdas(rng, n)))))
+    serial = []
+    for k, run in enumerate(runs):
+        write_simulation_csv(tmp_path / f"serial{k}.csv", *run)
+        serial.append((tmp_path / f"serial{k}.csv").read_bytes())
+    start = threading.Barrier(len(runs))
+
+    def write(k):
+        start.wait()
+        for i in range(4):
+            write_simulation_csv(tmp_path / f"thread{k}.{i}.csv", *runs[k])
+
+    with ThreadPoolExecutor(len(runs)) as pool:
+        for future in [pool.submit(write, k) for k in range(len(runs))]:
+            future.result()
+    for k in range(len(runs)):
+        for i in range(4):
+            assert (tmp_path / f"thread{k}.{i}.csv").read_bytes() == serial[k], (k, i)
 
 
 def _digits(base: int, n: int) -> int:

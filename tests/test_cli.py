@@ -1079,6 +1079,20 @@ class TestProcessEntry:
         )
         assert (tmp_path / "out" / "simulation.csv").exists()
 
+    def test_importing_the_cli_parks_idle_openblas_workers(self):
+        # Set before numpy loads OpenBLAS, which reads it then; a value
+        # already in the environment stays.
+        code = ("import os\nimport storefleet.cli\nassert 'numpy' not in sys.modules\n"
+                "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])")
+        for preset, expected in ((None, "4"), ("9", "9")):
+            env = _child_env()
+            env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+            if preset is not None:
+                env["OPENBLAS_THREAD_TIMEOUT"] = preset
+            done = subprocess.run([sys.executable, "-c", f"import sys\n{code}"], env=env,
+                                  capture_output=True, text=True, check=True)
+            assert done.stdout.split() == [expected]
+
     def test_main_leaves_the_collector_as_it_found_it(self, tmp_path):
         state = gc.isenabled(), gc.get_freeze_count()
         argv = ["simulate", "--config", simple_simulate_config(tmp_path)]
