@@ -54,15 +54,6 @@ if TYPE_CHECKING:
 
 MAX_STATS_BINS = 100_000  # `stats --bins` upper bound: keeps the histogram small
 
-# numpy's OpenBLAS starts a worker thread per further CPU when numpy is
-# imported, and an idle worker spins for 2^28 cycles (about 0.13 s)
-# before it sleeps.  No command gains from a spinning worker, and the
-# spin takes the CPU that format_rows' second thread runs on.  So unless
-# the environment says otherwise, idle workers sleep after 2^4 cycles.
-# This sets how long an idle worker waits, not how many there are, so
-# no BLAS result changes.  Set here, before any command imports numpy.
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
-
 
 def __getattr__(name: str):
     """``ProcessPoolExecutor``, imported on first use (PEP 562).
@@ -655,7 +646,23 @@ def entry() -> int:
     ``json.dump`` leave a few hundred objects in cycles, once per
     process, which go when it exits.  ``main`` itself never touches the
     collector, so a caller running it in its own process keeps its own.
+
+    For ``simulate``, and unless the environment sets it,
+    ``OPENBLAS_THREAD_TIMEOUT`` is 4 for the process, set before the
+    command imports numpy, whose OpenBLAS reads it when it loads.
+    OpenBLAS starts a worker thread per further CPU, and an idle worker
+    spins for 2^28 cycles (about 0.13 s) before it sleeps; at 4, for
+    2^4.  The spin would hold the CPU on which ``format_rows`` formats
+    the upper half of each block of ``simulation.csv``, which only
+    ``simulate`` writes; ``simulate`` calls no BLAS.  ``stats``, the one
+    command that does (``np.dot`` back to back), keeps OpenBLAS's
+    default, under which it is a few ms faster.  The command is always
+    the first argument, since the parser has no option before it but
+    ``-h``.  Like the collector, the environment of a caller of ``main``
+    is left alone.
     """
+    if sys.argv[1:2] == ["simulate"]:
+        os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     gc.disable()
     try:
         return main()

@@ -1079,19 +1079,30 @@ class TestProcessEntry:
         )
         assert (tmp_path / "out" / "simulation.csv").exists()
 
-    def test_importing_the_cli_parks_idle_openblas_workers(self):
-        # Set before numpy loads OpenBLAS, which reads it then; a value
-        # already in the environment stays.
-        code = ("import os\nimport storefleet.cli\nassert 'numpy' not in sys.modules\n"
-                "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])")
-        for preset, expected in ((None, "4"), ("9", "9")):
-            env = _child_env()
-            env.pop("OPENBLAS_THREAD_TIMEOUT", None)
-            if preset is not None:
-                env["OPENBLAS_THREAD_TIMEOUT"] = preset
-            done = subprocess.run([sys.executable, "-c", f"import sys\n{code}"], env=env,
-                                  capture_output=True, text=True, check=True)
-            assert done.stdout.split() == [expected]
+    @pytest.mark.parametrize("command, preset, expected", [
+        ("simulate", None, "None 4 False"),
+        ("simulate", "9", "9 9 False"),
+        ("stats", None, "None None False"),
+        ("size", None, "None None False"),
+    ])
+    def test_entry_parks_idle_openblas_workers_for_simulate_only(self, command, preset, expected):
+        # entry sets it for simulate before the command imports numpy,
+        # whose OpenBLAS reads it then; a value already in the environment
+        # stays, other commands keep OpenBLAS's default, and importing the
+        # CLI sets nothing.
+        code = ("import os\nfrom storefleet import cli\n"
+                f"sys.argv = ['storefleet', {command!r}, '--config', 'x.json']\n"
+                "before = os.environ.get('OPENBLAS_THREAD_TIMEOUT')\nseen = []\n"
+                "cli.main = lambda: seen.append((os.environ.get('OPENBLAS_THREAD_TIMEOUT'),\n"
+                "                                'numpy' in sys.modules)) or 0\n"
+                "assert cli.entry() == 0\nprint(before, *seen[0])")
+        env = _child_env()
+        env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+        if preset is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = preset
+        done = subprocess.run([sys.executable, "-c", f"import sys\n{code}"], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == expected.split()
 
     def test_main_leaves_the_collector_as_it_found_it(self, tmp_path):
         state = gc.isenabled(), gc.get_freeze_count()
