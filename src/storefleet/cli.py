@@ -647,22 +647,15 @@ def entry() -> int:
     process, which go when it exits.  ``main`` itself never touches the
     collector, so a caller running it in its own process keeps its own.
 
-    For ``simulate``, and unless the environment sets it,
-    ``OPENBLAS_THREAD_TIMEOUT`` is 4 for the process, set before the
-    command imports numpy, whose OpenBLAS reads it when it loads.
-    OpenBLAS starts a worker thread per further CPU, and an idle worker
-    spins for 2^28 cycles (about 0.13 s) before it sleeps; at 4, for
-    2^4.  The spin would hold the CPU on which ``format_rows`` formats
-    the upper half of each block of ``simulation.csv``, which only
-    ``simulate`` writes; ``simulate`` calls no BLAS.  ``stats``, the one
-    command that does (``np.dot`` back to back), keeps OpenBLAS's
-    default, under which it is a few ms faster.  The command is always
-    the first argument, since the parser has no option before it but
-    ``-h``.  Like the collector, the environment of a caller of ``main``
-    is left alone.
+    Unless the environment sets it, ``OPENBLAS_NUM_THREADS`` is 1 for
+    the process, set before any command imports numpy, whose OpenBLAS
+    reads it when it loads.  So OpenBLAS starts no worker thread: none
+    spins on the CPU that ``format_rows`` needs for the upper half of
+    each block of ``simulation.csv``, and the one BLAS call, ``stats``'
+    ``np.dot`` sums, writes the same bits on any CPU count.  Like the
+    collector, the environment of a caller of ``main`` is left alone.
     """
-    if sys.argv[1:2] == ["simulate"]:
-        os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
     try:
         return main()

@@ -647,7 +647,16 @@ def unserved_series(fleet: Sequence[StoreSpec], initial: FleetState, trace, poli
 
 
 def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimResult) -> None:
-    """Plot-ready per-hour dump of a simulation run."""
+    """Plot-ready per-hour dump of a simulation run.
+
+    The compiled writer formats the upper half of each block of rows on
+    a second thread.  In a program that imports numpy itself, OpenBLAS
+    starts a worker per further CPU, and an idle worker spins for about
+    0.13 s after numpy's import or a BLAS call, so the second thread may
+    wait for its CPU: the bytes are the same, the write slower.  Setting
+    ``OPENBLAS_NUM_THREADS=1`` before numpy's import, as ``cli.entry``
+    does, starts no worker.
+    """
     values = trace_values(trace)
     steps = len(values)
     columns = (

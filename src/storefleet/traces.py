@@ -83,7 +83,8 @@ def _is_utf8(raw: bytes) -> bool:
 
 
 def _parse_columns(path, schema: str | None) -> tuple[str, np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" export leads with.
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -294,7 +295,14 @@ class TraceStats:
 
 
 def trace_stats(trace: ResidualTrace, bins: int = 100, lags: Sequence[int] | None = None) -> TraceStats:
-    """Histogram plus sample autocorrelation at the requested lags."""
+    """Histogram plus sample autocorrelation at the requested lags.
+
+    Each lag is summed with ``np.dot``, which numpy's OpenBLAS splits
+    across its threads, so the last bits of ``acf`` follow the BLAS
+    thread count, by default the CPU count.  Setting
+    ``OPENBLAS_NUM_THREADS=1`` before numpy's import, as ``cli.entry``
+    does, gives the same bits on any machine.
+    """
     values = trace.values_mw
     if lags is None:
         lags = range(0, min(501, len(values)))

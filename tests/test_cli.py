@@ -1079,30 +1079,43 @@ class TestProcessEntry:
         )
         assert (tmp_path / "out" / "simulation.csv").exists()
 
-    @pytest.mark.parametrize("command, preset, expected", [
-        ("simulate", None, "None 4 False"),
-        ("simulate", "9", "9 9 False"),
-        ("stats", None, "None None False"),
-        ("size", None, "None None False"),
-    ])
-    def test_entry_parks_idle_openblas_workers_for_simulate_only(self, command, preset, expected):
-        # entry sets it for simulate before the command imports numpy,
-        # whose OpenBLAS reads it then; a value already in the environment
-        # stays, other commands keep OpenBLAS's default, and importing the
-        # CLI sets nothing.
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @pytest.mark.parametrize("preset, expected", [(None, "None 1 False"), ("2", "2 2 False")],
+                             ids=["unset", "preset"])
+    def test_entry_runs_every_command_on_one_openblas_thread(self, command, preset, expected):
+        # entry sets it for every command before numpy is imported, whose
+        # OpenBLAS reads it then; a value already in the environment stays,
+        # and importing the CLI sets nothing.
         code = ("import os\nfrom storefleet import cli\n"
                 f"sys.argv = ['storefleet', {command!r}, '--config', 'x.json']\n"
-                "before = os.environ.get('OPENBLAS_THREAD_TIMEOUT')\nseen = []\n"
-                "cli.main = lambda: seen.append((os.environ.get('OPENBLAS_THREAD_TIMEOUT'),\n"
+                "before = os.environ.get('OPENBLAS_NUM_THREADS')\nseen = []\n"
+                "cli.main = lambda: seen.append((os.environ.get('OPENBLAS_NUM_THREADS'),\n"
                 "                                'numpy' in sys.modules)) or 0\n"
                 "assert cli.entry() == 0\nprint(before, *seen[0])")
         env = _child_env()
-        env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+        env.pop("OPENBLAS_NUM_THREADS", None)
         if preset is not None:
-            env["OPENBLAS_THREAD_TIMEOUT"] = preset
+            env["OPENBLAS_NUM_THREADS"] = preset
         done = subprocess.run([sys.executable, "-c", f"import sys\n{code}"], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout.split() == expected.split()
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: OpenBLAS has no second thread")
+    def test_stats_acf_does_not_follow_the_cpu_count(self, tmp_path):
+        # trace_stats sums each lag with np.dot, which OpenBLAS splits
+        # across its threads; the CLI runs it on one, so the file written
+        # with the variables unset is the one-thread file.
+        config = write_config(tmp_path, {"trace": {"synthetic": {"years": 2, "seed": 3}}})
+        acf = []
+        for preset in (None, "1"):
+            env = {k: v for k, v in _child_env().items() if not k.startswith("OPENBLAS_")}
+            if preset is not None:
+                env["OPENBLAS_NUM_THREADS"] = preset
+            out = tmp_path / f"out-{preset}"
+            subprocess.run([sys.executable, "-m", "storefleet.cli", "stats", "--config", config,
+                            "--max-lag", "48", "--out", str(out)], env=env, check=True)
+            acf.append((out / "acf.csv").read_bytes())
+        assert acf[0] == acf[1]
 
     def test_main_leaves_the_collector_as_it_found_it(self, tmp_path):
         state = gc.isenabled(), gc.get_freeze_count()

@@ -38,6 +38,16 @@ class TestLoadCsv:
         trace = load_csv(path)
         assert trace.values_mw.tolist() == [-2.0]
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # A spreadsheet's "CSV UTF-8" export starts with EF BB BF.
+        residual, components = tmp_path / "r.csv", tmp_path / "c.csv"
+        residual.write_bytes(b"\xef\xbb\xbfresidual_mw\n1\n-2\n")
+        components.write_bytes(b"\xef\xbb\xbfdemand_mw,wind_mw,solar_mw\n10,6,2\n")
+        assert load_csv(residual).values_mw.tolist() == [1.0, -2.0]
+        assert load_csv(components).values_mw.tolist() == [-2.0]
+        demand, generation = traces.load_components(components)
+        assert demand.tolist() == [10.0] and generation.tolist() == [8.0]
+
     def test_nan_rejected_with_line(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("residual_mw\n1\nnan\n")
