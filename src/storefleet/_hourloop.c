@@ -1,13 +1,12 @@
 /* The hour loop of storefleet.engine.simulate for a Policy, in C, the
- * two passes of sizing.min_single_store_capacity, the normal draws and
- * AR(1) noise of traces.synthesize and the row formatter of
- * engine.write_simulation_csv (at the end), which prints each cell
- * exactly as Python's repr does with Schubfach (R. Giulietti, "The
- * Schubfach way to render doubles", 2020).  The formatter splits each
- * block of rows into two halves, formatted at once on the calling thread
- * and one more, each into its own share of the output and with its own
- * record of the cells above; the upper half's text is moved down after
- * the join.  No function here keeps writable static state.
+ * two passes of sizing.min_single_store_capacity, the normal draws, AR(1)
+ * noise and element-wise arithmetic of traces.synthesize and the row
+ * writer of engine.write_simulation_csv (at the end), which prints each
+ * cell exactly as Python's repr does with Schubfach (R. Giulietti, "The
+ * Schubfach way to render doubles", 2020).  The writer formats a file's
+ * rows in chunks on the calling thread and one helper thread, and the
+ * calling thread writes the chunks to the file in row order.  No
+ * function here keeps writable static state.
  *
  * A port of policies._step_kernel (all three kinds, cross-charging
  * included) and of simulate's Python loop around it, with the same
@@ -29,10 +28,12 @@
  *   - a NaN sort key, where Python's sort order is its own algorithm's;
  *   - cross-charging past 2 * n transfers (the termination assert).
  */
+#include <errno.h>
 #include <math.h>
 #include <pthread.h>
 #include <stdint.h>
 #include <string.h>
+#include <unistd.h>
 
 enum { VALUE = 0, GGDDF = 1, GRTEF = 2 }; /* index in Policy._KINDS */
 
@@ -63,7 +64,11 @@ static int rank(int64_t n, const double *key, int64_t *order, int descending)
  * enters as the initial levels and leaves as the final ones.  rates and
  * level_traces are steps x n, row-major; unserved_cum and spill_cum have
  * steps entries; served (n, zeroed) and *cross accumulate.  scratch holds
- * 8 * n doubles and order n indices. */
+ * 9 * n doubles and order n indices.
+ *
+ * The value policy's v[i] = exp(-lambda * level / P) is computed again
+ * only for a store whose level has other bits than at its last
+ * computation: the same inputs give the same v. */
 int64_t simulate_hours(int64_t n, int64_t steps, int64_t kind, const double *spec,
                        const double *lambdas, const double *values, double limit,
                        double slack, double eps, double *levels, double *rates,
@@ -72,8 +77,9 @@ int64_t simulate_hours(int64_t n, int64_t steps, int64_t kind, const double *spe
 {
     double *capacity = scratch, *out_power = scratch + n, *in_power = scratch + 2 * n;
     double *eta = scratch + 3 * n, *max_charge = scratch + 4 * n, *inv_out = scratch + 5 * n;
-    double *v = scratch + 6 * n, *key = scratch + 7 * n;
+    double *v = scratch + 6 * n, *key = scratch + 7 * n, *v_level = scratch + 8 * n;
     for (int64_t i = 0; i < n; i++) {
+        v_level[i] = NAN; /* validate_state admits no NaN level */
         capacity[i] = spec[4 * i];
         out_power[i] = spec[4 * i + 1];
         in_power[i] = spec[4 * i + 2];
@@ -95,10 +101,13 @@ int64_t simulate_hours(int64_t n, int64_t steps, int64_t kind, const double *spe
         double *rate = rates + t * n;
         if (value) {
             for (int64_t i = 0; i < n; i++) {
+                if (memcmp(&levels[i], &v_level[i], sizeof(double)) == 0)
+                    continue;
                 double x = -lambdas[i] * levels[i] * inv_out[i];
                 v[i] = exp(x);
                 if (isinf(v[i]) && isfinite(x))
                     return -1;
+                v_level[i] = levels[i];
             }
         }
         for (int64_t i = 0; i < n; i++)
@@ -337,6 +346,50 @@ void ar1(int64_t n, const double *eps, double a, double sd, double x0, double *o
     for (int64_t t = 1; t < n; t++) {
         x = a * x + sd * eps[t];
         out[t] = x;
+    }
+}
+
+/* The element-wise arithmetic of storefleet.traces.synthesize after its
+ * cosines, numpy's operations in numpy's order, one rounding each.  Two
+ * passes, since numpy takes the means of wind and solar in between.
+ *
+ * synth_profile writes demand[t] = base * (1 + diurnal_amp * day[t]
+ * + weekly_amp * week[t] + seasonal_amp * season[t]) and
+ * solar[t] = max(daylight[t] - 0.3, 0) * (1 + 0.5 * summer[t]), where
+ * each input is a cosine read where it lies.  max keeps its first
+ * argument unless that is below the second, as numpy.maximum does. */
+void synth_profile(int64_t n, const double *day, const double *week, const double *season,
+                   const double *daylight, const double *summer, double base,
+                   double diurnal_amp, double weekly_amp, double seasonal_amp, double *demand,
+                   double *solar)
+{
+    for (int64_t t = 0; t < n; t++) {
+        double d = 1.0 + diurnal_amp * day[t];
+        d = d + weekly_amp * week[t];
+        d = d + seasonal_amp * season[t];
+        demand[t] = base * d;
+        double light = daylight[t] - 0.3;
+        if (light < 0.0)
+            light = 0.0;
+        solar[t] = light * (1.0 + 0.5 * summer[t]);
+    }
+}
+
+/* synth_generation writes generation[t] = base * blend[t], where blend
+ * starts at 0 and adds wind_part * wind[t] / wind_mean where with_wind,
+ * then solar_part * solar[t] / solar_mean where with_solar.  solar may
+ * be generation itself: each hour is read before it is written. */
+void synth_generation(int64_t n, const double *wind, int64_t with_wind, double wind_part,
+                      double wind_mean, const double *solar, int64_t with_solar,
+                      double solar_part, double solar_mean, double base, double *generation)
+{
+    for (int64_t t = 0; t < n; t++) {
+        double blend = 0.0;
+        if (with_wind)
+            blend += wind_part * wind[t] / wind_mean;
+        if (with_solar)
+            blend += solar_part * solar[t] / solar_mean;
+        generation[t] = base * blend;
     }
 }
 
@@ -627,9 +680,9 @@ static char *format_double(const uint64_t (*g)[2], double x, char *p)
 }
 
 /* Write the lines of hours first_hour to first_hour + rows - 1 to out and
- * return the number of bytes written: format_rows on one thread.  The
- * first row is always formatted; a later cell with the same bits as the
- * cell above copies that cell's text, found through spans. */
+ * return the number of bytes written: one chunk of write_rows.  The first
+ * row is always formatted; a later cell with the same bits as the cell
+ * above copies that cell's text, found through spans. */
 static int64_t format_block(int64_t rows, int64_t cols, int64_t first_hour,
                             const double *const *bases, const int64_t *strides, char *out,
                             int64_t *spans, const uint64_t (*g)[2])
@@ -661,64 +714,166 @@ static int64_t format_block(int64_t rows, int64_t cols, int64_t first_hour,
     return p - out;
 }
 
-/* format_block's arguments and result, for the thread that runs it. */
+/* One file's rows in chunks of chunk_rows rows (the last may be shorter),
+ * shared by the calling thread and one helper.  Chunk k is formatted into
+ * slot k % slots of the buffer, each slot chunk_rows * (20 + 25 * cols)
+ * bytes, and its slot is free again once chunk k - slots is written.  The
+ * fields below the lock change only under it. */
 typedef struct {
-    int64_t rows, cols, first_hour;
+    int64_t chunks, chunk_rows, rows, cols, first_hour, slots, slot_bytes;
     const double *const *bases;
     const int64_t *strides;
-    char *out;
-    int64_t *spans;
+    char *buffer;
     const uint64_t (*g)[2];
-    int64_t size;
-} block_t;
+    int64_t *helper_spans;
+    pthread_mutex_t lock;
+    pthread_cond_t changed;
+    int64_t claimed; /* chunks handed out, in order */
+    int64_t written; /* chunks written to the file, in order */
+    int64_t *ready;  /* per slot: the chunk whose text is finished there, or -1 */
+    int64_t *sizes;  /* per slot: that text's length */
+    int stop;        /* a write failed: the helper takes no more chunks */
+} rows_t;
 
-static void *format_block_thread(void *arg)
+/* Format chunk k into its slot with this thread's spans; return its length. */
+static int64_t format_chunk(rows_t *f, int64_t k, int64_t *spans)
 {
-    block_t *b = arg;
-    b->size = format_block(b->rows, b->cols, b->first_hour, b->bases, b->strides, b->out,
-                           b->spans, b->g);
+    int64_t first = k * f->chunk_rows, rows = f->rows - first;
+    if (rows > f->chunk_rows)
+        rows = f->chunk_rows;
+    return format_block(rows, f->cols, f->first_hour + first, f->bases, f->strides,
+                        f->buffer + k % f->slots * f->slot_bytes, spans, f->g);
+}
+
+/* Under the lock: record chunk k's text as finished. */
+static void finish_chunk(rows_t *f, int64_t k, int64_t size)
+{
+    f->ready[k % f->slots] = k;
+    f->sizes[k % f->slots] = size;
+}
+
+/* The helper: take the next chunk whose slot is free, format it, repeat
+ * until every chunk is taken or a write has failed.  It waits only for
+ * the calling thread to write a slot out. */
+static void *rows_helper(void *arg)
+{
+    rows_t *f = arg;
+    pthread_mutex_lock(&f->lock);
+    for (;;) {
+        while (!f->stop && f->claimed < f->chunks && f->claimed >= f->written + f->slots)
+            pthread_cond_wait(&f->changed, &f->lock);
+        if (f->stop || f->claimed >= f->chunks)
+            break;
+        int64_t k = f->claimed++;
+        pthread_mutex_unlock(&f->lock);
+        int64_t size = format_chunk(f, k, f->helper_spans);
+        pthread_mutex_lock(&f->lock);
+        finish_chunk(f, k, size);
+        pthread_cond_signal(&f->changed);
+    }
+    pthread_mutex_unlock(&f->lock);
     return NULL;
 }
 
-/* Write the lines of hours first_hour to first_hour + rows - 1 to out:
- * the hour, then each of the cols columns' cell as repr prints it, comma
- * separated.  Column j's cell of hour t is the double at
- * bases[j] + t * strides[j] (a stride counted in doubles), so the result
- * arrays are read where they lie.  Returns the number of bytes written;
- * out must hold rows * (20 + 25 * cols), since an hour takes at most 19
- * digits and a cell at most 24 bytes (-2.2250738585072014e-308).
+/* Write size bytes from p to fd, through short writes and EINTR; return 0
+ * or the errno of the write that failed. */
+static int write_all(int fd, const char *p, int64_t size)
+{
+    while (size > 0) {
+        ssize_t done = write(fd, p, (size_t)size);
+        if (done < 0) {
+            if (errno == EINTR)
+                continue;
+            return errno;
+        }
+        if (done == 0)
+            return EIO;
+        p += done;
+        size -= done;
+    }
+    return 0;
+}
+
+/* Write the lines of hours first_hour to first_hour + rows - 1 to the
+ * file descriptor fd, at its offset: the hour, then each of the cols
+ * columns' cell as repr prints it, comma separated.  Column j's cell of
+ * hour t is the double at bases[j] + t * strides[j] (a stride counted in
+ * doubles), so the result arrays are read where they lie.  Returns the
+ * number of bytes written, or minus the errno of a failed write (then
+ * the rows before it may be in the file).
  *
- * The rows are formatted in two halves at once: rows [0, top) on the
- * calling thread at out, rows [top, rows) on one more thread at
- * out + top * (20 + 25 * cols), top = rows / 2, so each half stays inside
- * its share of out.  After the join the upper half's text is moved down
- * to follow the lower half's.  Where no thread can be started the upper
- * half is formatted after the lower one, at the same place.
+ * The rows go in chunks of chunk_rows rows.  The calling thread and one
+ * helper thread take chunks in order from a shared count, each chunk
+ * into its slot of buffer, which holds slots * chunk_rows * (20 + 25 *
+ * cols) bytes: an hour takes at most 19 digits and a cell at most 24
+ * bytes (-2.2250738585072014e-308).  The calling thread writes finished
+ * chunks in row order while the helper formats, and it waits only for a
+ * chunk the helper has begun: a chunk no thread has taken it formats
+ * itself.  So where the helper gets no CPU, or cannot be started, the
+ * calling thread writes the file alone, at the serial cost.
  *
  * A cell with the same bits as the cell above it prints the same text,
  * so that text is copied instead of formatted again; the first row of
- * each half is formatted, so the halves share nothing.  Bits, not ==,
+ * each chunk is formatted, so chunks share nothing.  Bits, not ==,
  * decide: -0.0 and 0.0 compare equal but print differently, and NaNs
  * with different payloads are each formatted.  spans keeps, per column,
- * the offset in the half's text and the length of the text last
+ * the offset in the chunk's text and the length of the text last
  * formatted there, which is the text of the cell above: 2 * cols entries
- * per half (any count of columns), the upper half's 16 entries (128
- * bytes) past the lower half's, so that the two threads never write to
- * one cache line; 4 * cols + 16 in all.  g is the table of powers of ten
- * described above. */
-int64_t format_rows(int64_t rows, int64_t cols, int64_t first_hour, const double *const *bases,
-                    const int64_t *strides, char *out, int64_t *spans, const uint64_t (*g)[2])
+ * per thread (any count of columns), the helper's 16 entries (128 bytes)
+ * past the calling thread's, so that the two threads never write to one
+ * cache line; 4 * cols + 16 in all.  slot_state holds 2 * slots entries,
+ * the state of each slot.  g is the table of powers of ten described
+ * above. */
+int64_t write_rows(int64_t fd, int64_t rows, int64_t cols, int64_t first_hour,
+                   const double *const *bases, const int64_t *strides, int64_t chunk_rows,
+                   int64_t slots, char *buffer, int64_t *spans, int64_t *slot_state,
+                   const uint64_t (*g)[2])
 {
-    int64_t top = rows / 2;
-    block_t upper = {rows - top, cols, first_hour + top, bases, strides,
-                     out + top * (20 + 25 * cols), spans + 2 * cols + 16, g, 0};
-    pthread_t thread;
-    int threaded = top > 0 && pthread_create(&thread, NULL, format_block_thread, &upper) == 0;
-    int64_t size = format_block(top, cols, first_hour, bases, strides, out, spans, g);
-    if (threaded)
-        pthread_join(thread, NULL);
-    else
-        format_block_thread(&upper);
-    memmove(out + size, upper.out, (size_t)upper.size);
-    return size + upper.size;
+    rows_t f = {.chunks = (rows + chunk_rows - 1) / chunk_rows, .chunk_rows = chunk_rows,
+                .rows = rows, .cols = cols, .first_hour = first_hour, .slots = slots,
+                .slot_bytes = chunk_rows * (20 + 25 * cols), .bases = bases, .strides = strides,
+                .buffer = buffer, .g = g, .helper_spans = spans + 2 * cols + 16,
+                .ready = slot_state, .sizes = slot_state + slots};
+    for (int64_t s = 0; s < slots; s++)
+        f.ready[s] = -1;
+    pthread_mutex_init(&f.lock, NULL);
+    pthread_cond_init(&f.changed, NULL);
+    pthread_t helper;
+    int helped = f.chunks > 1 && slots > 1 && pthread_create(&helper, NULL, rows_helper, &f) == 0;
+
+    int err = 0;
+    int64_t total = 0;
+    pthread_mutex_lock(&f.lock);
+    while (f.written < f.chunks) {
+        int64_t j = f.written, s = j % slots;
+        if (f.ready[s] == j) {
+            int64_t size = f.sizes[s];
+            pthread_mutex_unlock(&f.lock);
+            err = write_all((int)fd, buffer + s * f.slot_bytes, size);
+            pthread_mutex_lock(&f.lock);
+            if (err) {
+                f.stop = 1;
+                pthread_cond_signal(&f.changed);
+                break;
+            }
+            total += size;
+            f.written++;
+            pthread_cond_signal(&f.changed);
+        } else if (f.claimed < f.chunks && f.claimed < f.written + slots) {
+            int64_t k = f.claimed++;
+            pthread_mutex_unlock(&f.lock);
+            int64_t size = format_chunk(&f, k, spans);
+            pthread_mutex_lock(&f.lock);
+            finish_chunk(&f, k, size);
+        } else {
+            /* Chunk j is the helper's and under way. */
+            pthread_cond_wait(&f.changed, &f.lock);
+        }
+    }
+    pthread_mutex_unlock(&f.lock);
+    if (helped)
+        pthread_join(helper, NULL);
+    pthread_cond_destroy(&f.changed);
+    pthread_mutex_destroy(&f.lock);
+    return err ? -err : total;
 }

@@ -650,8 +650,8 @@ def entry() -> int:
     Unless the environment sets it, ``OPENBLAS_NUM_THREADS`` is 1 for
     the process, set before any command imports numpy, whose OpenBLAS
     reads it when it loads.  So OpenBLAS starts no worker thread: none
-    spins on the CPU that ``format_rows`` needs for the upper half of
-    each block of ``simulation.csv``, and the one BLAS call, ``stats``'
+    spins on the CPU that the helper threads of ``synthesize`` and of
+    ``simulation.csv``'s writer use, and the one BLAS call, ``stats``'
     ``np.dot`` sums, writes the same bits on any CPU count.  Like the
     collector, the environment of a caller of ``main`` is left alone.
     """

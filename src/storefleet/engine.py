@@ -17,13 +17,14 @@ repeats the Python loop's float operations in the same order, so its
 results are bit-identical.  ``_step_python`` is the specification, the
 path for callable policies and the replay of a run the C loop hands
 back.  The same library holds the two passes of
-``sizing.min_single_store_capacity``, the normal draws and the AR(1)
-noise recursion of ``traces.synthesize`` and the row formatter of
-``write_simulation_csv``, which prints each cell exactly as ``repr``,
-the Python writer's definition.  It formats the two halves of each
-block of rows at once, the upper one on a second thread that ends
-before the call returns; ctypes releases the GIL for the call.  The
-normal draws are numpy's own sampler, linked from the
+``sizing.min_single_store_capacity``, the normal draws, the AR(1)
+noise recursion and the arithmetic after the cosines of
+``traces.synthesize``, and the row writer of ``write_simulation_csv``,
+which prints each cell exactly as ``repr``, the Python writer's
+definition.  It formats a file's rows in chunks on the calling thread
+and one helper thread, which ends before the call returns, and the
+calling thread writes them out in order; ctypes releases the GIL for
+the call.  The normal draws are numpy's own sampler, linked from the
 ``libnpyrandom.a`` archive numpy ships for C users, so a process that
 synthesizes imports no ``numpy.random``.  Its first use in a process
 loads the library, building it with gcc into the package's
@@ -63,9 +64,10 @@ from .policies import _EPS, Policy
 # rather than something greedify needs to act on.
 _GREEDIFY_EPS = 1e-9
 
-# Rows formatted at a time by write_simulation_csv: one block's text is
-# alive at a time.
-_CSV_BLOCK_ROWS = 4096
+# Rows write_simulation_csv formats at a time, and the most rows whose
+# text the compiled writer keeps at once (in 4096 // 1024 = 4 chunks).
+_CSV_CHUNK_ROWS = 1024
+_CSV_ROWS_IN_FLIGHT = 4096
 
 # The compiled module: its source, the gcc flags (never -march=native
 # or -ffast-math, which would move answers) and the cache it is built
@@ -137,9 +139,14 @@ def _run_values(trace) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyTrace:
-    """A full rate schedule: one row per hour, one column per store."""
+    """A full rate schedule: one row per hour, one column per store.
+
+    Compared and hashed by identity, as are ``SimResult``,
+    ``traces.ResidualTrace`` and ``traces.TraceStats``: numpy arrays have
+    no single truth value for ``==`` to return.
+    """
 
     rates_mw: np.ndarray
 
@@ -150,7 +157,7 @@ class PolicyTrace:
         object.__setattr__(self, "rates_mw", arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult:
     """Everything a simulation run produced.
 
@@ -159,6 +166,7 @@ class SimResult:
     t; served_external_mwh[i] is the total energy store i delivered to
     demand (cross-charged energy excluded, attributed pro rata when a
     store discharges into both demand and another store in one hour).
+    Compared and hashed by identity.
     """
 
     unserved_cumulative_mwh: np.ndarray
@@ -245,7 +253,7 @@ def _step_compiled(lib, fleet, values, kind, lambdas, limit, arrays) -> int:
                      for s in fleet], dtype=float)
     decay = np.array(lambdas or (0.0,) * n, dtype=float)
     values = np.ascontiguousarray(values)
-    scratch = np.empty(8 * n)
+    scratch = np.empty(9 * n)
     order = np.empty(n, dtype=np.int64)
     return lib.simulate_hours(
         n, len(values), Policy._KINDS.index(kind), spec.ctypes.data, decay.ctypes.data,
@@ -332,12 +340,13 @@ def _step_python(fleet, values, policy, state, limit, arrays) -> int:
 def _load_hourloop():
     """The compiled module, or None where it cannot be had.
 
-    The module is a ctypes library with six functions bound:
+    The module is a ctypes library with eight functions bound:
     ``simulate_hours`` (``simulate``'s hour loop), ``sequent_peak``
     and ``shortfall`` (``sizing.min_single_store_capacity``'s two
-    passes), ``format_rows`` (``write_simulation_csv``'s rows), and
-    ``normal_draws`` and ``ar1`` (``traces.synthesize``'s normal draws
-    and wind noise).  Where numpy ships its sampler archive
+    passes), ``write_rows`` (``write_simulation_csv``'s rows), and
+    ``normal_draws``, ``ar1``, ``synth_profile`` and
+    ``synth_generation`` (``traces.synthesize``'s normal draws, wind
+    noise and arithmetic after the cosines).  Where numpy ships its sampler archive
     (``_NPYRANDOM_ARCHIVE``) the build links it; without it
     ``normal_draws`` returns -1.  Loads the module once per process,
     building it first (``_build_hourloop``) if the cache holds no build
@@ -375,9 +384,11 @@ def _load_hourloop():
         ("simulate_hours", i64, [i64, i64, i64, ptr, ptr, ptr, f64, f64, f64] + [ptr] * 9),
         ("sequent_peak", None, [i64, ptr, f64, ptr]),
         ("shortfall", f64, [i64, ptr, f64, f64, f64]),
-        ("format_rows", i64, [i64, i64, i64, ptr, ptr, ptr, ptr, ptr]),
+        ("write_rows", i64, [i64, i64, i64, i64, ptr, ptr, i64, i64, ptr, ptr, ptr, ptr]),
         ("normal_draws", i64, [i64, ptr, i64, ptr]),
         ("ar1", None, [i64, ptr, f64, f64, f64, ptr]),
+        ("synth_profile", None, [i64] + [ptr] * 5 + [f64] * 4 + [ptr] * 2),
+        ("synth_generation", None, [i64, ptr, i64, f64, f64, ptr, i64, f64, f64, f64, ptr]),
     ):
         function = getattr(module, symbol)
         function.restype = restype
@@ -649,13 +660,13 @@ def unserved_series(fleet: Sequence[StoreSpec], initial: FleetState, trace, poli
 def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimResult) -> None:
     """Plot-ready per-hour dump of a simulation run.
 
-    The compiled writer formats the upper half of each block of rows on
-    a second thread.  In a program that imports numpy itself, OpenBLAS
-    starts a worker per further CPU, and an idle worker spins for about
-    0.13 s after numpy's import or a BLAS call, so the second thread may
-    wait for its CPU: the bytes are the same, the write slower.  Setting
-    ``OPENBLAS_NUM_THREADS=1`` before numpy's import, as ``cli.entry``
-    does, starts no worker.
+    The compiled writer formats the rows in chunks on the calling thread
+    and one helper thread, and the calling thread writes each chunk out
+    as soon as it and those before it are done.  The calling thread
+    formats every chunk the helper has not begun, so a helper that gets
+    no CPU (an OpenBLAS worker spinning on the other one, a process
+    pinned to one CPU) makes the write no slower than one thread's.  A
+    failed write raises OSError; the rows before it may be in the file.
     """
     values = trace_values(trace)
     steps = len(values)
@@ -681,50 +692,56 @@ def write_simulation_csv(path, trace, fleet: Sequence[StoreSpec], result: SimRes
         + ["spill_cum_mwh", "unserved_cum_mwh"]
     )
     lib = _load_hourloop()
-    if lib is not None:
-        # The compiled formatter reads each file column where it lies:
-        # one base pointer and one stride, in doubles, per column.
-        cells = []
-        for array in columns:
-            array = np.asarray(array, dtype=float)
-            cells += map(_aligned, array.T if array.ndim == 2 else [array])
-        bases = np.array([c.ctypes.data for c in cells], dtype=np.uintp)
-        strides = np.array([c.strides[0] // c.itemsize for c in cells], dtype=np.int64)
-        # Its output, reused from block to block.
-        buffer = np.empty(0, dtype=np.uint8)
-        # Where each column's text was last formatted, for copying
-        # repeats: one set for each half of a block, 16 entries apart.
-        spans = np.empty(4 * len(cells) + 16, dtype=np.int64)
-        powers = _power_table()
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        # Rows go out in blocks, so only one block's text is alive.  The
-        # float trace column makes every block float.
-        for start in range(0, steps, _CSV_BLOCK_ROWS):
-            stop = min(start + _CSV_BLOCK_ROWS, steps)
-            if lib is None:
-                # Each cell's repr: the specification of format_rows.
-                block = np.column_stack([c[start:stop] for c in columns]).tolist()
-                fh.write(
-                    "".join(
-                        f"{t},{','.join(map(repr, row))}\n"
-                        for t, row in zip(range(start, stop), block)
-                    ).encode("utf-8")
-                )
-            else:
-                # format_rows writes at most 20 + 25 * cols bytes a row.
-                need = (stop - start) * (20 + 25 * len(cells))
-                if len(buffer) < need:
-                    buffer = np.empty(need, dtype=np.uint8)
-                size = lib.format_rows(stop - start, len(cells), start, bases.ctypes.data,
-                                       strides.ctypes.data, buffer.ctypes.data, spans.ctypes.data,
-                                       powers.ctypes.data)
-                fh.write(buffer[:size])
+        if lib is not None:
+            fh.flush()
+            _write_rows(lib, fh.fileno(), columns, steps, path)
+            return
+        # Each cell's repr, one chunk of rows at a time: the specification
+        # of write_rows.  The float trace column makes every row float.
+        for start in range(0, steps, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, steps)
+            block = np.column_stack([c[start:stop] for c in columns]).tolist()
+            fh.write(
+                "".join(
+                    f"{t},{','.join(map(repr, row))}\n"
+                    for t, row in zip(range(start, stop), block)
+                ).encode("utf-8")
+            )
+
+
+def _write_rows(lib, fd: int, columns, steps: int, path) -> None:
+    """Write the rows of ``columns`` to ``fd`` with the compiled ``write_rows``.
+
+    It reads each file column where it lies, through one base pointer
+    and one stride (in doubles) per column, and formats into a buffer of
+    ``_CSV_ROWS_IN_FLIGHT`` rows' bound.  Raises OSError for a failed write.
+    """
+    cells = []
+    for array in columns:
+        array = np.asarray(array, dtype=float)
+        cells += map(_aligned, array.T if array.ndim == 2 else [array])
+    bases = np.array([c.ctypes.data for c in cells], dtype=np.uintp)
+    strides = np.array([c.strides[0] // c.itemsize for c in cells], dtype=np.int64)
+    chunk_rows = _CSV_CHUNK_ROWS
+    slots = max(_CSV_ROWS_IN_FLIGHT // chunk_rows, 1)
+    # write_rows writes at most 20 + 25 * cols bytes a row.
+    buffer = np.empty(slots * chunk_rows * (20 + 25 * len(cells)), dtype=np.uint8)
+    # Where each column's text was last formatted, for copying repeats:
+    # one set for each thread, 16 entries apart.
+    spans = np.empty(4 * len(cells) + 16, dtype=np.int64)
+    slot_state = np.empty(2 * slots, dtype=np.int64)
+    size = lib.write_rows(fd, steps, len(cells), 0, bases.ctypes.data, strides.ctypes.data,
+                          chunk_rows, slots, buffer.ctypes.data, spans.ctypes.data,
+                          slot_state.ctypes.data, _power_table().ctypes.data)
+    if size < 0:
+        raise OSError(-size, os.strerror(-size), path)
 
 
 @functools.cache
 def _power_table() -> np.ndarray:
-    """Schubfach's powers of ten for ``format_rows``, computed from their definition.
+    """Schubfach's powers of ten for ``write_rows``, computed from their definition.
 
     Row e + 292 holds g(e) = floor(10^e * 2^-r) + 1 with
     r = floor(log2 10^e) - 127, for e = -292..324, as {high, low} 64-bit

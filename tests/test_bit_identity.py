@@ -23,12 +23,16 @@ the sequent-peak passes or the synthetic trace that moves an answer
 shows.
 """
 
+import errno
 import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -158,7 +162,7 @@ def _cell_inputs(cells, names=("s0", "s1")):
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 7, 50, 4096])
 def test_block_csv_writer_matches_per_cell_writer(tmp_path, monkeypatch, block_rows, csv_writer):
-    monkeypatch.setattr(engine, "_CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(engine, "_CSV_CHUNK_ROWS", block_rows)
     rng = np.random.default_rng(5)
     fleet = random_fleet(rng, 3)
     values = random_trace_values(rng, 50)
@@ -178,7 +182,7 @@ _EDGE_VALUES = (
 
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, 4096])
 def test_block_csv_writer_keeps_edge_values(tmp_path, monkeypatch, block_rows, csv_writer):
-    monkeypatch.setattr(engine, "_CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(engine, "_CSV_CHUNK_ROWS", block_rows)
     # Row t holds seven consecutive edge values from offset t, so values
     # repeat within and across rows, and many rows hold both zeros.
     cells = np.array([[_EDGE_VALUES[(t + k) % len(_EDGE_VALUES)] for k in range(7)]
@@ -229,41 +233,47 @@ def test_csv_writer_encodes_a_non_ascii_header(tmp_path, csv_writer):
 
 
 def test_csv_writer_fills_a_block_of_the_longest_cells(tmp_path, csv_writer):
-    # The compiled formatter's buffer holds 20 + 25 * cols bytes a row:
-    # a full block of 24-byte cells comes closest to that bound.
+    # The compiled writer's buffer holds 20 + 25 * cols bytes a row: every
+    # chunk in flight full of 24-byte cells comes closest to that bound.
     longest = -2.2250738585072014e-308
     assert len(repr(longest)) == 24
-    cells = np.full((engine._CSV_BLOCK_ROWS + 3, 7), longest)
+    cells = np.full((engine._CSV_ROWS_IN_FLIGHT + 3, 7), longest)
     path = tmp_path / "sim.csv"
     inputs = _write_cells(path, cells)
     assert path.read_text(encoding="utf-8") == _reference_csv(*inputs)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4096])
-def test_format_rows_writes_nothing_past_its_bound(rows):
-    # format_rows on a buffer of exactly rows * (20 + 25 * cols) bytes,
-    # followed by sentinel bytes.  Every cell is the longest repr and
-    # every hour has 19 digits, so the text fills the buffer, each half
-    # of the rows its own share.  A stride of 0 reads one double for
-    # every hour, so no base has to point back by first_hour rows.
+def test_format_rows_writes_nothing_past_its_bound(tmp_path, rows):
+    # write_rows with every chunk slot full, on a buffer of exactly
+    # slots * chunk_rows * (20 + 25 * cols) bytes, followed by sentinel
+    # bytes.  Every cell is the longest repr and every hour has 19
+    # digits, so each chunk's text fills its slot.  A stride of 0 reads
+    # one double for every hour, so no base has to point back by
+    # first_hour rows.
     lib = engine._load_hourloop()
     if lib is None:
         pytest.skip("the compiled module cannot be built here")
     longest, first_hour, cols = -2.2250738585072014e-308, 10**18, 7
-    cell = np.array([longest])
-    bases = np.full(cols, cell.ctypes.data, dtype=np.uintp)
-    strides = np.zeros(cols, dtype=np.int64)
-    bound = rows * (20 + 25 * cols)
+    chunk_rows = 512 if rows >= 512 else 1
+    slots = rows // chunk_rows
+    bound = slots * chunk_rows * (20 + 25 * cols)
     buffer = np.full(bound + 64, 0xA5, dtype=np.uint8)
-    spans = np.empty(4 * cols + 16, dtype=np.int64)
-    size = lib.format_rows(rows, cols, first_hour, bases.ctypes.data, strides.ctypes.data,
-                           buffer.ctypes.data, spans.ctypes.data, engine._power_table().ctypes.data)
+    cell = np.full((1, cols), longest)
+    with open(tmp_path / "rows.csv", "wb") as fh:
+        bases = np.full(cols, cell.ctypes.data, dtype=np.uintp)
+        strides = np.zeros(cols, dtype=np.int64)
+        spans = np.empty(4 * cols + 16, dtype=np.int64)
+        size = lib.write_rows(fh.fileno(), rows, cols, first_hour, bases.ctypes.data,
+                              strides.ctypes.data, chunk_rows, slots, buffer.ctypes.data,
+                              spans.ctypes.data, np.empty(2 * slots, dtype=np.int64).ctypes.data,
+                              engine._power_table().ctypes.data)
     assert (buffer[bound:] == 0xA5).all()
     # The per-cell writer's rows, each hour moved on by first_hour.
     lines = _reference_csv(*_cell_inputs(np.full((rows, cols), longest))).splitlines()[1:]
     expected = "".join(f"{first_hour + t}{line[len(str(t)):]}\n" for t, line in enumerate(lines))
     assert size == bound
-    assert buffer[:size].tobytes().decode("ascii") == expected
+    assert (tmp_path / "rows.csv").read_bytes().decode("ascii") == expected
 
 
 # Bit patterns the copy of a repeated cell must tell apart: -0.0 from
@@ -284,7 +294,7 @@ def test_csv_writer_copies_repeated_cells(tmp_path, monkeypatch, block_rows, sto
     # formatter copies: runs of equal cells, some across the edge of a
     # block, 0.0 and -0.0 alternating in one column, NaNs with different
     # payloads, and (at 40 stores) 83 columns.
-    monkeypatch.setattr(engine, "_CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(engine, "_CSV_CHUNK_ROWS", block_rows)
     rng = np.random.default_rng(1802)
     rows, cols = 120, 3 + 2 * stores
     bits = np.empty((rows, cols), dtype=np.uint64)
@@ -321,7 +331,7 @@ def test_csv_writer_reads_columns_of_any_layout(tmp_path, monkeypatch, block_row
     # The compiled formatter reads the result arrays where they lie: a
     # column-major and a reversed 2-D array, an integer column, doubles
     # off alignment and doubles 12 bytes apart print as the copies do.
-    monkeypatch.setattr(engine, "_CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(engine, "_CSV_CHUNK_ROWS", block_rows)
     rng = np.random.default_rng(1901)
     hours = 30
     cells = rng.normal(size=(2 * hours, 7))
@@ -350,12 +360,12 @@ def test_csv_writers_on_two_threads_write_what_serial_writers_do(tmp_path, csv_w
     # Two threads write simulation.csv for different runs at the same
     # time (the compiled formatter runs with the GIL released), four files
     # each.  Every file must hold the bytes a serial write gives, which
-    # fails if format_rows kept scratch shared between calls.
+    # fails if write_rows kept scratch shared between calls.
     rng = np.random.default_rng(2707)
     runs = []
     for n in (2, 3):
         fleet = random_fleet(rng, n)
-        values = random_trace_values(rng, 2 * engine._CSV_BLOCK_ROWS + 5)
+        values = random_trace_values(rng, 2 * engine._CSV_ROWS_IN_FLIGHT + 5)
         runs.append((values, fleet, simulate(fleet, values, Policy.value(random_lambdas(rng, n)))))
     serial = []
     for k, run in enumerate(runs):
@@ -413,6 +423,160 @@ def test_hourloop_power_table_matches_its_definition():
         g = high << 64 | low
         assert 2**127 <= g < 2**128, e
         assert g - 1 <= Fraction(10) ** e / Fraction(2) ** (log2[e] - 127) < g, e
+
+
+def _child_env() -> dict[str, str]:
+    """The environment, with this checkout's package first on the path."""
+    src = str(Path(engine.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _run_child(script: str, *args) -> str:
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# A child process pins itself to the CPU given (-1: none), synthesizes a
+# 10-year trace (long enough for two threads) and writes simulation.csv
+# for the first hours of a 3-store value run over it, one file per count
+# of hours given; it prints the sha256 of the series and of each file.
+_PINNED_CHILD = """
+import hashlib, os, sys
+from storefleet import engine, traces
+from storefleet.fleet import StoreSpec
+from storefleet.params import SynthParams
+from storefleet.policies import Policy
+
+cpu, out, hours = int(sys.argv[1]), sys.argv[2], map(int, sys.argv[3:])
+if cpu >= 0:
+    os.sched_setaffinity(0, {cpu})
+demand, generation = traces.synthesize(SynthParams(years=10.0, seed=29, solar_share=0.35))
+assert len(demand) >= traces._SYNTH_THREAD_HOURS
+print(hashlib.sha256(demand.tobytes() + generation.tobytes()).hexdigest())
+trace = traces.scale_to_overcapacity(demand, generation, 0.3)
+fleet = [StoreSpec("long", 1.2e6, 1100.0, 900.0, 0.4), StoreSpec("medium", 1e4, 700.0, 700.0, 0.7),
+         StoreSpec("short", 2e3, 500.0, 500.0, 0.9)]
+for n in hours:
+    values = trace.values_mw[:n]
+    result = engine.simulate(fleet, values, Policy.value([1e-3, 0.03, 0.1]))
+    engine.write_simulation_csv(out, values, fleet, result)
+    with open(out, "rb") as fh:
+        print(hashlib.sha256(fh.read()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_outputs_pinned_to_one_cpu_match_unpinned_ones(tmp_path):
+    # The helpers of synthesize and of the CSV writer share the one CPU
+    # with the calling thread, which must not wait for work they have
+    # not begun.  Files of one row, of whole chunks, of whole in-flight
+    # buffers and one row past each.
+    if engine._load_hourloop() is None:
+        pytest.skip("the compiled module cannot be built here")
+    chunk, in_flight = engine._CSV_CHUNK_ROWS, engine._CSV_ROWS_IN_FLIGHT
+    hours = [1, chunk, chunk + 1, 2 * in_flight, 2 * in_flight + 1]
+    unpinned = _run_child(_PINNED_CHILD, -1, tmp_path / "free.csv", *hours)
+    assert len(unpinned.split()) == 1 + len(hours)
+    for cpu in sorted(os.sched_getaffinity(0))[:2]:
+        assert _run_child(_PINNED_CHILD, cpu, tmp_path / f"cpu{cpu}.csv", *hours) == unpinned, cpu
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_csv_writer_raises_oserror_when_the_device_is_full(csv_writer):
+    with pytest.raises(OSError) as raised:
+        _write_cells("/dev/full", np.arange(70.0).reshape(10, 7))
+    assert raised.value.errno == errno.ENOSPC
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_write_rows_returns_the_errno_of_a_failed_write():
+    lib = engine._load_hourloop()
+    if lib is None:
+        pytest.skip("the compiled module cannot be built here")
+    cell = np.array([0.5])
+    bases = np.array([cell.ctypes.data], dtype=np.uintp)
+    strides, spans = np.zeros(1, dtype=np.int64), np.empty(20, dtype=np.int64)
+    buffer, slot_state = np.empty(2 * 45, dtype=np.uint8), np.empty(4, dtype=np.int64)
+    with open("/dev/full", "wb") as fh:
+        size = lib.write_rows(fh.fileno(), 3, 1, 0, bases.ctypes.data, strides.ctypes.data, 1, 2,
+                              buffer.ctypes.data, spans.ctypes.data, slot_state.ctypes.data,
+                              engine._power_table().ctypes.data)
+    assert size == -errno.ENOSPC
+
+
+# A child process writes the cells saved at argv[1] as a simulation.csv
+# of two stores to the path argv[2], with the writer argv[4], argv[3]
+# its file size limit in bytes (0: none) and SIGALRM every 0.1 ms, so
+# that a blocked write is interrupted; it prints the errno of the
+# OSError raised, or 0.
+_WRITER_CHILD = """
+import resource, signal, sys
+import numpy as np
+from storefleet import engine
+from storefleet.engine import SimResult, write_simulation_csv
+from storefleet.fleet import FleetState, StoreSpec
+
+cells, path, limit = np.load(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+if sys.argv[4] == "python":
+    engine._hourloop = None
+if limit:
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+fleet = [StoreSpec(name, 1.0, 1.0, 1.0, 1.0) for name in ("s0", "s1")]
+result = SimResult(cells[:, 6].copy(), cells[:, 5].copy(), cells[:, 3:5].copy(),
+                   cells[:, 1:3].copy(), np.zeros(2), 0.0, FleetState((0.0, 0.0)))
+signal.signal(signal.SIGALRM, lambda *args: None)
+signal.setitimer(signal.ITIMER_REAL, 1e-4, 1e-4)
+try:
+    write_simulation_csv(path, cells[:, 0].copy(), fleet, result)
+except OSError as exc:
+    print(exc.errno)
+else:
+    print(0)
+finally:
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+"""
+
+
+def _writer_cells(tmp_path):
+    """Random cells for 2 in-flight buffers and a row, saved for a child."""
+    cells = np.random.default_rng(2909).normal(size=(2 * engine._CSV_ROWS_IN_FLIGHT + 1, 7))
+    np.save(tmp_path / "cells.npy", cells)
+    return cells
+
+
+@pytest.mark.skipif(not hasattr(os, "pipe") or sys.platform == "win32", reason="needs /dev/fd")
+def test_csv_writer_writes_through_short_and_interrupted_writes(tmp_path, csv_writer):
+    # The child writes to a pipe read slowly here, so its writes block,
+    # and the alarm cuts them short or interrupts them (EINTR).
+    cells = _writer_cells(tmp_path)
+    read_end, write_end = os.pipe()
+    child = subprocess.Popen(
+        [sys.executable, "-c", _WRITER_CHILD, str(tmp_path / "cells.npy"), f"/dev/fd/{write_end}",
+         "0", csv_writer], pass_fds=(write_end,), env=_child_env(), stdout=subprocess.PIPE, text=True)
+    os.close(write_end)
+    data = bytearray()
+    with open(read_end, "rb", buffering=0) as pipe:
+        while chunk := pipe.read(4096):
+            data += chunk
+            time.sleep(1e-4)
+    assert child.communicate(timeout=120)[0].split() == ["0"]
+    assert data.decode("utf-8") == _reference_csv(*_cell_inputs(cells))
+
+
+def test_csv_writer_raises_oserror_past_a_file_size_limit(tmp_path):
+    # The header fits under the limit and the rows do not: the write that
+    # reaches the limit is short, the next fails with EFBIG.
+    if engine._load_hourloop() is None:
+        pytest.skip("the compiled module cannot be built here")
+    cells = _writer_cells(tmp_path)
+    limit = 100_000
+    out = _run_child(_WRITER_CHILD, tmp_path / "cells.npy", tmp_path / "sim.csv", limit, "compiled")
+    assert out.split() == [str(errno.EFBIG)]
+    expected = _reference_csv(*_cell_inputs(cells)).encode("utf-8")
+    assert (tmp_path / "sim.csv").read_bytes() == expected[:limit]
 
 
 def test_csv_writer_rejects_a_stopped_run(tmp_path):
@@ -556,7 +720,8 @@ _SEAM_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_POLICIES))
 def test_simulate_outputs_across_csv_blocks_match_golden_digests(tmp_path, name):
-    assert 2 * engine._CSV_BLOCK_ROWS < 9000 <= 3 * engine._CSV_BLOCK_ROWS
+    assert 2 * engine._CSV_ROWS_IN_FLIGHT < 9000 <= 3 * engine._CSV_ROWS_IN_FLIGHT
+    assert 9000 % engine._CSV_CHUNK_ROWS
     assert _output_digests(_simulate_golden(tmp_path, name, 9000)) == _SEAM_DIGESTS[name]
 
 

@@ -973,6 +973,15 @@ class TestImportBudget:
         assert "storefleet.traces" in loaded
         assert not loaded & {"numpy.random", "secrets"}
 
+    @pytest.mark.parametrize("command", [["simulate"], ["size", "--mode", "fleet"]])
+    def test_a_synthetic_trace_loads_no_csv_reader(self, tmp_path, command):
+        config = write_config(tmp_path, FRONT_DOOR_SCENARIO | {
+            "trace": {"synthetic": {"years": 0.01, "seed": 5}}})
+        argv = [*command, "--config", config, "--out", str(tmp_path / "out")]
+        loaded = _fresh_modules(f"from storefleet import cli\nassert cli.main({argv!r}) == 0")
+        assert "storefleet.traces" in loaded
+        assert "csv" not in loaded
+
     def test_min_store_curve_sweeps_without_a_pool(self, tmp_path):
         config = write_config(tmp_path, {"trace": {"inline_mw": [10.0, -4.0, -4.0, -4.0]}})
         argv = ["min-store-curve", "--config", config, "--etas", "0.5,0.9",

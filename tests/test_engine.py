@@ -689,6 +689,25 @@ _SIM_FIELDS = (
 )
 
 
+def test_results_compare_and_hash_by_identity():
+    # Each holds numpy arrays, whose == is element-wise: results compare
+    # as the same object or not, and hash as objects do.
+    from storefleet.traces import ResidualTrace, trace_stats
+
+    fleet, values = [one_store()], [3.0, -4.0, 1.0]
+    pairs = [
+        (simulate(fleet, values, Policy.ggddf()), simulate(fleet, values, Policy.ggddf())),
+        (PolicyTrace([[1.0]]), PolicyTrace([[1.0]])),
+        (ResidualTrace.from_values(values), ResidualTrace.from_values(values)),
+        (trace_stats(ResidualTrace.from_values(values), bins=2, lags=[1]),
+         trace_stats(ResidualTrace.from_values(values), bins=2, lags=[1])),
+    ]
+    for first, second in pairs:
+        assert first == first and not first != first
+        assert first != second and not first == second
+        assert hash(first) == hash(first) and len({first, second}) == 2
+
+
 def _outputs(result):
     """A SimResult as comparable values: its arrays' shapes and bytes, the rest by repr."""
     arrays = [(getattr(result, f).shape, getattr(result, f).tobytes()) for f in _SIM_FIELDS]
@@ -749,6 +768,32 @@ class TestCompiledLoop:
         assert {n for n, *_ in seen} == {1, 2, 3, 4}
         assert any(stopped for *_, stopped, _ in seen)
         assert any(crossed for *_, crossed in seen)
+
+    def test_value_loop_matches_python_where_levels_repeat(self, monkeypatch):
+        # The compiled value loop recomputes a store's exp(-lambda * l / P)
+        # only when its level's bits change.  Here stores sit full or empty
+        # for runs of hours, a level comes back to an earlier value after
+        # changing, and one store's decay rate is 0.
+        fleet = [StoreSpec("a", 8.0, 4.0, 4.0, 1.0), StoreSpec("b", 40.0, 3.0, 3.0, 0.5),
+                 StoreSpec("c", 6.0, 2.0, 2.0, 0.8)]
+        rng = np.random.default_rng(2916)
+        values = ([20.0] * 6 + [-9.0] * 4 + [-0.5, 0.5] * 3 + [-9.0] * 12 + [0.0] * 3
+                  + [2.0, -2.0, 1.0, -1.0] * 3 + [9.0, -9.0] * 4
+                  + rng.choice([0.0, 20.0, -20.0, -0.3, 0.3, -1.7, 2.9], 300).tolist())
+        for lambdas in ([0.1, 0.0, 0.3], [0.0, 0.0, 0.0], [0.05, 2.0, 0.0], [0.9, 0.2, 0.0]):
+            for initial in (full_state(fleet), FleetState((0.0, 0.0, 0.0)), FleetState((3.0, 0.0, 6.0))):
+                policy = Policy.value(lambdas)
+                fast = simulate(fleet, values, policy, initial=initial)
+                slow = _reference(monkeypatch, fleet, values, policy, initial=initial)
+                assert _outputs(fast) == _outputs(slow), (lambdas, initial)
+        levels = fast.level_traces_mwh
+        same = levels[1:] == levels[:-1]
+        assert same.all(axis=1).sum() > 10  # hours in which no level moves
+        assert (levels[:, 0] == 0.0).sum() > 3 and (levels[:, 0] == 8.0).sum() > 3
+        returned = [(i, t) for i in range(3) for t in range(2, len(levels))
+                    if levels[t, i] != levels[t - 1, i] and levels[t, i] in levels[:t - 1, i]
+                    and 0.0 < levels[t, i] < fleet[i].capacity_mwh]
+        assert returned  # an inner level the store had held before
 
     def test_wrong_decay_rate_count_raises_before_stepping(self, monkeypatch):
         def never(*args):

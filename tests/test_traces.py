@@ -283,6 +283,103 @@ class TestSynthesize:
         assert got_generation.tobytes() == generation.tobytes()
 
 
+def _series_bytes(params):
+    demand, generation = synthesize(params)
+    return demand.tobytes(), generation.tobytes()
+
+
+@pytest.mark.parametrize("threads", [False, True], ids=["one-thread", "two-threads"])
+def test_compiled_series_match_the_numpy_expressions(monkeypatch, threads):
+    # synth_profile and synth_generation, on one thread or with the noise
+    # and cosines split over two, against the numpy expressions that
+    # run without the compiled module.
+    if engine._load_hourloop() is None:
+        pytest.skip("the compiled module cannot be built here")
+    monkeypatch.setattr(traces, "_SYNTH_THREAD_HOURS", 1 if threads else 10**9)
+    rng = np.random.default_rng(2903)
+    cases = [SynthParams(years=1, seed=3, base_demand_mw=10, noise_sd=0, solar_share=1,
+                         ar_coeff=-0.5, diurnal_amp=0),
+             SynthParams(years=0.3, seed=4, solar_share=0),
+             SynthParams(years=1 / 8760, seed=1, solar_share=0)]
+    for _ in range(6):
+        cases.append(SynthParams(
+            years=float(rng.uniform(0.01, 1.5)), seed=int(rng.integers(0, 2**62)) << 10,
+            base_demand_mw=float(rng.uniform(1.0, 5e3)), diurnal_amp=float(rng.uniform(0, 0.5)),
+            weekly_amp=float(rng.uniform(0, 0.2)), seasonal_amp=float(rng.uniform(0, 0.4)),
+            ar_coeff=float(rng.uniform(-0.99, 0.999)), noise_sd=float(rng.uniform(0, 0.6)),
+            solar_share=float(rng.uniform(0, 1))))
+    compiled = [_series_bytes(params) for params in cases]
+    monkeypatch.setattr(traces, "_load_hourloop", lambda: None)
+    assert compiled == [_series_bytes(params) for params in cases]
+
+
+def test_numpy_scalar_fields_keep_numpys_promotion(monkeypatch):
+    # A float32 share makes 1 - share a float32 in numpy's expression;
+    # such fields skip the compiled arithmetic, so the bits are numpy's.
+    params = SynthParams(years=0.05, seed=8, solar_share=np.float32(0.3),
+                         diurnal_amp=np.float32(0.2))
+    got = _series_bytes(params)
+    monkeypatch.setattr(traces, "_load_hourloop", lambda: None)
+    assert got == _series_bytes(params)
+
+
+class TestOnTwoThreads:
+    def test_runs_each_part_once_and_keeps_their_order(self):
+        calls = []
+
+        def part(k):
+            return lambda: calls.append(k) or k * k
+
+        assert traces._on_two_threads([part(k) for k in range(6)]) == [0, 1, 4, 9, 16, 25]
+        assert sorted(calls) == list(range(6))
+
+    def test_each_part_runs_once_under_contention(self):
+        # Four callers at once, more threads than CPUs, switching often:
+        # a part claimed by both threads would run twice.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        def split(k):
+            runs = [0] * 5
+
+            def part(i):
+                def run():
+                    runs[i] += 1
+                    return k + i
+                return run
+
+            return traces._on_two_threads([part(i) for i in range(5)]), runs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                done = list(pool.map(split, range(300), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for k, (results, runs) in enumerate(done):
+            assert results == [k + i for i in range(5)] and runs == [1] * 5, k
+
+    def test_without_a_helper_this_thread_runs_every_part(self, monkeypatch):
+        import _thread
+        import threading
+
+        def refuse(*args):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(_thread, "start_new_thread", refuse)
+        me = threading.get_ident()
+        assert traces._on_two_threads([threading.get_ident] * 3) == [me] * 3
+
+    def test_an_error_in_a_part_is_raised_here(self):
+        def fail():
+            raise InvalidParams("bad part")
+
+        for parts in ([fail, lambda: 1], [lambda: 1, fail]):
+            with pytest.raises(InvalidParams, match="bad part"):
+                traces._on_two_threads(parts)
+
+
 def _draws_in_c(lib) -> bool:
     """Whether the library's build linked numpy's sampler archive."""
     return lib.normal_draws(1, np.zeros(1, dtype=np.uint32).ctypes.data, 0, None) == 0
