@@ -1,7 +1,7 @@
 /* The hour loop of storefleet.engine.simulate for a Policy, in C, the
- * two passes of sizing.min_single_store_capacity, the normal draws, AR(1)
- * noise and element-wise arithmetic of traces.synthesize and the row
- * writer of engine.write_simulation_csv (at the end), which prints each
+ * two passes of sizing.min_single_store_capacity, the normal draws and
+ * AR(1) noise of traces.synthesize and the row writer of
+ * engine.write_simulation_csv (at the end), which prints each
  * cell exactly as Python's repr does with Schubfach (R. Giulietti, "The
  * Schubfach way to render doubles", 2020).  The writer formats a file's
  * rows in chunks on the calling thread and one helper thread, and the
@@ -346,50 +346,6 @@ void ar1(int64_t n, const double *eps, double a, double sd, double x0, double *o
     for (int64_t t = 1; t < n; t++) {
         x = a * x + sd * eps[t];
         out[t] = x;
-    }
-}
-
-/* The element-wise arithmetic of storefleet.traces.synthesize after its
- * cosines, numpy's operations in numpy's order, one rounding each.  Two
- * passes, since numpy takes the means of wind and solar in between.
- *
- * synth_profile writes demand[t] = base * (1 + diurnal_amp * day[t]
- * + weekly_amp * week[t] + seasonal_amp * season[t]) and
- * solar[t] = max(daylight[t] - 0.3, 0) * (1 + 0.5 * summer[t]), where
- * each input is a cosine read where it lies.  max keeps its first
- * argument unless that is below the second, as numpy.maximum does. */
-void synth_profile(int64_t n, const double *day, const double *week, const double *season,
-                   const double *daylight, const double *summer, double base,
-                   double diurnal_amp, double weekly_amp, double seasonal_amp, double *demand,
-                   double *solar)
-{
-    for (int64_t t = 0; t < n; t++) {
-        double d = 1.0 + diurnal_amp * day[t];
-        d = d + weekly_amp * week[t];
-        d = d + seasonal_amp * season[t];
-        demand[t] = base * d;
-        double light = daylight[t] - 0.3;
-        if (light < 0.0)
-            light = 0.0;
-        solar[t] = light * (1.0 + 0.5 * summer[t]);
-    }
-}
-
-/* synth_generation writes generation[t] = base * blend[t], where blend
- * starts at 0 and adds wind_part * wind[t] / wind_mean where with_wind,
- * then solar_part * solar[t] / solar_mean where with_solar.  solar may
- * be generation itself: each hour is read before it is written. */
-void synth_generation(int64_t n, const double *wind, int64_t with_wind, double wind_part,
-                      double wind_mean, const double *solar, int64_t with_solar,
-                      double solar_part, double solar_mean, double base, double *generation)
-{
-    for (int64_t t = 0; t < n; t++) {
-        double blend = 0.0;
-        if (with_wind)
-            blend += wind_part * wind[t] / wind_mean;
-        if (with_solar)
-            blend += solar_part * solar[t] / solar_mean;
-        generation[t] = base * blend;
     }
 }
 

@@ -17,20 +17,20 @@ repeats the Python loop's float operations in the same order, so its
 results are bit-identical.  ``_step_python`` is the specification, the
 path for callable policies and the replay of a run the C loop hands
 back.  The same library holds the two passes of
-``sizing.min_single_store_capacity``, the normal draws, the AR(1)
-noise recursion and the arithmetic after the cosines of
-``traces.synthesize``, and the row writer of ``write_simulation_csv``,
-which prints each cell exactly as ``repr``, the Python writer's
-definition.  It formats a file's rows in chunks on the calling thread
-and one helper thread, which ends before the call returns, and the
-calling thread writes them out in order; ctypes releases the GIL for
-the call.  The normal draws are numpy's own sampler, linked from the
-``libnpyrandom.a`` archive numpy ships for C users, so a process that
-synthesizes imports no ``numpy.random``.  Its first use in a process
-loads the library, building it with gcc into the package's
-``__pycache__`` if no build of this source, these flags and this
-archive is there.  Without a compiler or a writable cache the
-Python loops run, and ``numpy.random`` draws.
+``sizing.min_single_store_capacity``, the normal draws and the AR(1)
+noise recursion of ``traces.synthesize``, and the row writer of
+``write_simulation_csv``, which prints each cell exactly as ``repr``,
+the Python writer's definition.  It formats a file's rows in chunks on
+the calling thread and one helper thread, which ends before the call
+returns, and the calling thread writes them out in order; ctypes
+releases the GIL for the call.  The normal draws are numpy's own
+sampler, linked from the ``libnpyrandom.a`` archive numpy ships for C
+users, so a process that synthesizes imports no ``numpy.random``.  Its
+first use in a process loads the library, building it with gcc into
+the package's ``__pycache__`` if no build of this source, these flags
+and this archive is there, and deleting the builds of others.  Without
+a compiler or a writable cache the Python loops run, and
+``numpy.random`` draws.
 """
 
 from __future__ import annotations
@@ -340,18 +340,18 @@ def _step_python(fleet, values, policy, state, limit, arrays) -> int:
 def _load_hourloop():
     """The compiled module, or None where it cannot be had.
 
-    The module is a ctypes library with eight functions bound:
+    The module is a ctypes library with six functions bound:
     ``simulate_hours`` (``simulate``'s hour loop), ``sequent_peak``
     and ``shortfall`` (``sizing.min_single_store_capacity``'s two
     passes), ``write_rows`` (``write_simulation_csv``'s rows), and
-    ``normal_draws``, ``ar1``, ``synth_profile`` and
-    ``synth_generation`` (``traces.synthesize``'s normal draws, wind
-    noise and arithmetic after the cosines).  Where numpy ships its sampler archive
+    ``normal_draws`` and ``ar1`` (``traces.synthesize``'s normal draws
+    and wind noise).  Where numpy ships its sampler archive
     (``_NPYRANDOM_ARCHIVE``) the build links it; without it
     ``normal_draws`` returns -1.  Loads the module once per process,
     building it first (``_build_hourloop``) if the cache holds no build
     of this source, these flags and this archive: the cache key covers
-    the archive's bytes, so a numpy upgrade gets a new build.  Without
+    the archive's bytes, so a numpy upgrade gets a new build, which
+    replaces the cache's builds of other keys.  Without
     gcc, with a failed build or an unusable cache directory this returns
     None, silently.
     """
@@ -387,8 +387,6 @@ def _load_hourloop():
         ("write_rows", i64, [i64, i64, i64, i64, ptr, ptr, i64, i64, ptr, ptr, ptr, ptr]),
         ("normal_draws", i64, [i64, ptr, i64, ptr]),
         ("ar1", None, [i64, ptr, f64, f64, f64, ptr]),
-        ("synth_profile", None, [i64] + [ptr] * 5 + [f64] * 4 + [ptr] * 2),
-        ("synth_generation", None, [i64, ptr, i64, f64, f64, ptr, i64, f64, f64, f64, ptr]),
     ):
         function = getattr(module, symbol)
         function.restype = restype
@@ -405,10 +403,13 @@ def _build_hourloop(path: str, linked: tuple[str, ...]) -> bool:
 
     gcc writes into a fresh temporary directory, and the library is
     renamed into place only once the build has succeeded, so processes
-    building at the same time never load a half-written file.  The
+    building at the same time never load a half-written file.  A
+    successful build then removes the cache's other builds.  The
     modules a build needs are imported here, so that a process which
     finds the library built never loads them.
     """
+    import contextlib
+    import re
     import shutil
     import subprocess
     import tempfile
@@ -431,6 +432,15 @@ def _build_hourloop(path: str, linked: tuple[str, ...]) -> bool:
             shutil.rmtree(build, ignore_errors=True)
     except (OSError, subprocess.SubprocessError):
         return False
+    # Builds of other sources, flags or archives are never loaded again.
+    # A build in progress is a directory named after its library, and stays.
+    try:
+        for other in os.listdir(cache):
+            if other != name and re.fullmatch(r"_hourloop\.[0-9a-f]{8}\.so", other):
+                with contextlib.suppress(OSError):
+                    os.unlink(os.path.join(cache, other))
+    except OSError:
+        pass
     return True
 
 

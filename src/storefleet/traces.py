@@ -245,11 +245,14 @@ def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
     caller that never simulates.  Without the module, or where its build
     found no numpy sampler archive to link, numpy.random draws them.
 
-    With the module loaded, the arithmetic after the cosines runs in it
-    too (``_compiled_series``), and a trace of ``_SYNTH_THREAD_HOURS`` or
-    more splits the noise and the three cosines between this thread and
-    one helper (``_on_two_threads``).  The numpy expressions below are
-    the specification of both, and the path without the module.
+    With the module loaded, a trace of ``_SYNTH_THREAD_HOURS`` or more
+    splits the noise and the three cosines between this thread and one
+    helper (``_on_two_threads``).  The arithmetic after them is numpy's,
+    one ufunc call at a time in place: each call writes with ``out=``
+    into an array that no later step reads, and keeps the operand order
+    of the expression in the comment above it.  So it rounds as that
+    expression does, with numpy's promotion rules for whatever numbers
+    the fields hold, and makes no temporary as long as the trace.
     """
     n = int(round(params.years * HOURS_PER_YEAR))
     # Hours are whole floats, so shifting one is exact: the daylight cosine
@@ -269,58 +272,37 @@ def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
     else:
         wind, weekly, seasonal, diurnal = (part() for part in parts)
     wind_mean = float(np.mean(wind))
-    if lib is not None and all(
-        isinstance(x, (int, float))
-        for x in (params.base_demand_mw, params.diurnal_amp, params.weekly_amp,
-                  params.seasonal_amp, params.solar_share)
-    ):
-        return _compiled_series(lib, params, n, diurnal, weekly, seasonal, wind, wind_mean)
 
-    demand = params.base_demand_mw * (
-        1.0
-        + params.diurnal_amp * diurnal[:n]
-        + params.weekly_amp * weekly
-        + params.seasonal_amp * seasonal[half_year:]
-    )
+    # demand = base * (1 + diurnal_amp * day + weekly_amp * week + seasonal_amp * season)
+    demand = np.multiply(params.diurnal_amp, diurnal[:n])
+    np.add(1.0, demand, out=demand)
+    np.multiply(params.weekly_amp, weekly, out=weekly)
+    np.add(demand, weekly, out=demand)
+    np.multiply(params.seasonal_amp, seasonal[half_year:], out=weekly)
+    np.add(demand, weekly, out=demand)
+    np.multiply(params.base_demand_mw, demand, out=demand)
 
-    daylight = np.maximum(diurnal[5:] - 0.3, 0.0)
-    summer = 1.0 + 0.5 * seasonal[:n]
-    solar = daylight * summer
+    # solar = max(daylight - 0.3, 0) * (1 + 0.5 * summer), in weekly's array.
+    solar = np.subtract(diurnal[5:], 0.3, out=weekly)
+    np.maximum(solar, 0.0, out=solar)
+    summer = np.multiply(0.5, seasonal[:n], out=seasonal[:n])
+    np.add(1.0, summer, out=summer)
+    np.multiply(solar, summer, out=solar)
 
     solar_mean = float(np.mean(solar))
     _check_means(params, wind_mean, solar_mean)
-    blend = np.zeros(n)
+    # generation = base * ((1 - share) * wind / wind_mean + share * solar / solar_mean),
+    # each term only where its weight is nonzero.  Neither term is ever -0.0,
+    # so a sum that starts from 0.0 would leave each one as it is.
+    terms = []
     if params.solar_share < 1.0:
-        blend += (1.0 - params.solar_share) * wind / wind_mean
+        np.multiply(1.0 - params.solar_share, wind, out=wind)
+        terms.append(np.divide(wind, wind_mean, out=wind))
     if params.solar_share > 0.0:
-        blend += params.solar_share * solar / solar_mean
-    generation = params.base_demand_mw * blend
-    return demand, generation
-
-
-def _compiled_series(lib, params, n, diurnal, weekly, seasonal, wind, wind_mean):
-    """``synthesize``'s (demand, generation) from its cosines and wind, with
-    ``_hourloop.c``'s ``synth_profile`` and ``synth_generation``: the
-    expressions of ``synthesize``, one rounding at a time in numpy's
-    order, in two passes around the solar mean.
-
-    Only for Python numbers as the fields read here, whose values numpy
-    takes as float64 scalars; others keep numpy's promotion rules.
-    """
-    half_year = HOURS_PER_YEAR // 2
-    base = float(params.base_demand_mw)
-    demand, generation = np.empty(n), np.empty(n)
-    lib.synth_profile(n, diurnal.ctypes.data, weekly.ctypes.data, seasonal[half_year:].ctypes.data,
-                      diurnal[5:].ctypes.data, seasonal.ctypes.data, base,
-                      float(params.diurnal_amp), float(params.weekly_amp),
-                      float(params.seasonal_amp), demand.ctypes.data, generation.ctypes.data)
-    # generation holds the solar profile until synth_generation overwrites it.
-    solar_mean = float(np.mean(generation))
-    _check_means(params, wind_mean, solar_mean)
-    share = params.solar_share
-    lib.synth_generation(n, wind.ctypes.data, share < 1.0, float(1.0 - share), wind_mean,
-                         generation.ctypes.data, share > 0.0, float(share), solar_mean, base,
-                         generation.ctypes.data)
+        np.multiply(params.solar_share, solar, out=solar)
+        terms.append(np.divide(solar, solar_mean, out=solar))
+    generation = terms[0] if len(terms) == 1 else np.add(*terms, out=wind)
+    np.multiply(params.base_demand_mw, generation, out=generation)
     return demand, generation
 
 

@@ -890,12 +890,18 @@ class TestHourloopBuild:
         self._check(monkeypatch, capfd, loaded=True)
         first = {p.name for p in cache.iterdir()}
         assert len(first) == 1
+        # The new build replaces the old one, and leaves a build in
+        # progress (mkdtemp's directory) and the package's bytecode.
+        kept = {"_hourloop.0badf00d.so.x1y2z3", "engine.cpython-311.pyc"}
+        (cache / "_hourloop.0badf00d.so.x1y2z3").mkdir()
+        (cache / "engine.cpython-311.pyc").write_bytes(b"")
         with source.open("a") as fh:
             fh.write("/* edited */\n")
         self._fresh(monkeypatch, cache)
         self._check(monkeypatch, capfd, loaded=True)
-        second = {p.name for p in cache.iterdir()}
-        assert len(second) == 2 and first < second
+        second = {p.name for p in cache.iterdir()} - kept
+        assert len(second) == 1 and second != first
+        assert kept < {p.name for p in cache.iterdir()}
 
     def test_numpys_sampler_archive_is_in_the_cache_key(self, monkeypatch, tmp_path):
         archive = tmp_path / "libnpyrandom.a"

@@ -263,36 +263,59 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("years", [14 / 8760, 0.01, 0.1, 0.5, 1.0, 10.0])
     def test_cosines_match_their_direct_formulas(self, years):
-        # synthesize takes daylight and summer as slices of the diurnal and
-        # seasonal cosines; these are the five cosines each at its own phase.
         params = SynthParams(years=years, seed=5, solar_share=1.0)
-        h = np.arange(int(round(years * 8760)), dtype=float)
-        two_pi = 2.0 * math.pi
-        demand = params.base_demand_mw * (
-            1.0
-            + params.diurnal_amp * np.cos(two_pi * (h - 18.0) / 24.0)
-            + params.weekly_amp * np.cos(two_pi * h / 168.0)
-            + params.seasonal_amp * np.cos(two_pi * (h - 400.0) / 8760)
-        )
-        daylight = np.maximum(np.cos(two_pi * (h - 13.0) / 24.0) - 0.3, 0.0)
-        summer = 1.0 + 0.5 * np.cos(two_pi * (h - 400.0 - 8760 / 2.0) / 8760)
-        solar = daylight * summer
-        generation = params.base_demand_mw * (1.0 * solar / float(np.mean(solar)))
-        got_demand, got_generation = synthesize(params)
-        assert got_demand.tobytes() == demand.tobytes()
-        assert got_generation.tobytes() == generation.tobytes()
+        demand, generation = _expressions(params)
+        assert _series_bytes(params) == (demand.tobytes(), generation.tobytes())
+
+
+def _expressions(params):
+    """synthesize's (demand, generation) as whole-array numpy expressions.
+
+    The five cosines are each computed at its own phase, where synthesize
+    takes daylight and summer as slices of the diurnal and seasonal ones,
+    and the wind noise is numpy.random's draws stepped by traces._ar1.
+    """
+    n = int(round(params.years * 8760))
+    h = np.arange(n, dtype=float)
+    two_pi = 2.0 * math.pi
+    eps = np.random.default_rng(params.seed).standard_normal(n)
+    a = params.ar_coeff
+    stationary_sd = params.noise_sd / math.sqrt(1.0 - a * a) if params.noise_sd > 0.0 else 0.0
+    x0 = float(stationary_sd) * float(eps[0])
+    wind = np.maximum(1.0 + np.fromiter(traces._ar1(eps, a, params.noise_sd, x0), float, n), 0.0)
+    demand = params.base_demand_mw * (
+        1.0
+        + params.diurnal_amp * np.cos(two_pi * (h - 18.0) / 24.0)
+        + params.weekly_amp * np.cos(two_pi * h / 168.0)
+        + params.seasonal_amp * np.cos(two_pi * (h - 400.0) / 8760)
+    )
+    daylight = np.maximum(np.cos(two_pi * (h - 13.0) / 24.0) - 0.3, 0.0)
+    summer = 1.0 + 0.5 * np.cos(two_pi * (h - 400.0 - 8760 / 2.0) / 8760)
+    solar = daylight * summer
+    blend = np.zeros(n)
+    if params.solar_share < 1.0:
+        blend += (1.0 - params.solar_share) * wind / float(np.mean(wind))
+    if params.solar_share > 0.0:
+        blend += params.solar_share * solar / float(np.mean(solar))
+    return demand, params.base_demand_mw * blend
 
 
 def _series_bytes(params):
     demand, generation = synthesize(params)
+    n = int(round(params.years * 8760))
+    for series in (demand, generation):
+        assert series.shape == (n,) and series.dtype == np.float64
+        assert series.flags.owndata and series.flags.c_contiguous
     return demand.tobytes(), generation.tobytes()
 
 
-@pytest.mark.parametrize("threads", [False, True], ids=["one-thread", "two-threads"])
-def test_compiled_series_match_the_numpy_expressions(monkeypatch, threads):
-    # synth_profile and synth_generation, on one thread or with the noise
-    # and cosines split over two, against the numpy expressions that
-    # run without the compiled module.
+_THREADS = pytest.mark.parametrize("threads", [False, True], ids=["one-thread", "two-threads"])
+
+
+@_THREADS
+def test_library_path_matches_the_path_without_it(monkeypatch, threads):
+    # The compiled draws and ar1, on one thread or with the noise and
+    # cosines split over two, against numpy.random and traces._ar1.
     if engine._load_hourloop() is None:
         pytest.skip("the compiled module cannot be built here")
     monkeypatch.setattr(traces, "_SYNTH_THREAD_HOURS", 1 if threads else 10**9)
@@ -308,19 +331,25 @@ def test_compiled_series_match_the_numpy_expressions(monkeypatch, threads):
             weekly_amp=float(rng.uniform(0, 0.2)), seasonal_amp=float(rng.uniform(0, 0.4)),
             ar_coeff=float(rng.uniform(-0.99, 0.999)), noise_sd=float(rng.uniform(0, 0.6)),
             solar_share=float(rng.uniform(0, 1))))
-    compiled = [_series_bytes(params) for params in cases]
+    with_library = [_series_bytes(params) for params in cases]
     monkeypatch.setattr(traces, "_load_hourloop", lambda: None)
-    assert compiled == [_series_bytes(params) for params in cases]
+    assert with_library == [_series_bytes(params) for params in cases]
 
 
-def test_numpy_scalar_fields_keep_numpys_promotion(monkeypatch):
-    # A float32 share makes 1 - share a float32 in numpy's expression;
-    # such fields skip the compiled arithmetic, so the bits are numpy's.
-    params = SynthParams(years=0.05, seed=8, solar_share=np.float32(0.3),
-                         diurnal_amp=np.float32(0.2))
-    got = _series_bytes(params)
-    monkeypatch.setattr(traces, "_load_hourloop", lambda: None)
-    assert got == _series_bytes(params)
+@_THREADS
+def test_numpy_scalar_fields_keep_numpys_promotion(monkeypatch, threads):
+    # numpy scalars in the fields the arithmetic reads round as they do in
+    # the expressions.  An np.float64 share, a float, once reached the
+    # compiled arithmetic as an np.bool_ flag and failed there.
+    monkeypatch.setattr(traces, "_SYNTH_THREAD_HOURS", 1 if threads else 10**9)
+    for params in (
+        SynthParams(years=0.05, seed=8, base_demand_mw=np.int64(900), diurnal_amp=np.float32(0.2),
+                    weekly_amp=np.float32(0.07), seasonal_amp=np.float32(0.3),
+                    solar_share=np.float32(0.3)),
+        SynthParams(years=0.05, seed=9, solar_share=np.float64(0.6)),
+    ):
+        demand, generation = _expressions(params)
+        assert _series_bytes(params) == (demand.tobytes(), generation.tobytes())
 
 
 class TestOnTwoThreads:
