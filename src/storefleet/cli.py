@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -32,6 +32,7 @@ from .fleet import (
     StoreSpec,
     convention_factor,
     convert_convention,
+    frozen_dataclass,
     is_number,
     validate_spec,
 )
@@ -81,7 +82,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass
+@frozen_dataclass
 class Scenario:
     """Parsed scenario file: trace source, fleet, policy, costs, standard."""
 
@@ -637,15 +638,26 @@ def main(argv: Sequence[str] | None = None) -> int:
 def entry() -> int:
     """``main`` on ``sys.argv``, as the ``storefleet`` process runs it.
 
-    The cyclic garbage collector stays off for the run, and every object
-    is frozen before the process exits, so neither collections during
-    the run nor the interpreter's exit collections walk the objects that
-    numpy and storefleet made.  Nothing is lost: traces, simulations and
-    the sizing search leave no reference cycles (``tests/test_cli.py``
-    checks both simulate paths).  The argument parser and each indented
-    ``json.dump`` leave a few hundred objects in cycles, once per
-    process, which go when it exits.  ``main`` itself never touches the
-    collector, so a caller running it in its own process keeps its own.
+    The cyclic garbage collector stays off for the run, so no collection
+    walks the objects that numpy and storefleet made.  Nothing is lost:
+    traces, simulations and the sizing search leave no reference cycles
+    (``tests/test_cli.py`` checks both simulate paths).  The argument
+    parser and each indented ``json.dump`` leave a few hundred objects
+    in cycles, once per process.
+
+    When ``main`` returns, its output is complete: every file a command
+    writes is closed by a ``with`` block, the CSV writer's helper thread
+    is joined inside ``write_rows``, ``synthesize``'s before it returns,
+    and no command starts a pool.  So ``entry`` flushes stdout and
+    stderr and ends the process with ``os._exit``, skipping the
+    interpreter's teardown (3-5 ms of module and object clean-up, with
+    nothing left to write); ``atexit`` handlers do not run.  If a flush
+    fails, ``entry`` returns the exit code instead, so that the
+    interpreter reports the failure as it always has (exit code 120 for
+    a write error).  An exception from ``main`` propagates, and exits 1
+    with its traceback.  ``main`` itself never touches the collector or
+    ends the process, so a caller running it in its own process keeps
+    both.
 
     Unless the environment sets it, ``OPENBLAS_NUM_THREADS`` is 1 for
     the process, set before any command imports numpy, whose OpenBLAS
@@ -657,10 +669,14 @@ def entry() -> int:
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
+    code = main()
     try:
-        return main()
-    finally:
-        gc.freeze()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):  # a failed write, or a stream already closed
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ import itertools
 import math
 import os
 import zlib
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,6 +51,7 @@ from .fleet import (
     StepDecision,
     StoreSpec,
     _level_step,
+    frozen_dataclass,
     full_state,
     imbalance,
     validate_fleet,
@@ -139,7 +139,7 @@ def _run_values(trace) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True, eq=False)
+@frozen_dataclass(eq=False)
 class PolicyTrace:
     """A full rate schedule: one row per hour, one column per store.
 
@@ -157,7 +157,7 @@ class PolicyTrace:
         object.__setattr__(self, "rates_mw", arr)
 
 
-@dataclass(frozen=True, eq=False)
+@frozen_dataclass(eq=False)
 class SimResult:
     """Everything a simulation run produced.
 

@@ -13,14 +13,21 @@ Conventions used throughout the package:
 * Time steps are one hour, so a rate in MW held for one step transfers
   the same number of MWh.  Positive rates charge, negative rates
   discharge.
+
+Every value type of the package is declared with ``frozen_dataclass``,
+which does the job of ``@dataclass(frozen=True)`` without compiling
+methods from source each time a process imports the package.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, replace
 from enum import Enum
+from operator import attrgetter
+from reprlib import recursive_repr
 from typing import Sequence
 
 # Absolute slack (MWh / MW) applied to floating-point feasibility checks.
@@ -32,6 +39,128 @@ SLACK = 1e-6
 def is_number(value) -> bool:
     """True for a real number other than a bool: the one rule for every numeric field."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def frozen_dataclass(cls=None, /, *, eq: bool = True):
+    """``@dataclass(frozen=True[, eq=False])``, with no method compiled from source.
+
+    Python's ``dataclass`` writes each method it adds as source text and
+    compiles it, in every process that imports the class: about 0.6 ms a
+    frozen class on Python 3.11, and with the package's 17 classes
+    about 8 of the 17 ms that a CLI process spent importing its layers.
+    This decorator applies ``dataclass(init=False, repr=False,
+    eq=False)``, which compiles nothing, so ``dataclasses.fields``,
+    ``replace``, ``asdict`` and ``is_dataclass`` work as before, and
+    then installs closures over the fields: under 0.1 ms a class.
+
+    They behave as the generated methods do.  ``__init__`` takes the
+    fields positionally or by keyword, with their defaults, raises the
+    interpreter's ``TypeError`` for a missing, extra or repeated
+    argument, assigns each with ``object.__setattr__`` and then calls
+    ``__post_init__``.  ``__setattr__`` and ``__delattr__`` raise
+    ``FrozenInstanceError``; ``__repr__`` is ``QualName(field=repr, ...)``.
+    With ``eq``, ``__eq__`` compares the field tuples of two instances of
+    one class (``NotImplemented`` for any other) and ``__hash__`` hashes
+    it; without, instances compare and hash by identity.  Fields take a
+    plain default at most: ``field()`` options are refused.
+    """
+    if cls is None:
+        return lambda cls: frozen_dataclass(cls, eq=eq)
+    generated_doc = cls.__dict__.get("__doc__") is None
+    if generated_doc:  # else dataclass writes one from object's signature, parsed from text
+        cls.__doc__ = cls.__name__
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    params = cls.__dataclass_params__
+    params.init = params.repr = params.frozen = True
+    params.eq = eq
+    found = fields(cls)
+    for f in found:
+        if f.default_factory is not MISSING or f.kw_only or f.hash is not None or not (
+                f.init and f.repr and f.compare):
+            raise TypeError(f"{cls.__qualname__}.{f.name}: frozen_dataclass takes no field() options")
+    names = tuple(f.name for f in found)
+    n = len(names)
+    defaults = [f.default for f in found]
+    required = sum(d is MISSING for d in defaults)
+    index = {name: i for i, name in enumerate(names)}
+    has_post_init = hasattr(cls, "__post_init__")
+    set_field = object.__setattr__
+    init_name = f"{cls.__qualname__}.__init__()"
+
+    def bind(args, kwargs):
+        # The interpreter's checks, in its order: keywords, surplus positionals, missing.
+        values = [*args, *defaults[len(args):]]
+        for name, value in kwargs.items():
+            i = index.get(name)
+            if i is None:
+                raise TypeError(f"{init_name} got an unexpected keyword argument {name!r}")
+            if i < len(args):
+                raise TypeError(f"{init_name} got multiple values for argument {name!r}")
+            values[i] = value
+        if len(args) > n:
+            takes = f"from {required + 1} to {n + 1}" if required < n else f"{n + 1}"
+            plural = "s" if required < n or n else ""
+            raise TypeError(f"{init_name} takes {takes} positional argument{plural} "
+                            f"but {len(args) + 1} were given")
+        missing = [repr(name) for name, value in zip(names, values) if value is MISSING]
+        if missing:
+            listed = (missing[0] if len(missing) == 1 else f"{missing[0]} and {missing[1]}"
+                      if len(missing) == 2 else f"{', '.join(missing[:-1])}, and {missing[-1]}")
+            raise TypeError(f"{init_name} missing {len(missing)} required positional "
+                            f"argument{'s' if len(missing) > 1 else ''}: {listed}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        if has_post_init:
+            self.__post_init__()
+
+    @recursive_repr()
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}("
+                f"{', '.join(f'{name}={getattr(self, name)!r}' for name in names)})")
+
+    def __setattr__(self, name, value):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    methods = [__init__, __repr__, __setattr__, __delattr__]
+    if eq:
+        field_values = (attrgetter(*names) if n > 1
+                        else lambda self: tuple(getattr(self, name) for name in names))
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return field_values(self) == field_values(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(field_values(self))
+
+        methods += [__eq__, __hash__]
+    positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    __init__.__signature__ = inspect.Signature(
+        [inspect.Parameter("self", positional)]
+        + [inspect.Parameter(f.name, positional, annotation=f.type,
+                             default=inspect.Parameter.empty if f.default is MISSING else f.default)
+           for f in found],
+        return_annotation=None)
+    for method in methods:
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        method.__module__ = cls.__module__
+        setattr(cls, method.__name__, method)
+    if generated_doc:  # as dataclass writes it, from the signature of __init__
+        cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+    return cls
 
 
 class FleetError(Exception):
@@ -80,7 +209,7 @@ class LossConvention(Enum):
     SPLIT_SQRT = "split"
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class StoreSpec:
     """One storage technology: capacity, power ratings and efficiency.
 
@@ -141,7 +270,7 @@ def validate_fleet(fleet: Sequence[StoreSpec]) -> None:
         validate_spec(spec)
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class FleetState:
     """Current servable-energy levels, one per store, plus a step counter."""
 
@@ -172,7 +301,7 @@ def validate_state(state: FleetState, fleet: Sequence[StoreSpec]) -> None:
             )
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class StepDecision:
     """Signed per-store rates for one step plus the resulting imbalance.
 

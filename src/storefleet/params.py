@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Sequence
 
-from .fleet import LossConvention, StoreSpec, convention_factor, is_number
+from .fleet import LossConvention, StoreSpec, convention_factor, frozen_dataclass, is_number
 from .policies import ValueParams
 
 # Dollars per $bn and kWh (kW) per MWh (MW): applied once, at the costing
@@ -34,7 +34,7 @@ class Infeasible(Exception):
     """No dimension within the searched range meets the standard."""
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class StorePrices:
     """Unit prices for one technology (USD per kWh / kW).
 
@@ -52,7 +52,7 @@ class StorePrices:
                 raise ValueError(f"prices must be finite and nonnegative, got {field.name}={price!r}")
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class StoreCost:
     """Cost breakdown for one store, USD."""
 
@@ -65,7 +65,7 @@ class StoreCost:
         return self.capacity_usd + self.output_power_usd + self.input_power_usd
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class CostBreakdown:
     per_store: tuple[StoreCost, ...]
 
@@ -97,7 +97,7 @@ def fleet_cost(
     return CostBreakdown(tuple(per_store))
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class ReliabilityStandard:
     """Maximum tolerated average unserved energy, GWh per year.
 
@@ -139,7 +139,7 @@ def parse_decay_grid(grid) -> tuple:
     raise ValueError(f"lambda_grid must be a nonempty list of decay rates or of such lists, got {grid!r}")
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class SizingOptions:
     """Search-resolution knobs for the dimension optimisers.
 
@@ -261,7 +261,7 @@ class InsufficientData(TraceError):
     pass
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class SynthParams:
     """Knobs for the synthetic demand/generation generator.
 

@@ -31,16 +31,15 @@ loop (``_hourloop.c``), which repeats its float operations in C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .fleet import FleetState, StepDecision, StoreSpec, is_number
+from .fleet import FleetState, StepDecision, StoreSpec, frozen_dataclass, is_number
 
 # Guard against zero-progress float transfers in the cross-charging loop.
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class ValueParams:
     """Per-store decay rates (per hour): finite numbers >= 0, kept as floats; else ValueError."""
 
@@ -238,7 +237,7 @@ def value_derivatives(
     ]
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class Policy:
     """Dispatchable policy choice: 'value' (with params), 'ggddf' or 'grtef'."""
 

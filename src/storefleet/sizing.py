@@ -30,13 +30,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .engine import SimResult, _load_hourloop, _run_values, simulate, trace_values
-from .fleet import FleetError, FleetState, LossConvention, StoreSpec, convention_factor, is_number
+from .fleet import (FleetError, FleetState, LossConvention, StoreSpec, convention_factor,
+                    frozen_dataclass, is_number)
 from .params import (
     _KWH_PER_MWH,
     HOURS_PER_YEAR,
@@ -278,7 +279,7 @@ def _lambda_combos(grid, n_stores: int) -> list[tuple[float, ...]]:
     return list(itertools.product(*grid[:n_stores]))
 
 
-@dataclass(frozen=True)
+@frozen_dataclass
 class SizingResult:
     """Optimiser output: the sized fleet, its cost and achieved reliability.
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import _thread
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .engine import _load_hourloop
+from .fleet import frozen_dataclass
 from .params import (
     HOURS_PER_YEAR,
     MAX_SYNTH_YEARS,
@@ -31,7 +31,7 @@ from .params import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@frozen_dataclass(eq=False)
 class ResidualTrace:
     """Hourly residual-energy series (MW); compared and hashed by identity."""
 
@@ -387,7 +387,7 @@ def _on_two_threads(parts):
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@frozen_dataclass(eq=False)
 class TraceStats:
     """A trace's histogram and autocorrelation; compared and hashed by identity."""
 

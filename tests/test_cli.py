@@ -935,6 +935,14 @@ def _fresh_modules(code: str) -> set[str]:
     return set(done.stdout.split())
 
 
+def _run_entry(code: str, env: dict[str, str] | None = None, ends: bool = True):
+    """A fresh interpreter that imports the CLI, runs ``code`` and then, if
+    ``ends``, ``cli.entry()``, which must end the process itself."""
+    tail = "cli.entry()\nsys.exit('cli.entry returned')\n" if ends else ""
+    return subprocess.run([sys.executable, "-c", f"import sys\nfrom storefleet import cli\n{code}{tail}"],
+                          env=env or _child_env(), capture_output=True, text=True, timeout=120)
+
+
 class TestImportBudget:
     def test_importing_the_cli_loads_no_pool(self):
         loaded = _fresh_modules("import storefleet.cli")
@@ -1068,24 +1076,18 @@ class TestProcessEntry:
                 gc.enable()
         assert len(found.fleet) == 2  # the companion won, so simulate ran two stores
 
-    def test_entry_runs_main_with_the_collector_off_and_freezes_after(self, tmp_path):
+    def test_entry_runs_main_with_the_collector_off(self, tmp_path):
+        # entry ends the process, so the replaced main reports what it saw
+        # on stdout, before it runs the command.
         argv = ["simulate", "--config", simple_simulate_config(tmp_path),
                 "--out", str(tmp_path / "out")]
-        _fresh_modules(
+        done = _run_entry(
             "import gc\n"
-            "from storefleet import cli\n"
-            "run, seen = cli.main, []\n"
-            "cli.main = lambda: 1 / 0\n"
-            "try:\n"
-            "    cli.entry()\n"
-            "except ZeroDivisionError:\n"
-            "    assert gc.get_freeze_count() > 0\n"
-            "gc.unfreeze()\n"
-            "cli.main = lambda: seen.append(gc.isenabled()) or run()\n"
+            "run = cli.main\n"
+            "cli.main = lambda: print(gc.isenabled(), gc.get_freeze_count()) or run()\n"
             f"sys.argv[1:] = {argv!r}\n"
-            "assert cli.entry() == 0\n"
-            "assert seen == [False] and gc.get_freeze_count() > 0\n"
         )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False 0\n", "")
         assert (tmp_path / "out" / "simulation.csv").exists()
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
@@ -1095,19 +1097,51 @@ class TestProcessEntry:
         # entry sets it for every command before numpy is imported, whose
         # OpenBLAS reads it then; a value already in the environment stays,
         # and importing the CLI sets nothing.
-        code = ("import os\nfrom storefleet import cli\n"
+        code = ("import os\n"
                 f"sys.argv = ['storefleet', {command!r}, '--config', 'x.json']\n"
-                "before = os.environ.get('OPENBLAS_NUM_THREADS')\nseen = []\n"
-                "cli.main = lambda: seen.append((os.environ.get('OPENBLAS_NUM_THREADS'),\n"
-                "                                'numpy' in sys.modules)) or 0\n"
-                "assert cli.entry() == 0\nprint(before, *seen[0])")
+                "before = os.environ.get('OPENBLAS_NUM_THREADS')\n"
+                "cli.main = lambda: print(before, os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+                "                         'numpy' in sys.modules) or 0\n")
         env = _child_env()
         env.pop("OPENBLAS_NUM_THREADS", None)
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
-        done = subprocess.run([sys.executable, "-c", f"import sys\n{code}"], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.split() == expected.split()
+        done = _run_entry(code, env)
+        assert (done.returncode, done.stdout.split(), done.stderr) == (0, expected.split(), "")
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_entry_exits_with_mains_code_and_runs_no_exit_handler(self, code):
+        done = _run_entry(f"import atexit\natexit.register(print, 'atexit ran')\n"
+                          f"cli.main = lambda: {code}\n")
+        assert (done.returncode, done.stdout, done.stderr) == (code, "", "")
+
+    def test_entry_flushes_output_a_pipe_has_not_taken_yet(self):
+        # More than a pipe holds, with no newline at the end of either stream.
+        done = _run_entry("cli.main = lambda: print('x' * 999_999, end='') or "
+                          "print('y' * 99, end='', file=sys.stderr) or 0\n")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "x" * 999_999, "y" * 99)
+
+    def test_entry_returns_the_code_when_a_flush_fails(self):
+        # The interpreter then flushes again at its exit, and reports the
+        # failure with exit code 120, as it did before entry ended the process.
+        done = _run_entry(
+            "import io\n"
+            "class Broken(io.StringIO):\n"
+            "    def flush(self):\n"
+            "        raise BrokenPipeError(32, 'Broken pipe')\n"
+            "cli.main = lambda: 2\n"
+            "sys.stdout = Broken()\n"
+            "print('returned', cli.entry(), file=sys.__stdout__)\n",
+            ends=False,
+        )
+        assert done.returncode == 120
+        assert done.stdout == "returned 2\n" and "BrokenPipeError" in done.stderr
+
+    def test_an_exception_from_main_exits_1_with_its_traceback(self):
+        done = _run_entry("cli.main = lambda: 1 / 0\n")
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("Traceback (most recent call last):\n")
+        assert done.stderr.endswith("ZeroDivisionError: division by zero\n")
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: OpenBLAS has no second thread")
     def test_stats_acf_does_not_follow_the_cpu_count(self, tmp_path):
