@@ -646,8 +646,8 @@ def entry() -> int:
     in cycles, once per process.
 
     When ``main`` returns, its output is complete: every file a command
-    writes is closed by a ``with`` block, the CSV writer's helper thread
-    is joined inside ``write_rows``, ``synthesize``'s before it returns,
+    writes is closed by a ``with`` block, the CSV writer's helper thread,
+    the only thread a command starts, is joined inside ``write_rows``,
     and no command starts a pool.  So ``entry`` flushes stdout and
     stderr and ends the process with ``os._exit``, skipping the
     interpreter's teardown (3-5 ms of module and object clean-up, with
@@ -662,9 +662,9 @@ def entry() -> int:
     Unless the environment sets it, ``OPENBLAS_NUM_THREADS`` is 1 for
     the process, set before any command imports numpy, whose OpenBLAS
     reads it when it loads.  So OpenBLAS starts no worker thread: none
-    spins on the CPU that the helper threads of ``synthesize`` and of
-    ``simulation.csv``'s writer use, and the one BLAS call, ``stats``'
-    ``np.dot`` sums, writes the same bits on any CPU count.  Like the
+    spins on the CPU that the helper thread of ``simulation.csv``'s
+    writer uses, and the one BLAS call, ``stats``' ``np.dot`` sums,
+    writes the same bits on any CPU count.  Like the
     collector, the environment of a caller of ``main`` is left alone.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

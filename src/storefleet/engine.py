@@ -23,14 +23,15 @@ noise recursion of ``traces.synthesize``, and the row writer of
 the Python writer's definition.  It formats a file's rows in chunks on
 the calling thread and one helper thread, which ends before the call
 returns, and the calling thread writes them out in order; ctypes
-releases the GIL for the call.  The normal draws are numpy's own
-sampler, linked from the ``libnpyrandom.a`` archive numpy ships for C
-users, so a process that synthesizes imports no ``numpy.random``.  Its
-first use in a process loads the library, building it with gcc into
-the package's ``__pycache__`` if no build of this source, these flags
-and this archive is there, and deleting the builds of others.  Without
-a compiler or a writable cache the Python loops run, and
-``numpy.random`` draws.
+releases the GIL for the call.  That helper is the only thread the
+package starts.  The normal draws are numpy's own sampler, linked from
+the ``libnpyrandom.a`` archive numpy ships for C users, so a process
+that synthesizes imports no ``numpy.random``.  Its first use in a
+process loads the library, building it with gcc into the package's
+``__pycache__`` if no build of this source, these flags and this
+archive is there, and deleting the builds of others.  Without a
+compiler or a writable cache the Python loops run, and ``numpy.random``
+draws.
 """
 
 from __future__ import annotations

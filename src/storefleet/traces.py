@@ -9,7 +9,6 @@ needs no numpy.
 
 from __future__ import annotations
 
-import _thread
 import math
 from typing import Sequence
 
@@ -109,6 +108,9 @@ def _parse_columns(path, schema: str | None) -> tuple[str, np.ndarray]:
         missing = [c for c in wanted if c not in header]
         if missing:
             raise SchemaError(f"{path}: header {header} lacks {missing} for schema {schema!r}")
+        repeated = [c for c in wanted if header.count(c) > 1]
+        if repeated:
+            raise SchemaError(f"{path}: header {header} names {repeated} more than once")
         cols = [header.index(c) for c in wanted]
 
         rows = []
@@ -223,13 +225,6 @@ def _normal_draws(lib, seed: int, n: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(n)
 
 
-# Traces of at least this many hours synthesize on two threads (see
-# synthesize), shorter ones on one.  Measured in fresh processes on 2
-# vCPU (medians of 15): at 2 years both took 1.5 ms, at 3 years two
-# threads 2.1 ms against 2.4 ms, at 10 years 6.1 ms against 9.7 ms.
-_SYNTH_THREAD_HOURS = 25_000
-
-
 def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
     """Generate (demand_mw, generation_mw), each of length years * 8760.
 
@@ -245,9 +240,7 @@ def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
     caller that never simulates.  Without the module, or where its build
     found no numpy sampler archive to link, numpy.random draws them.
 
-    With the module loaded, a trace of ``_SYNTH_THREAD_HOURS`` or more
-    splits the noise and the three cosines between this thread and one
-    helper (``_on_two_threads``).  The arithmetic after them is numpy's,
+    The arithmetic after the noise and the three cosines is numpy's,
     one ufunc call at a time in place: each call writes with ``out=``
     into an array that no later step reads, and keeps the operand order
     of the expression in the comment above it.  So it rounds as that
@@ -261,16 +254,10 @@ def synthesize(params: SynthParams) -> tuple[np.ndarray, np.ndarray]:
     # is two slices of one array, bit for bit the cosine of its own phase.
     half_year = HOURS_PER_YEAR // 2
     lib = _load_hourloop()
-    parts = (
-        lambda: _wind(lib, params, n),
-        lambda: _cosine(0, n, 0.0, 168.0),
-        lambda: _cosine(-half_year, n, 400.0, HOURS_PER_YEAR),
-        lambda: _cosine(0, n + 5, 18.0, 24.0),
-    )
-    if lib is not None and n >= _SYNTH_THREAD_HOURS:
-        wind, weekly, seasonal, diurnal = _on_two_threads(parts)
-    else:
-        wind, weekly, seasonal, diurnal = (part() for part in parts)
+    wind = _wind(lib, params, n)
+    weekly = _cosine(0, n, 0.0, 168.0)
+    seasonal = _cosine(-half_year, n, 400.0, HOURS_PER_YEAR)
+    diurnal = _cosine(0, n + 5, 18.0, 24.0)
     wind_mean = float(np.mean(wind))
 
     # demand = base * (1 + diurnal_amp * day + weekly_amp * week + seasonal_amp * season)
@@ -340,51 +327,6 @@ def _wind(lib, params: SynthParams, n: int) -> np.ndarray:
         lib.ar1(n, eps.ctypes.data, float(a), float(params.noise_sd), x0, x.ctypes.data)
     np.add(1.0, x, out=x)
     return np.maximum(x, 0.0, out=x)
-
-
-def _on_two_threads(parts):
-    """The results of calling each of ``parts``, on this thread and one helper.
-
-    The helper takes parts from the front, this thread from the back,
-    each part claimed under its own lock, so each runs once.  This
-    thread waits only for a part the helper has begun: one no thread has
-    claimed it runs itself, so a helper that gets no CPU, or cannot be
-    started, costs about the serial time.  numpy's ufuncs and ctypes
-    calls release the GIL, so the two threads' parts overlap.  The helper
-    is started with ``_thread``: ``threading.Thread.start`` would wait
-    for it to run.  An exception a part raises is raised here.
-    """
-    locks = [_thread.allocate_lock() for _ in parts]
-    results = [None] * len(parts)  # (value, exception) once a part has run
-
-    def run(i):  # holding locks[i]
-        if results[i] is None:
-            try:
-                results[i] = (parts[i](), None)
-            except BaseException as exc:  # raised again on the calling thread
-                results[i] = (None, exc)
-
-    def helper():
-        for i, lock in enumerate(locks):
-            if lock.acquire(False):
-                try:
-                    run(i)
-                finally:
-                    lock.release()
-
-    try:
-        _thread.start_new_thread(helper, ())
-    except RuntimeError:  # no thread to be had: this thread runs every part
-        pass
-    for i in reversed(range(len(parts))):
-        with locks[i]:
-            run(i)
-    out = []
-    for value, exc in results:
-        if exc is not None:
-            raise exc
-        out.append(value)
-    return out
 
 
 @frozen_dataclass(eq=False)

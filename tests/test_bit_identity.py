@@ -439,9 +439,9 @@ def _run_child(script: str, *args) -> str:
 
 
 # A child process pins itself to the CPU given (-1: none), synthesizes a
-# 10-year trace (long enough for two threads) and writes simulation.csv
-# for the first hours of a 3-store value run over it, one file per count
-# of hours given; it prints the sha256 of the series and of each file.
+# 10-year trace and writes simulation.csv for the first hours of a
+# 3-store value run over it, one file per count of hours given; it
+# prints the sha256 of the series and of each file.
 _PINNED_CHILD = """
 import hashlib, os, sys
 from storefleet import engine, traces
@@ -453,7 +453,6 @@ cpu, out, hours = int(sys.argv[1]), sys.argv[2], map(int, sys.argv[3:])
 if cpu >= 0:
     os.sched_setaffinity(0, {cpu})
 demand, generation = traces.synthesize(SynthParams(years=10.0, seed=29, solar_share=0.35))
-assert len(demand) >= traces._SYNTH_THREAD_HOURS
 print(hashlib.sha256(demand.tobytes() + generation.tobytes()).hexdigest())
 trace = traces.scale_to_overcapacity(demand, generation, 0.3)
 fleet = [StoreSpec("long", 1.2e6, 1100.0, 900.0, 0.4), StoreSpec("medium", 1e4, 700.0, 700.0, 0.7),
@@ -469,10 +468,10 @@ for n in hours:
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
 def test_outputs_pinned_to_one_cpu_match_unpinned_ones(tmp_path):
-    # The helpers of synthesize and of the CSV writer share the one CPU
-    # with the calling thread, which must not wait for work they have
-    # not begun.  Files of one row, of whole chunks, of whole in-flight
-    # buffers and one row past each.
+    # The CSV writer's helper shares the one CPU with the calling thread,
+    # which must not wait for work the helper has not begun.  Files of
+    # one row, of whole chunks, of whole in-flight buffers and one row
+    # past each.
     if engine._load_hourloop() is None:
         pytest.skip("the compiled module cannot be built here")
     chunk, in_flight = engine._CSV_CHUNK_ROWS, engine._CSV_ROWS_IN_FLIGHT

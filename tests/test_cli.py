@@ -185,6 +185,21 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("storefleet: ") and "residual.csv:3: bytes that are not UTF-8" in err
 
+    @pytest.mark.parametrize("content,repeated", [
+        ("residual_mw,residual_mw\n1,2\n", "residual_mw"),
+        ("demand_mw,wind_mw,solar_mw,demand_mw\n900,700,100,950\n", "demand_mw"),
+    ], ids=["residual", "components"])
+    def test_a_repeated_schema_column_is_a_trace_error(self, tmp_path, capsys, content, repeated):
+        path = tmp_path / "twice.csv"
+        path.write_text(content)
+        config = simple_simulate_config(tmp_path, trace={"csv_path": str(path)})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("storefleet: ") and "Traceback" not in err
+        assert "twice.csv: header" in err and f"names ['{repeated}'] more than once" in err
+        assert not (out / "simulation.csv").exists()
+
     @pytest.mark.parametrize("header", ["demand_mw,wind_mw,solar_mw", "demand_mw, wind_mw, solar_mw"])
     def test_component_csv_scaled_to_overcapacity(self, tmp_path, header):
         path = tmp_path / "comp.csv"

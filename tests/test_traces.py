@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import shutil
 
 import numpy as np
@@ -85,6 +86,29 @@ class TestLoadCsv:
         path.write_text("power\n1\n")
         with pytest.raises(SchemaError):
             load_csv(path)
+
+    @pytest.mark.parametrize("header,row,repeated", [
+        ("residual_mw,residual_mw", "1,2", "['residual_mw']"),
+        ("demand_mw,wind_mw,solar_mw,demand_mw", "10,6,2,11", "['demand_mw']"),
+        ("solar_mw,wind_mw,demand_mw,wind_mw,solar_mw", "1,2,3,4,5", "['wind_mw', 'solar_mw']"),
+    ], ids=["residual", "components", "two-columns"])
+    def test_a_column_the_schema_reads_named_twice_is_rejected(self, tmp_path, header, row, repeated):
+        # Reading either copy would silently drop the other one's values.
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(SchemaError, match=f"names {re.escape(repeated)} more than once"):
+            load_csv(path)
+
+    def test_load_components_rejects_a_repeated_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("demand_mw,wind_mw,solar_mw,demand_mw\n10,6,2,11\n")
+        with pytest.raises(SchemaError, match=r"names \['demand_mw'\] more than once"):
+            traces.load_components(path)
+
+    def test_a_repeated_column_the_schema_does_not_read_is_allowed(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("note,residual_mw,note\na,1,b\n")
+        assert load_csv(path).values_mw.tolist() == [1.0]
 
     def test_no_rows_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -309,16 +333,10 @@ def _series_bytes(params):
     return demand.tobytes(), generation.tobytes()
 
 
-_THREADS = pytest.mark.parametrize("threads", [False, True], ids=["one-thread", "two-threads"])
-
-
-@_THREADS
-def test_library_path_matches_the_path_without_it(monkeypatch, threads):
-    # The compiled draws and ar1, on one thread or with the noise and
-    # cosines split over two, against numpy.random and traces._ar1.
+def test_library_path_matches_the_path_without_it(monkeypatch):
+    # The compiled draws and ar1 against numpy.random and traces._ar1.
     if engine._load_hourloop() is None:
         pytest.skip("the compiled module cannot be built here")
-    monkeypatch.setattr(traces, "_SYNTH_THREAD_HOURS", 1 if threads else 10**9)
     rng = np.random.default_rng(2903)
     cases = [SynthParams(years=1, seed=3, base_demand_mw=10, noise_sd=0, solar_share=1,
                          ar_coeff=-0.5, diurnal_amp=0),
@@ -336,12 +354,10 @@ def test_library_path_matches_the_path_without_it(monkeypatch, threads):
     assert with_library == [_series_bytes(params) for params in cases]
 
 
-@_THREADS
-def test_numpy_scalar_fields_keep_numpys_promotion(monkeypatch, threads):
+def test_numpy_scalar_fields_keep_numpys_promotion():
     # numpy scalars in the fields the arithmetic reads round as they do in
     # the expressions.  An np.float64 share, a float, once reached the
     # compiled arithmetic as an np.bool_ flag and failed there.
-    monkeypatch.setattr(traces, "_SYNTH_THREAD_HOURS", 1 if threads else 10**9)
     for params in (
         SynthParams(years=0.05, seed=8, base_demand_mw=np.int64(900), diurnal_amp=np.float32(0.2),
                     weekly_amp=np.float32(0.07), seasonal_amp=np.float32(0.3),
@@ -352,61 +368,19 @@ def test_numpy_scalar_fields_keep_numpys_promotion(monkeypatch, threads):
         assert _series_bytes(params) == (demand.tobytes(), generation.tobytes())
 
 
-class TestOnTwoThreads:
-    def test_runs_each_part_once_and_keeps_their_order(self):
-        calls = []
+def test_a_ten_year_trace_starts_no_thread(monkeypatch):
+    import _thread
+    import threading
 
-        def part(k):
-            return lambda: calls.append(k) or k * k
-
-        assert traces._on_two_threads([part(k) for k in range(6)]) == [0, 1, 4, 9, 16, 25]
-        assert sorted(calls) == list(range(6))
-
-    def test_each_part_runs_once_under_contention(self):
-        # Four callers at once, more threads than CPUs, switching often:
-        # a part claimed by both threads would run twice.
-        import sys
-        from concurrent.futures import ThreadPoolExecutor
-
-        def split(k):
-            runs = [0] * 5
-
-            def part(i):
-                def run():
-                    runs[i] += 1
-                    return k + i
-                return run
-
-            return traces._on_two_threads([part(i) for i in range(5)]), runs
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(4) as pool:
-                done = list(pool.map(split, range(300), timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        for k, (results, runs) in enumerate(done):
-            assert results == [k + i for i in range(5)] and runs == [1] * 5, k
-
-    def test_without_a_helper_this_thread_runs_every_part(self, monkeypatch):
-        import _thread
-        import threading
-
-        def refuse(*args):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(_thread, "start_new_thread", refuse)
-        me = threading.get_ident()
-        assert traces._on_two_threads([threading.get_ident] * 3) == [me] * 3
-
-    def test_an_error_in_a_part_is_raised_here(self):
-        def fail():
-            raise InvalidParams("bad part")
-
-        for parts in ([fail, lambda: 1], [lambda: 1, fail]):
-            with pytest.raises(InvalidParams, match="bad part"):
-                traces._on_two_threads(parts)
+    engine._load_hourloop()  # a build, if one is needed, is not synthesis
+    started = []
+    start_new_thread, thread_start = _thread.start_new_thread, threading.Thread.start
+    monkeypatch.setattr(_thread, "start_new_thread",
+                        lambda *args: started.append(args) or start_new_thread(*args))
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or thread_start(self))
+    demand, _ = synthesize(SynthParams(years=10.0, seed=29, solar_share=0.35))
+    assert len(demand) == 87_600 and started == []
 
 
 def _draws_in_c(lib) -> bool:
